@@ -9,16 +9,19 @@ header row and floats at 17 significant digits. Exit codes: 0 success,
 
 A --config FILE (key=value lines, keys named like the long flags with
 underscores) supplies values for any flag not given explicitly; explicit
-flags win. --threads N caps the worker count of the scoring stage; any N
-produces byte-identical output to N=1.
+flags win. --threads N is accepted (N >= 1) but every stage runs on one
+thread: scoring is pure Python, so worker threads only slowed it down. Any N
+produces byte-identical output to N=1. Non-finite numbers (nan, inf) are
+rejected in float flags (exit 1) and in score columns of input reports
+(exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -76,7 +79,7 @@ class Opt:
 
 _COMMON = [
     Opt("--config", kind="path", help="key=value file merged under explicit flags"),
-    Opt("--threads", kind="int", default=1, help="worker cap for data-parallel stages"),
+    Opt("--threads", kind="int", default=1, help="accepted for compatibility; no effect on speed"),
 ]
 
 
@@ -104,6 +107,8 @@ def _convert(raw: object, opt: Opt) -> object:
             value = text
     except ValueError:
         raise UsageError(f"invalid value for {opt.flag}: {raw!r}") from None
+    if opt.kind == "float" and not math.isfinite(value):
+        raise UsageError(f"invalid value for {opt.flag}: {raw!r} (must be finite)")
     if opt.choices is not None and value not in opt.choices:
         raise UsageError(
             f"invalid value for {opt.flag}: {raw!r} (choose from {', '.join(opt.choices)})"
@@ -179,10 +184,14 @@ def _parse_line_no(row: dict[str, str], path: str) -> int:
 
 
 def _parse_score(row: dict[str, str], path: str, column: str = "score") -> float:
+    raw = row[column]
     try:
-        return float(row[column])
+        value = float(raw)
     except ValueError:
-        raise DataError(f"{path}: bad {column} value {row[column]!r}") from None
+        raise DataError(f"{path}: bad {column} value {raw!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: {column} value {raw!r} is not finite")
+    return value
 
 
 # -- handlers ---------------------------------------------------------------
@@ -211,12 +220,7 @@ def _cmd_score_pairs(v: dict[str, object]) -> int:
         length_normalize=bool(v["length_normalize"]),
     )
     examples = read_parallel(str(v["source"]), str(v["target"]))
-    threads = int(v["threads"])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(lambda ex: score_pair(config, ex), examples))
-    else:
-        scores = [score_pair(config, ex) for ex in examples]
+    scores = [score_pair(config, ex) for ex in examples]
     rows = [
         (str(line_no), fmt_float(score), label_for(score).code)
         for line_no, score in enumerate(scores, 1)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterator, Sequence
+from contextlib import AbstractContextManager, contextmanager
 from typing import IO
 
 from .errors import DataError
@@ -16,48 +16,47 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _current_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# Mode of every file written here, as open() would create it: mkstemp makes
+# its temp files 0600, which os.replace would otherwise carry to the output.
+_FILE_MODE = 0o666 & ~_current_umask()
+
+
 @contextmanager
-def atomic_write(path: str) -> Iterator[IO[str]]:
+def _atomic(path: str, mode: str, **open_kwargs: str) -> Iterator[IO]:
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    try:
+        with os.fdopen(fd, mode, **open_kwargs) as handle:
+            yield handle
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def atomic_write(path: str) -> AbstractContextManager[IO[str]]:
     """Write a text file via a temp file in the same directory + os.replace.
 
     The final path either keeps its previous content or receives the complete
-    new content; an interrupted run never leaves a partial file there.
+    new content; an interrupted run never leaves a partial file there. The
+    file gets mode 0o666 minus the process umask, like a file from open().
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    return _atomic(path, "w", encoding="utf-8", newline="\n")
 
 
-@contextmanager
-def atomic_write_bytes(path: str) -> Iterator[IO[bytes]]:
+def atomic_write_bytes(path: str) -> AbstractContextManager[IO[bytes]]:
     """Binary twin of atomic_write."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def write_tsv(handle: IO[str], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    handle.write("\t".join(header) + "\n")
-    for row in rows:
-        handle.write("\t".join(row) + "\n")
+    return _atomic(path, "wb")
 
 
 def read_tsv(path: str, required: Sequence[str]) -> list[dict[str, str]]:

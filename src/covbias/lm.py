@@ -26,7 +26,7 @@ import struct
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 from .corpus import Sentence
 from .errors import DegenerateVocabulary, EmptyCorpus, FormatError
@@ -41,6 +41,8 @@ MODEL_FORMAT_VERSION = 1
 _MAGIC = b"NGLM"
 _MAX_ORDER = 6
 _FALLBACK_DISCOUNT = 0.75
+_U32 = struct.Struct("<I")
+_VERSION_ORDER = struct.Struct("<HH")
 
 # Log-probability placeholder for rows that exist only to carry a context's
 # backoff weight (real event probabilities are always finite and negative).
@@ -72,16 +74,9 @@ class NGramModel:
     ):
         if not 1 <= order <= _MAX_ORDER:
             raise ValueError(f"order must be in 1..{_MAX_ORDER}, got {order}")
-        if tuple(tokens[:3]) != RESERVED:
-            raise ValueError(f"tokens must start with {RESERVED}")
-        if len(set(tokens)) != len(tokens):
-            raise ValueError("duplicate token in vocabulary")
-        self.order = order
-        self.id_to_token: tuple[str, ...] = tuple(tokens)
-        self.token_ids: Mapping[str, int] = MappingProxyType(
-            {t: i for i, t in enumerate(self.id_to_token)}
-        )
-        vocab_size = len(self.id_to_token)
+        tokens = tuple(tokens)
+        _check_vocabulary(tokens)
+        vocab_size = len(tokens)
         lp = dict(logprobs)
         bo = dict(backoffs) if backoffs else {}
         for gram, value in lp.items():
@@ -91,18 +86,53 @@ class NGramModel:
                 raise ValueError(f"n-gram {gram} has an out-of-range token id")
             if not value <= 0.0 or math.isinf(value):
                 raise ValueError(f"log-probability for {gram} must be finite and <= 0")
-        for wid in range(vocab_size):
-            if wid != BOS_ID and (wid,) not in lp:
-                raise ValueError(f"missing unigram entry for token id {wid}")
-        if (BOS_ID,) in lp:
-            raise ValueError(f"{BOS} must not carry probability mass")
-        for ctx in bo:
+        for ctx, weight in bo.items():
             if not 0 <= len(ctx) <= order - 1:
                 raise ValueError(f"backoff context {ctx} longer than order-1")
-        self._logprobs = lp
-        self._backoffs = bo
-        self.logprobs: Mapping[tuple[int, ...], float] = MappingProxyType(lp)
-        self.backoffs: Mapping[tuple[int, ...], float] = MappingProxyType(bo)
+            if any(not 0 <= i < vocab_size for i in ctx):
+                raise ValueError(f"backoff context {ctx} has an out-of-range token id")
+            if not math.isfinite(weight):
+                raise ValueError(f"backoff weight for {ctx} must be finite")
+        _check_unigrams(vocab_size, lp)
+        self._adopt(order, tokens, lp, bo, train_token_count, discounts)
+
+    @classmethod
+    def _trusted(
+        cls,
+        order: int,
+        tokens: Sequence[str],
+        logprobs: dict[tuple[int, ...], float],
+        backoffs: dict[tuple[int, ...], float],
+        train_token_count: int | None = None,
+        discounts: Sequence[float] | None = None,
+    ) -> "NGramModel":
+        """Wrap tables that are valid by construction: no copy, no checks.
+
+        The model takes ownership of both dicts; the caller must not keep
+        mutating them.
+        """
+        model = cls.__new__(cls)
+        model._adopt(order, tuple(tokens), logprobs, backoffs, train_token_count, discounts)
+        return model
+
+    def _adopt(
+        self,
+        order: int,
+        tokens: tuple[str, ...],
+        logprobs: dict[tuple[int, ...], float],
+        backoffs: dict[tuple[int, ...], float],
+        train_token_count: int | None,
+        discounts: Sequence[float] | None,
+    ) -> None:
+        self.order = order
+        self.id_to_token: tuple[str, ...] = tokens
+        self.token_ids: Mapping[str, int] = MappingProxyType(
+            {t: i for i, t in enumerate(tokens)}
+        )
+        self._logprobs = logprobs
+        self._backoffs = backoffs
+        self.logprobs: Mapping[tuple[int, ...], float] = MappingProxyType(logprobs)
+        self.backoffs: Mapping[tuple[int, ...], float] = MappingProxyType(backoffs)
         self.train_token_count = train_token_count
         self.discounts = tuple(discounts) if discounts is not None else None
 
@@ -217,7 +247,10 @@ class NGramModel:
                 )
                 logprobs[gram] = math.log(p)
 
-        return cls(
+        # Every table above is valid by construction (ids from the vocabulary,
+        # probabilities and weights finite and <= 0); the property tests check
+        # that trained models pass the public constructor's validation.
+        return cls._trusted(
             order,
             id_to_token,
             logprobs,
@@ -310,23 +343,36 @@ class NGramModel:
     def load(cls, path: str) -> "NGramModel":
         """Read a model saved by save(); scoring is reproduced exactly.
 
+        The file is read whole and each table decoded in one pass that also
+        checks it. Loading raises FormatError on a bad magic or version, an
+        order outside 1..6, a token that is not UTF-8, a vocabulary that does
+        not start with the reserved symbols or repeats a token, a token id
+        outside the vocabulary, a log-probability that is NaN or above 0, a
+        backoff weight that is NaN or infinite or sits on a full-order row, a
+        missing unigram, probability mass on "<s>", and on truncation or
+        trailing bytes. Every length and count is checked against the bytes
+        left before anything is sliced.
+
         Training metadata (token count, discounts) is not part of the binary
         layout, so loaded models carry None there.
         """
         with open(path, "rb") as handle:
-            return cls._read(handle, path)
+            data = memoryview(handle.read())
+        pos = 0
 
-    @classmethod
-    def _read(cls, handle: BinaryIO, path: str) -> "NGramModel":
-        def take(n: int, what: str) -> bytes:
-            raw = handle.read(n)
-            if len(raw) != n:
+        def take(n: int, what: str) -> memoryview:
+            nonlocal pos
+            if n > len(data) - pos:
                 raise FormatError(f"{path}: truncated while reading {what}")
-            return raw
+            pos += n
+            return data[pos - n : pos]
+
+        def count(what: str) -> int:
+            return _U32.unpack(take(4, what))[0]
 
         if take(4, "magic") != _MAGIC:
             raise FormatError(f"{path}: bad magic, not a model file")
-        version, order = struct.unpack("<HH", take(4, "header"))
+        version, order = _VERSION_ORDER.unpack(take(4, "header"))
         if version != MODEL_FORMAT_VERSION:
             raise FormatError(
                 f"{path}: format version {version} not supported "
@@ -334,36 +380,71 @@ class NGramModel:
             )
         if not 1 <= order <= _MAX_ORDER:
             raise FormatError(f"{path}: order {order} out of range 1..{_MAX_ORDER}")
-        (vocab_size,) = struct.unpack("<I", take(4, "vocabulary size"))
+        vocab_size = count("vocabulary size")
+        if vocab_size > (len(data) - pos) // 4:  # each token has a 4-byte length
+            raise FormatError(f"{path}: truncated while reading the vocabulary")
         tokens = []
         for i in range(vocab_size):
-            (length,) = struct.unpack("<I", take(4, f"token {i} length"))
-            tokens.append(take(length, f"token {i}").decode("utf-8"))
-        if tuple(tokens[:3]) != RESERVED:
-            raise FormatError(f"{path}: vocabulary does not start with {RESERVED}")
-        if len(set(tokens)) != len(tokens):
-            raise FormatError(f"{path}: duplicate token in vocabulary")
+            raw = take(count(f"token {i} length"), f"token {i}")
+            try:
+                tokens.append(str(raw, "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: token {i} is not valid UTF-8") from exc
+        try:
+            _check_vocabulary(tokens)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+
+        no_prob, inf = _NO_PROB, math.inf  # locals: the row loop below is the hot path
         logprobs: dict[tuple[int, ...], float] = {}
         backoffs: dict[tuple[int, ...], float] = {}
         for k in range(1, order + 1):
-            (n_rows,) = struct.unpack("<I", take(4, f"order-{k} row count"))
             row_fmt = struct.Struct(f"<{k}Idd")
-            for _ in range(n_rows):
-                fields = row_fmt.unpack(take(row_fmt.size, f"order-{k} row"))
+            n_rows = count(f"order-{k} row count")
+            table = take(n_rows * row_fmt.size, f"order-{k} table")
+            full_order = k == order
+            for fields in row_fmt.iter_unpack(table):
                 gram = fields[:k]
-                logprob, backoff = fields[k], fields[k + 1]
-                if any(i >= vocab_size for i in gram):
+                if max(gram) >= vocab_size:
                     raise FormatError(f"{path}: token id out of range in order-{k} table")
-                if logprob != _NO_PROB:
+                logprob = fields[k]
+                if logprob != no_prob:
+                    if not logprob <= 0.0:
+                        raise FormatError(
+                            f"{path}: log-probability {logprob} for {gram} is not <= 0"
+                        )
                     logprobs[gram] = logprob
+                backoff = fields[-1]
                 if backoff != 0.0:
+                    if full_order:
+                        raise FormatError(f"{path}: backoff weight on full-order row {gram}")
+                    if not -inf < backoff < inf:
+                        raise FormatError(
+                            f"{path}: backoff weight {backoff} for {gram} is not finite"
+                        )
                     backoffs[gram] = backoff
-        if handle.read(1):
+        if pos != len(data):
             raise FormatError(f"{path}: trailing bytes after the last table")
         try:
-            return cls(order, tokens, logprobs, backoffs)
+            _check_unigrams(vocab_size, logprobs)
         except ValueError as exc:
             raise FormatError(f"{path}: inconsistent tables: {exc}") from exc
+        return cls._trusted(order, tokens, logprobs, backoffs)
+
+
+def _check_vocabulary(tokens: Sequence[str]) -> None:
+    if tuple(tokens[:3]) != RESERVED:
+        raise ValueError(f"vocabulary must start with {RESERVED}")
+    if len(set(tokens)) != len(tokens):
+        raise ValueError("duplicate token in vocabulary")
+
+
+def _check_unigrams(vocab_size: int, logprobs: Mapping[tuple[int, ...], float]) -> None:
+    for wid in range(vocab_size):
+        if wid != BOS_ID and (wid,) not in logprobs:
+            raise ValueError(f"missing unigram entry for token id {wid}")
+    if (BOS_ID,) in logprobs:
+        raise ValueError(f"{BOS} must not carry probability mass")
 
 
 def perplexity(model: NGramModel, corpus: Iterable[Sentence]) -> float:

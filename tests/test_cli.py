@@ -1,7 +1,12 @@
 import math
+import os
+import stat
+import subprocess
+import sys
 
 import pytest
 
+import covbias
 from covbias import (
     NGramModel,
     OriginLabel,
@@ -796,3 +801,92 @@ def test_float_cells_round_trip_through_the_report(corpus, capsys):
     line = capsys.readouterr().out.splitlines()[1]
     assert float(line.split("\t")[1]) == value
     assert line.split("\t")[1] == fmt_float(value)
+
+
+# -- non-finite numbers and file modes at the boundaries ----------------------
+
+_NON_FINITE = ["nan", "inf", "-Infinity"]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_tune_offset_rejects_non_finite_scores(corpus, value):
+    table = corpus / "scored.tsv"
+    table.write_text(f"score\tgold\n-3\tT\n{value}\tT\n1\tS\n4\tS\n", encoding="utf-8")
+    assert main(["tune-offset", "--input", str(table)]) == 2
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_classify_rejects_non_finite_scores(corpus, value):
+    scores = corpus / "scores.tsv"
+    scores.write_text(f"line_no\tscore\n1\t-1.0\n2\t{value}\n", encoding="utf-8")
+    assert main(["classify", "--scores", str(scores)]) == 2
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_select_rejects_non_finite_scores(corpus, value):
+    records = corpus / "records.tsv"
+    records.write_text(
+        f"line_no\tscore\tlabel\n1\t{value}\tT\n2\t1.5\tS\n3\t-1.0\tT\n4\t-2.0\tT\n",
+        encoding="utf-8",
+    )
+    assert main(["select", "--records", str(records), "--ratio", "25"]) == 2
+
+
+def test_split_finetune_rejects_non_finite_record_scores(corpus):
+    records = corpus / "records.tsv"
+    records.write_text(
+        "line_no\tscore\tlabel\n1\t1.0\tS\n2\tnan\tT\n3\t2.0\tS\n4\t-1.0\tT\n",
+        encoding="utf-8",
+    )
+    args = ["split-finetune", "--source", str(corpus / "src.txt")]
+    args += ["--target", str(corpus / "tgt.txt"), "--records", str(records)]
+    for flag in ("pretrain-source", "pretrain-target", "finetune-source", "finetune-target"):
+        args += [f"--out-{flag}", str(corpus / flag)]
+    assert main(args + ["--manifest", str(corpus / "manifest.tsv")]) == 2
+    assert not (corpus / "manifest.tsv").exists()
+
+
+def test_fluency_rejects_a_non_finite_baseline(corpus):
+    pos = corpus / "src.pos"
+    pos.write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
+    model = _train(corpus, "plain.lm", "src.txt")
+    baseline = corpus / "baseline.tsv"
+    baseline.write_text("level\tppl\tdiff\nplain\tinf\t-\nabstracted\t3.5\t-\n", encoding="utf-8")
+    args = ["fluency", "--input", str(corpus / "src.txt"), "--pos", str(pos)]
+    args += ["--plain-lm", str(model), "--abstracted-lm", str(model)]
+    assert main(args) == 0
+    assert main(args + ["--baseline", str(baseline)]) == 2
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["classify", "--scores", "scores.tsv", "--offset-c"],
+        ["select", "--records", "scores.tsv", "--ratio"],
+        ["random-split", "--count", "4", "--seed", "1", "--fraction"],
+    ],
+)
+def test_non_finite_float_flags_are_usage_errors(corpus, capsys, command, value):
+    (corpus / "scores.tsv").write_text("line_no\tscore\n1\t-1.0\n2\t2.0\n", encoding="utf-8")
+    argv = [str(corpus / a) if a.endswith(".tsv") else a for a in command]
+    assert main(argv + [value]) == 1
+    assert command[-1] in capsys.readouterr().err
+
+
+def test_outputs_get_the_mode_open_would_give(corpus):
+    script = (
+        "import os, sys; os.umask(0o022); from covbias.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(covbias.__file__)))
+
+    def run(*argv):
+        subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True)
+
+    model, report = corpus / "m.lm", corpus / "ppl.tsv"
+    run("train-lm", "--input", str(corpus / "src.txt"), "--output", str(model))
+    run("perplexity", "--model", str(model), "--input", str(corpus / "src.txt"),
+        "--output", str(report))
+    assert stat.S_IMODE(model.stat().st_mode) == 0o644
+    assert stat.S_IMODE(report.stat().st_mode) == 0o644

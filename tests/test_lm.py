@@ -1,6 +1,8 @@
 import math
+import os
 import random
 import struct
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from covbias import (
     NGramModel,
     perplexity,
 )
+from covbias.cli import main as cli_main
 from covbias.lm import BOS, BOS_ID, EOS, UNK
 
 # Hand-computed reference values, worked from the closed-form estimator
@@ -283,3 +286,203 @@ def test_trained_models_score_finitely_and_round_trip(tmp_path_factory, corpus, 
         assert math.isfinite(got.total_logprob) and got.total_logprob < 0
         assert got.token_count == len(sent) + 1
         assert loaded.logprob(sent) == got
+
+
+# -- the model-file boundary ---------------------------------------------------
+
+
+def _encode(order, tokens, tables, version=MODEL_FORMAT_VERSION):
+    """NGLM bytes built by hand: tables[k-1] lists (gram, logprob, backoff) rows."""
+    out = bytearray(b"NGLM" + struct.pack("<HHI", version, order, len(tokens)))
+    for token in tokens:
+        raw = token if isinstance(token, bytes) else token.encode("utf-8")
+        out += struct.pack("<I", len(raw)) + raw
+    for k, rows in enumerate(tables, 1):
+        out += struct.pack("<I", len(rows))
+        for gram, logprob, backoff in rows:
+            out += struct.pack(f"<{k}Idd", *gram, logprob, backoff)
+    return bytes(out)
+
+
+_HALF = math.log(0.5)
+_THIRD = math.log(1 / 3)
+_VOCAB = (UNK, BOS, EOS, "a")
+_UNIGRAMS = [((0,), _THIRD, 0.0), ((2,), _THIRD, 0.0), ((3,), _THIRD, -0.5)]
+_BIGRAMS = [((3, 2), _HALF, 0.0)]
+
+
+def test_hand_encoded_model_loads(tmp_path):
+    path = tmp_path / "ok.lm"
+    path.write_bytes(_encode(2, _VOCAB, [_UNIGRAMS, _BIGRAMS]))
+    model = NGramModel.load(str(path))
+    assert model.logprobs[(3, 2)] == _HALF
+    assert dict(model.backoffs) == {(3,): -0.5}
+    assert model.logprob(("a",)).total_logprob == _THIRD + _HALF
+
+
+_REJECTED = {
+    "nan backoff": (2, _VOCAB, [_UNIGRAMS[:2] + [((3,), _THIRD, math.nan)], _BIGRAMS]),
+    "inf backoff": (2, _VOCAB, [_UNIGRAMS[:2] + [((3,), _THIRD, math.inf)], _BIGRAMS]),
+    "-inf backoff": (2, _VOCAB, [_UNIGRAMS[:2] + [((3,), _THIRD, -math.inf)], _BIGRAMS]),
+    "nan logprob": (2, _VOCAB, [_UNIGRAMS, [((3, 2), math.nan, 0.0)]]),
+    "inf logprob": (2, _VOCAB, [_UNIGRAMS, [((3, 2), math.inf, 0.0)]]),
+    "positive logprob": (2, _VOCAB, [_UNIGRAMS, [((3, 2), 0.25, 0.0)]]),
+    "id beyond vocabulary": (2, _VOCAB, [_UNIGRAMS, [((3, 4), _HALF, 0.0)]]),
+    "missing unigram": (2, _VOCAB, [_UNIGRAMS[:2], _BIGRAMS]),
+    "mass on <s>": (2, _VOCAB, [_UNIGRAMS + [((1,), _THIRD, 0.0)], _BIGRAMS]),
+    "backoff on a full-order row": (2, _VOCAB, [_UNIGRAMS, [((3, 2), _HALF, -0.5)]]),
+    "order 0": (0, _VOCAB, []),
+    "order 7": (7, _VOCAB, [_UNIGRAMS] + [[]] * 6),
+    "reserved symbols missing": (1, (UNK, EOS, BOS, "a"), [_UNIGRAMS]),
+    "duplicate token": (1, _VOCAB + ("a",), [_UNIGRAMS + [((4,), _THIRD, 0.0)]]),
+    "token not UTF-8": (1, (UNK, BOS, EOS, b"\xff\xfe"), [_UNIGRAMS]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_load_rejects_invalid_models(tmp_path, case):
+    path = tmp_path / "bad.lm"
+    path.write_bytes(_encode(*_REJECTED[case]))
+    with pytest.raises(FormatError):
+        NGramModel.load(str(path))
+
+
+def _fuzz_base():
+    model = NGramModel.train(
+        [("a", "b", "c"), ("c", "b", "a"), ("a", "c"), ("b",)], order=3, min_count=1
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.lm")
+        model.save(path)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    # offsets of every 32-bit length or count field in the layout
+    fields = [8]
+    pos = 12
+    for token in model.id_to_token:
+        fields.append(pos)
+        pos += 4 + len(token.encode("utf-8"))
+    for k in range(1, model.order + 1):
+        fields.append(pos)
+        (rows,) = struct.unpack_from("<I", raw, pos)
+        pos += 4 + rows * struct.calcsize(f"<{k}Idd")
+    assert pos == len(raw)
+    return raw, fields
+
+
+_FUZZ_RAW, _FUZZ_FIELDS = _fuzz_base()
+
+
+def _flip(draw):
+    raw = bytearray(_FUZZ_RAW)
+    for _ in range(draw(st.integers(1, 4))):
+        raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(raw)
+
+
+def _cut(draw):
+    return _FUZZ_RAW[: draw(st.integers(0, len(_FUZZ_RAW) - 1))]
+
+
+def _overwrite_field(draw):
+    raw = bytearray(_FUZZ_RAW)
+    offset = draw(st.sampled_from(_FUZZ_FIELDS))
+    value = draw(
+        st.one_of(
+            st.integers(0, 0xFFFFFFFF),
+            st.sampled_from([0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]),
+        )
+    )
+    struct.pack_into("<I", raw, offset, value)
+    return bytes(raw)
+
+
+@st.composite
+def _mutated_model_bytes(draw):
+    return draw(st.sampled_from([_flip, _cut, _overwrite_field]))(draw)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(raw=_mutated_model_bytes())
+def test_mutated_model_files_load_or_raise_format_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "m.lm"
+    path.write_bytes(raw)
+    try:
+        model = NGramModel.load(str(path))
+    except FormatError:
+        return
+    # anything accepted scores without NaN (all weights are finite and <= 0)
+    for sent in [("a", "b", "c"), ("c", "zzz"), ()]:
+        assert not math.isnan(model.logprob(sent).total_logprob)
+
+
+_corpora = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", "e", UNK, BOS]), min_size=1, max_size=7).map(
+        tuple
+    ),
+    min_size=1,
+    max_size=15,
+)
+
+
+def _train_or_none(corpus, order, min_count):
+    try:
+        return NGramModel.train(corpus, order=order, min_count=min_count)
+    except DegenerateVocabulary:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=_corpora, order=st.integers(1, 5), min_count=st.integers(1, 3))
+def test_trained_tables_pass_the_public_validation(corpus, order, min_count):
+    model = _train_or_none(corpus, order, min_count)
+    if model is None:
+        return
+    checked = NGramModel(
+        model.order,
+        model.id_to_token,
+        model.logprobs,
+        model.backoffs,
+        train_token_count=model.train_token_count,
+        discounts=model.discounts,
+    )
+    assert checked.logprobs == model.logprobs and checked.backoffs == model.backoffs
+
+
+def _bits(table):
+    return {gram: struct.pack("<d", value) for gram, value in table.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=_corpora, order=st.integers(1, 5), min_count=st.integers(1, 3))
+def test_save_load_save_is_byte_identical(tmp_path_factory, corpus, order, min_count):
+    model = _train_or_none(corpus, order, min_count)
+    if model is None:
+        return
+    root = tmp_path_factory.mktemp("rt")
+    model.save(str(root / "one.lm"))
+    loaded = NGramModel.load(str(root / "one.lm"))
+    loaded.save(str(root / "two.lm"))
+    assert (root / "one.lm").read_bytes() == (root / "two.lm").read_bytes()
+    assert loaded.id_to_token == model.id_to_token
+    assert _bits(loaded.logprobs) == _bits(model.logprobs)
+    assert _bits(loaded.backoffs) == _bits(model.backoffs)
+
+
+def test_score_pairs_exits_2_on_a_nan_backoff_model(tmp_path, capsys):
+    good, bad = tmp_path / "good.lm", tmp_path / "nan.lm"
+    good.write_bytes(_encode(2, _VOCAB, [_UNIGRAMS, _BIGRAMS]))
+    bad.write_bytes(_encode(*_REJECTED["nan backoff"]))
+    (tmp_path / "p.src").write_text("a a\n", encoding="utf-8")
+    (tmp_path / "p.tgt").write_text("a\n", encoding="utf-8")
+    argv = [
+        "score-pairs",
+        "--source",
+        str(tmp_path / "p.src"),
+        "--target",
+        str(tmp_path / "p.tgt"),
+    ]
+    assert cli_main(argv + ["--source-model", str(good), "--target-model", str(good)]) == 0
+    capsys.readouterr()
+    assert cli_main(argv + ["--source-model", str(good), "--target-model", str(bad)]) == 2
+    assert "nan.lm" in capsys.readouterr().err
