@@ -3,14 +3,19 @@
 Corpus files are UTF-8 text, one sentence per line, tokens separated by
 whitespace. POS annotation files have the same shape with one tag per token.
 Line numbers are 1-based everywhere. Readers are generators, so memory use is
-bounded by the longest line, not the file size.
+bounded by the longest line, not the file size. Writers refuse any sentence
+that would not read back as the same tokens: one that is empty or has a token
+that is empty or contains whitespace (the characters str.isspace() accepts).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
+from typing import NoReturn
 
 from .errors import DataError, EmptyLine, LineCountMismatch, PosAlignmentError
 from .fileio import atomic_write
@@ -45,8 +50,6 @@ class ParallelExample:
     target: Sentence
     source_pos: PosAnnotation | None = None
     target_pos: PosAnnotation | None = None
-    score: float | None = None
-    origin: OriginLabel | None = None
 
     def __post_init__(self) -> None:
         if self.source_pos is not None and len(self.source_pos) != len(self.source):
@@ -59,18 +62,28 @@ class ParallelExample:
             )
 
 
-def _parse_line(raw: str, path: str, line_no: int) -> Sentence:
-    tokens = raw.split()
-    if not tokens:
-        raise EmptyLine(path, line_no)
-    return tuple(tokens)
+def _empty_line(path: str, line_no: int) -> NoReturn:
+    raise EmptyLine(path, line_no)
 
 
 def read_mono(path: str) -> Iterator[Sentence]:
     """Stream one Sentence per line. Blank lines are data errors, not skips."""
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, 1):
-            yield _parse_line(raw, path, line_no)
+            yield tuple(raw.split()) or _empty_line(path, line_no)
+
+
+def _read_tags(
+    raw: str, path: str, line_no: int, tokens: Sentence, side: str
+) -> PosAnnotation:
+    tags = tuple(raw.split()) or _empty_line(path, line_no)
+    if len(tags) != len(tokens):
+        raise PosAlignmentError(
+            f"{path}: line {line_no} has {len(tags)} tags "
+            f"for {len(tokens)} {side} tokens",
+            line_no=line_no,
+        )
+    return tags
 
 
 _END = object()
@@ -84,70 +97,50 @@ def read_parallel(
 ) -> Iterator[ParallelExample]:
     """Stream aligned ParallelExamples from two (or four) files.
 
-    All provided files must have the same line count; the first file to run
-    out is named in the LineCountMismatch. POS lines must carry exactly one
-    tag per token of the corresponding side.
+    All provided files must have the same line count; the first file, in
+    argument order, to run out is named in the LineCountMismatch. POS lines
+    must carry exactly one tag per token of the corresponding side.
     """
-    paths = [source_path, target_path]
-    if source_pos_path is not None:
-        paths.append(source_pos_path)
-    if target_pos_path is not None:
-        paths.append(target_pos_path)
-
-    handles = []
-    try:
-        for p in paths:
-            handles.append(open(p, "r", encoding="utf-8"))
-        line_no = 0
-        while True:
-            line_no += 1
-            raws = [next(h, _END) for h in handles]
-            if all(r is _END for r in raws):
-                return
-            for p, r in zip(paths, raws):
-                if r is _END:
-                    raise LineCountMismatch(
-                        f"{p} ended at line {line_no} but other input(s) continue",
-                        line_no=line_no,
-                    )
-            source = _parse_line(raws[0], paths[0], line_no)
-            target = _parse_line(raws[1], paths[1], line_no)
+    paths = [source_path, target_path, source_pos_path, target_pos_path]
+    paths = [p for p in paths if p is not None]
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(p, "r", encoding="utf-8")) for p in paths]
+        for line_no, raws in enumerate(zip_longest(*handles, fillvalue=_END), 1):
+            if _END in raws:
+                raise LineCountMismatch(
+                    f"{paths[raws.index(_END)]} ended at line {line_no} "
+                    "but other input(s) continue",
+                    line_no=line_no,
+                )
+            source = tuple(raws[0].split()) or _empty_line(source_path, line_no)
+            target = tuple(raws[1].split()) or _empty_line(target_path, line_no)
             source_pos = target_pos = None
-            idx = 2
             if source_pos_path is not None:
-                tags = _parse_line(raws[idx], paths[idx], line_no)
-                if len(tags) != len(source):
-                    raise PosAlignmentError(
-                        f"{paths[idx]}: line {line_no} has {len(tags)} tags "
-                        f"for {len(source)} source tokens",
-                        line_no=line_no,
-                    )
-                source_pos = tags
-                idx += 1
+                source_pos = _read_tags(
+                    raws[2], source_pos_path, line_no, source, "source"
+                )
             if target_pos_path is not None:
-                tags = _parse_line(raws[idx], paths[idx], line_no)
-                if len(tags) != len(target):
-                    raise PosAlignmentError(
-                        f"{paths[idx]}: line {line_no} has {len(tags)} tags "
-                        f"for {len(target)} target tokens",
-                        line_no=line_no,
-                    )
-                target_pos = tags
+                target_pos = _read_tags(
+                    raws[-1], target_pos_path, line_no, target, "target"
+                )
             yield ParallelExample(source, target, source_pos, target_pos)
-    finally:
-        for h in handles:
-            h.close()
 
 
-def _check_writable(sentence: Sentence, line_no: int) -> Sentence:
+def _check_writable(sentence: Sentence, line_no: int) -> str:
+    """The sentence as one space-joined line, or DataError naming the bad token.
+
+    str.split() splits on exactly the characters str.isspace() accepts, so the
+    line splits back into the sentence iff no token is empty or has whitespace.
+    """
     if not sentence:
         raise DataError(f"line {line_no}: refusing to write an empty sentence")
-    for token in sentence:
-        if not token or any(ch.isspace() for ch in token):
-            raise DataError(
-                f"line {line_no}: token {token!r} is empty or contains whitespace"
-            )
-    return sentence
+    line = " ".join(sentence)
+    if tuple(line.split()) != tuple(sentence):
+        token = next(t for t in sentence if not t or any(ch.isspace() for ch in t))
+        raise DataError(
+            f"line {line_no}: token {token!r} is empty or contains whitespace"
+        )
+    return line
 
 
 def write_mono(sentences: Iterable[Sentence], path: str) -> int:
@@ -155,7 +148,7 @@ def write_mono(sentences: Iterable[Sentence], path: str) -> int:
     count = 0
     with atomic_write(path) as handle:
         for line_no, sentence in enumerate(sentences, 1):
-            handle.write(" ".join(_check_writable(sentence, line_no)) + "\n")
+            handle.write(_check_writable(sentence, line_no) + "\n")
             count += 1
     return count
 
@@ -172,7 +165,7 @@ def write_parallel(
     count = 0
     with atomic_write(source_path) as src, atomic_write(target_path) as tgt:
         for line_no, ex in enumerate(examples, 1):
-            src.write(" ".join(_check_writable(ex.source, line_no)) + "\n")
-            tgt.write(" ".join(_check_writable(ex.target, line_no)) + "\n")
+            src.write(_check_writable(ex.source, line_no) + "\n")
+            tgt.write(_check_writable(ex.target, line_no) + "\n")
             count += 1
     return count

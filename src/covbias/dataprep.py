@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import OriginLabel, ParallelExample
@@ -30,10 +30,11 @@ MARKER_POS_TAG = "X"
 
 def _prepend_marker(example: ParallelExample, token: str) -> ParallelExample:
     pos = example.source_pos
-    return replace(
-        example,
-        source=(token,) + example.source,
-        source_pos=(MARKER_POS_TAG,) + pos if pos is not None else None,
+    return ParallelExample(
+        (token,) + example.source,
+        example.target,
+        (MARKER_POS_TAG,) + pos if pos is not None else None,
+        example.target_pos,
     )
 
 
@@ -107,10 +108,11 @@ def detag(
     for example in examples:
         if example.source and example.source[0] == policy.tag_token:
             pos = example.source_pos
-            yield replace(
-                example,
-                source=example.source[1:],
-                source_pos=pos[1:] if pos is not None else None,
+            yield ParallelExample(
+                example.source[1:],
+                example.target,
+                pos[1:] if pos is not None else None,
+                example.target_pos,
             )
         else:
             yield example

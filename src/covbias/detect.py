@@ -40,6 +40,8 @@ class ScoreRecord:
     label: OriginLabel
 
     def __post_init__(self) -> None:
+        if math.isnan(self.score):
+            raise ValueError(f"line {self.line_no}: score is NaN, which has no rank")
         if self.label is not label_for(self.score):
             raise ValueError(
                 f"label {self.label} inconsistent with score {self.score!r}"

@@ -89,3 +89,20 @@ def js_divergence(counts_p, counts_q):
         if q:
             acc += 0.5 * q * math.log(q / m)
     return acc
+
+
+def bruteforce_writable(sentence):
+    """Whether a sentence can be written as one corpus line and read back.
+
+    Checks every character of every token: the sentence must be non-empty and
+    each token non-empty with no character for which str.isspace() is true.
+    """
+    if not sentence:
+        return False
+    for token in sentence:
+        if not token:
+            return False
+        for ch in token:
+            if ch.isspace():
+                return False
+    return True

@@ -16,6 +16,9 @@ from covbias import (
     write_mono,
     write_parallel,
 )
+from covbias.corpus import _check_writable
+
+from oracles import bruteforce_writable
 
 
 def test_read_mono_tokenizes_on_any_whitespace(tmp_path):
@@ -78,6 +81,12 @@ def test_read_parallel_with_pos(tmp_path):
     (example,) = read_parallel(str(src), str(tgt), str(spos))
     assert example.source_pos == ("NOUN", "VERB")
     assert example.target_pos is None
+    tpos = tmp_path / "t.pos"
+    tpos.write_text("PRON\n", encoding="utf-8")
+    (example,) = read_parallel(str(src), str(tgt), None, str(tpos))
+    assert (example.source_pos, example.target_pos) == (None, ("PRON",))
+    (example,) = read_parallel(str(src), str(tgt), str(spos), str(tpos))
+    assert (example.source_pos, example.target_pos) == (("NOUN", "VERB"), ("PRON",))
 
 
 def test_pos_misalignment_names_line(tmp_path):
@@ -145,3 +154,129 @@ def test_streaming_memory_is_bounded_by_lines_not_file_size(tmp_path):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 1_000_000, f"streaming pipeline peaked at {peak} bytes"
+
+
+# Every character for which str.isspace() is true.
+_WHITESPACE = (
+    " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    + "".join(chr(c) for c in range(0x2000, 0x200B))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+# Token characters, including invisible ones that are not whitespace.
+_PLAIN = "ab_é漢\u200b\u180e\ufeff"
+_any_token = st.text(
+    alphabet=st.one_of(st.sampled_from(_PLAIN), st.sampled_from(_WHITESPACE)),
+    max_size=4,
+)
+_any_sentence = st.lists(_any_token, max_size=5).map(tuple)
+_plain_sentence = st.lists(
+    st.text(alphabet=_PLAIN, min_size=1, max_size=4), min_size=1, max_size=5
+).map(tuple)
+
+
+def test_whitespace_alphabet_is_every_isspace_character():
+    assert set(_WHITESPACE) == {chr(c) for c in range(0x110000) if chr(c).isspace()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_sentence, st.integers(1, 10**6))
+def test_write_check_accepts_exactly_what_the_oracle_accepts(sentence, line_no):
+    if bruteforce_writable(sentence):
+        assert _check_writable(sentence, line_no) == " ".join(sentence)
+        return
+    with pytest.raises(DataError) as err:
+        _check_writable(sentence, line_no)
+    message = str(err.value)
+    assert message.startswith(f"line {line_no}: ")
+    if sentence:
+        first_bad = next(t for t in sentence if not bruteforce_writable((t,)))
+        assert repr(first_bad) in message
+    else:
+        assert "empty sentence" in message
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_plain_sentence, _plain_sentence), min_size=1, max_size=6))
+def test_accepted_sentences_read_back_exactly(tmp_path_factory, pairs):
+    assert all(bruteforce_writable(s) and bruteforce_writable(t) for s, t in pairs)
+    tmp = tmp_path_factory.mktemp("ws")
+    mono, src, tgt = str(tmp / "m.txt"), str(tmp / "s.txt"), str(tmp / "t.txt")
+    assert write_mono([s for s, _ in pairs], mono) == len(pairs)
+    assert list(read_mono(mono)) == [s for s, _ in pairs]
+    assert write_parallel([ParallelExample(s, t) for s, t in pairs], src, tgt) == len(pairs)
+    assert [(e.source, e.target) for e in read_parallel(src, tgt)] == pairs
+
+
+_LINE = {"src": "a b\n", "tgt": "x\n", "spos": "N V\n", "tpos": "N\n"}
+
+
+def _write_inputs(tmp_path, lengths):
+    """One file per (kind, line count); returns their paths in argument order."""
+    paths = []
+    for kind, n in lengths:
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(_LINE[kind] * n, encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "lengths, short, line_no",
+    [
+        ([("src", 3), ("tgt", 2)], "tgt", 3),
+        ([("src", 2), ("tgt", 3)], "src", 3),
+        ([("src", 0), ("tgt", 1)], "src", 1),
+        ([("src", 3), ("tgt", 3), ("spos", 1), ("tpos", 3)], "spos", 2),
+        ([("src", 3), ("tgt", 2), ("spos", 3), ("tpos", 2)], "tgt", 3),
+        ([("src", 3), ("tgt", 3), ("spos", 3), ("tpos", 2)], "tpos", 3),
+        ([("src", 4), ("tgt", 4), ("spos", 2), ("tpos", 1)], "tpos", 2),
+    ],
+)
+def test_line_count_mismatch_names_the_first_file_to_run_out(
+    tmp_path, lengths, short, line_no
+):
+    paths = _write_inputs(tmp_path, lengths)
+    with pytest.raises(LineCountMismatch) as err:
+        list(read_parallel(*paths))
+    named = paths[[kind for kind, _ in lengths].index(short)]
+    assert str(err.value) == f"{named} ended at line {line_no} but other input(s) continue"
+    assert err.value.line_no == line_no
+
+
+def test_line_count_mismatch_with_only_a_target_pos_file(tmp_path):
+    src, tgt, tpos = _write_inputs(tmp_path, [("src", 2), ("tgt", 2), ("tpos", 1)])
+    with pytest.raises(LineCountMismatch) as err:
+        list(read_parallel(src, tgt, None, tpos))
+    assert str(err.value).startswith(f"{tpos} ended at line 2 ")
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("blank", [0, 1, 2, 3])
+def test_whitespace_only_line_names_its_file_and_line(tmp_path, blank):
+    paths = _write_inputs(tmp_path, [("src", 3), ("tgt", 3), ("spos", 3), ("tpos", 3)])
+    kind = ["src", "tgt", "spos", "tpos"][blank]
+    with open(paths[blank], "w", encoding="utf-8") as handle:
+        handle.write(_LINE[kind] + " \t\u3000\xa0\n" + _LINE[kind])
+    with pytest.raises(EmptyLine) as err:
+        list(read_parallel(*paths))
+    assert (err.value.path, err.value.line_no) == (paths[blank], 2)
+    assert str(err.value) == f"{paths[blank]}: line 2 is empty"
+    if blank < 2:
+        with pytest.raises(EmptyLine) as err:
+            list(read_mono(paths[blank]))
+        assert (err.value.path, err.value.line_no) == (paths[blank], 2)
+
+
+def test_last_line_without_newline_reads_the_same(tmp_path):
+    def read(name, src_text, tgt_text):
+        src, tgt = tmp_path / f"{name}.src", tmp_path / f"{name}.tgt"
+        src.write_text(src_text, encoding="utf-8")
+        tgt.write_text(tgt_text, encoding="utf-8")
+        return list(read_mono(str(src))), list(read_parallel(str(src), str(tgt)))
+
+    with_newline = read("nl", "a b\nc d\n", "x\ny z\n")
+    without_newline = read("eof", "a b\nc d", "x\ny z")
+    assert with_newline == without_newline
+    assert with_newline[0] == [("a", "b"), ("c", "d")]
+    mixed = read("mixed", "a b\nc d", "x\ny z\n")
+    assert mixed == with_newline

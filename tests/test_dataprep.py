@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -110,8 +111,8 @@ def test_detag_restores_pos_annotations():
 def test_tag_detag_file_round_trip_is_byte_exact(tmp_path):
     src_in, tgt_in = str(tmp_path / "in.src"), str(tmp_path / "in.tgt")
     write_parallel(_examples(), src_in, tgt_in)
-    raw_src = open(src_in, "rb").read()
-    raw_tgt = open(tgt_in, "rb").read()
+    raw_src = Path(src_in).read_bytes()
+    raw_tgt = Path(tgt_in).read_bytes()
 
     tagged = bias_tag(read_parallel(src_in, tgt_in), [T, S, T])
     src_tag, tgt_tag = str(tmp_path / "tag.src"), str(tmp_path / "tag.tgt")
@@ -120,9 +121,9 @@ def test_tag_detag_file_round_trip_is_byte_exact(tmp_path):
     back = detag(read_parallel(src_tag, tgt_tag))
     src_out, tgt_out = str(tmp_path / "out.src"), str(tmp_path / "out.tgt")
     write_parallel(back, src_out, tgt_out)
-    assert open(src_out, "rb").read() == raw_src
-    assert open(tgt_out, "rb").read() == raw_tgt
-    assert open(tgt_tag, "rb").read() == raw_tgt  # targets never change
+    assert Path(src_out).read_bytes() == raw_src
+    assert Path(tgt_out).read_bytes() == raw_tgt
+    assert Path(tgt_tag).read_bytes() == raw_tgt  # targets never change
 
 
 def test_finetune_split_keeps_everything_and_the_selection():

@@ -227,6 +227,27 @@ def test_select_extremes_never_overlaps_and_ignores_input_order():
         assert select_extremes(shuffled, SelectionSpec(ratio)) == expected
 
 
+@pytest.mark.parametrize("nan_line", [1, 2])
+def test_nan_scores_are_rejected_before_ranking(nan_line):
+    # (1.0, 2.0, -1.0) with a NaN on line 1 or 2: ranked, the NaN would land
+    # on an arbitrary end, so the record itself refuses it.
+    scores = [1.0, 2.0, -1.0]
+    scores.insert(nan_line - 1, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        _records(scores)
+    with pytest.raises(ValueError, match="NaN"):
+        ScoreRecord(nan_line, math.nan, T)
+
+
+@pytest.mark.parametrize(
+    "scores", [[math.inf, 1.0, 2.0, -math.inf], [1.0, -math.inf, math.inf, 2.0]]
+)
+def test_select_extremes_ranks_infinite_scores_at_the_ends(scores):
+    most_source, most_target = select_extremes(_records(scores), SelectionSpec(25))
+    assert most_source == {scores.index(math.inf) + 1}
+    assert most_target == {scores.index(-math.inf) + 1}
+
+
 def test_select_extremes_small_inputs_yield_empty_sets():
     most_source, most_target = select_extremes(_records([1.0]), SelectionSpec(50))
     assert most_source == set()
