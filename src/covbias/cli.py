@@ -9,11 +9,12 @@ header row and floats at 17 significant digits. Exit codes: 0 success,
 
 A --config FILE (key=value lines, keys named like the long flags with
 underscores) supplies values for any flag not given explicitly; explicit
-flags win. --threads N is accepted (N >= 1) but every stage runs on one
-thread: scoring is pure Python, so worker threads only slowed it down. Any N
-produces byte-identical output to N=1. Non-finite numbers (nan, inf) are
-rejected in float flags (exit 1) and in score columns of input reports
-(exit 2).
+flags win. Boolean keys take 1/0/true/false/yes/no/on/off, and every config
+value passes the same type, choice and finiteness checks as its flag.
+--threads N is accepted (N >= 1) but every stage runs on one thread: scoring
+is pure Python, so worker threads only slowed it down. Any N produces
+byte-identical output to N=1. Non-finite numbers (nan, inf) are rejected in
+float flags (exit 1) and in score columns of input reports (exit 2).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import math
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 
 from . import __version__
 from .abstraction import AbstractionRule, FluencyReport, abstract_corpus, fluency_report
@@ -47,7 +47,7 @@ from .detect import (
 )
 from .divergence import WordClassMap, divergence_report, random_split
 from .errors import DataError
-from .fileio import atomic_write, fmt_float, read_tsv
+from .fileio import atomic_write, fmt_float, read_section_file, read_tsv
 from .fmeasure import DEFAULT_BUCKETS, word_fmeasure
 from .lm import MODEL_FORMAT_VERSION, NGramModel, perplexity
 
@@ -63,57 +63,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-@dataclass(frozen=True)
-class Opt:
-    flag: str
-    kind: str = "str"  # str | path | int | float | bool
-    default: object = None
-    required: bool = False
-    choices: tuple[str, ...] | None = None
-    help: str = ""
-
-    @property
-    def dest(self) -> str:
-        return self.flag.lstrip("-").replace("-", "_")
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
-_COMMON = [
-    Opt("--config", kind="path", help="key=value file merged under explicit flags"),
-    Opt("--threads", kind="int", default=1, help="accepted for compatibility; no effect on speed"),
-]
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
-def _parse_bool(raw: str) -> bool:
+def _parse_bool(raw: str, flag: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(raw)
-
-
-def _convert(raw: object, opt: Opt) -> object:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw)
-    try:
-        if opt.kind == "int":
-            value: object = int(text)
-        elif opt.kind == "float":
-            value = float(text)
-        elif opt.kind == "bool":
-            value = _parse_bool(text)
-        else:
-            value = text
-    except ValueError:
-        raise UsageError(f"invalid value for {opt.flag}: {raw!r}") from None
-    if opt.kind == "float" and not math.isfinite(value):
-        raise UsageError(f"invalid value for {opt.flag}: {raw!r} (must be finite)")
-    if opt.choices is not None and value not in opt.choices:
-        raise UsageError(
-            f"invalid value for {opt.flag}: {raw!r} (choose from {', '.join(opt.choices)})"
-        )
-    return value
+    raise UsageError(f"invalid value for {flag}: {raw!r}")
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -130,36 +106,11 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict[str, object]:
-    known = {opt.dest: opt for opt in opts}
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
-        config = _read_config(args.config)
-        unknown = [k for k in config if k not in known or k == "config"]
-        if unknown:
-            raise UsageError(
-                f"{args.config}: unknown config key(s) for this subcommand: "
-                + ", ".join(sorted(unknown))
-            )
-    values: dict[str, object] = {}
-    for opt in opts:
-        raw = getattr(args, opt.dest, None)
-        if raw is None and opt.dest in config:
-            raw = config[opt.dest]
-        if raw is None:
-            if opt.required:
-                raise UsageError(f"missing required option {opt.flag}")
-            values[opt.dest] = opt.default
-        else:
-            values[opt.dest] = _convert(raw, opt)
-    return values
-
-
-def _write_report(text: str, output: object) -> None:
+def _write_report(text: str, output: str | None) -> None:
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with atomic_write(str(output)) as handle:
+        with atomic_write(output) as handle:
             handle.write(text)
 
 
@@ -169,8 +120,16 @@ def _tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _word_classes(path: object) -> WordClassMap:
-    return WordClassMap.from_file(str(path)) if path else WordClassMap.default()
+def _word_classes(path: str | None) -> WordClassMap:
+    return WordClassMap.from_file(path) if path else WordClassMap.default()
+
+
+def _abstraction_rule(args: argparse.Namespace) -> AbstractionRule:
+    return AbstractionRule(
+        classes=_word_classes(args.word_classes),
+        tag_prefix=args.tag_prefix,
+        tag_suffix=args.tag_suffix,
+    )
 
 
 def _parse_line_no(row: dict[str, str], path: str) -> int:
@@ -197,60 +156,57 @@ def _parse_score(row: dict[str, str], path: str, column: str = "score") -> float
 # -- handlers ---------------------------------------------------------------
 
 
-def _cmd_train_lm(v: dict[str, object]) -> int:
-    model = NGramModel.train(
-        read_mono(str(v["input"])), order=int(v["order"]), min_count=int(v["min_count"])
-    )
-    model.save(str(v["output"]))
+def _cmd_train_lm(args: argparse.Namespace) -> int:
+    model = NGramModel.train(read_mono(args.input), order=args.order, min_count=args.min_count)
+    model.save(args.output)
     return 0
 
 
-def _cmd_perplexity(v: dict[str, object]) -> int:
-    model = NGramModel.load(str(v["model"]))
-    value = perplexity(model, read_mono(str(v["input"])))
-    _write_report(_tsv(["metric", "value"], [("perplexity", fmt_float(value))]), v["output"])
+def _cmd_perplexity(args: argparse.Namespace) -> int:
+    model = NGramModel.load(args.model)
+    value = perplexity(model, read_mono(args.input))
+    _write_report(_tsv(["metric", "value"], [("perplexity", fmt_float(value))]), args.output)
     return 0
 
 
-def _cmd_score_pairs(v: dict[str, object]) -> int:
+def _cmd_score_pairs(args: argparse.Namespace) -> int:
     config = DetectorConfig(
-        source_lm=NGramModel.load(str(v["source_model"])),
-        target_lm=NGramModel.load(str(v["target_model"])),
-        offset_c=float(v["offset_c"]),
-        length_normalize=bool(v["length_normalize"]),
+        source_lm=NGramModel.load(args.source_model),
+        target_lm=NGramModel.load(args.target_model),
+        offset_c=args.offset_c,
+        length_normalize=args.length_normalize,
     )
-    examples = read_parallel(str(v["source"]), str(v["target"]))
+    examples = read_parallel(args.source, args.target)
     scores = [score_pair(config, ex) for ex in examples]
     rows = [
         (str(line_no), fmt_float(score), label_for(score).code)
         for line_no, score in enumerate(scores, 1)
     ]
-    _write_report(_tsv(["line_no", "score", "label"], rows), v["output"])
+    _write_report(_tsv(["line_no", "score", "label"], rows), args.output)
     return 0
 
 
-def _cmd_tune_offset(v: dict[str, object]) -> int:
-    path = str(v["input"])
+def _cmd_tune_offset(args: argparse.Namespace) -> int:
+    path = args.input
     scored = [
         (_parse_score(row, path), OriginLabel.from_code(row["gold"]))
         for row in read_tsv(path, ["score", "gold"])
     ]
     c, macro_f1 = tune_offset(scored)
     _write_report(
-        _tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), v["output"]
+        _tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output
     )
     return 0
 
 
-def _cmd_classify(v: dict[str, object]) -> int:
-    path = str(v["scores"])
-    offset = float(v["offset_c"])
+def _cmd_classify(args: argparse.Namespace) -> int:
+    path = args.scores
     rows = []
     for row in read_tsv(path, ["line_no", "score"]):
         line_no = _parse_line_no(row, path)
-        score = _parse_score(row, path) + offset
+        score = _parse_score(row, path) + args.offset_c
         rows.append((str(line_no), fmt_float(score), label_for(score).code))
-    _write_report(_tsv(["line_no", "score", "label"], rows), v["output"])
+    _write_report(_tsv(["line_no", "score", "label"], rows), args.output)
     return 0
 
 
@@ -263,14 +219,14 @@ def _read_records(path: str) -> list[ScoreRecord]:
     return records
 
 
-def _cmd_select(v: dict[str, object]) -> int:
-    records = _read_records(str(v["records"]))
+def _cmd_select(args: argparse.Namespace) -> int:
+    records = _read_records(args.records)
     most_source, most_target = select_extremes(
-        records, SelectionSpec(ratio_percent=float(v["ratio"]))
+        records, SelectionSpec(ratio_percent=args.ratio)
     )
     rows = [(str(n), "most_source") for n in sorted(most_source)]
     rows += [(str(n), "most_target") for n in sorted(most_target)]
-    _write_report(_tsv(["line_no", "group"], rows), v["output"])
+    _write_report(_tsv(["line_no", "group"], rows), args.output)
     return 0
 
 
@@ -286,100 +242,86 @@ def _read_partition(path: str) -> tuple[set[int], set[int]]:
     return groups[first], groups[second]
 
 
-def _cmd_jsdiv(v: dict[str, object]) -> int:
-    side = str(v["side"])
-    partition_a, partition_b = _read_partition(str(v["split"]))
+def _cmd_jsdiv(args: argparse.Namespace) -> int:
+    partition_a, partition_b = _read_partition(args.split)
     examples = read_parallel(
-        str(v["source"]),
-        str(v["target"]),
-        str(v["source_pos"]) if v["source_pos"] and side == "source" else None,
-        str(v["target_pos"]) if v["target_pos"] and side == "target" else None,
+        args.source,
+        args.target,
+        args.source_pos if args.source_pos and args.side == "source" else None,
+        args.target_pos if args.target_pos and args.side == "target" else None,
     )
     report = divergence_report(
-        examples, partition_a, partition_b, side, _word_classes(v["word_classes"])
+        examples, partition_a, partition_b, args.side, _word_classes(args.word_classes)
     )
-    _write_report(report.to_tsv(), v["output"])
+    _write_report(report.to_tsv(), args.output)
     return 0
 
 
-def _cmd_random_split(v: dict[str, object]) -> int:
-    count = int(v["count"])
-    fraction = float(v["fraction"])
+def _cmd_random_split(args: argparse.Namespace) -> int:
+    count, fraction = args.count, args.fraction
     if not 0 < fraction < 1:
         raise UsageError(f"--fraction must be in (0, 1), got {fraction}")
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
-    part_a, part_b = random_split(count, fraction, int(v["seed"]))
+    part_a, part_b = random_split(count, fraction, args.seed)
     rows = [
         (str(n), "a" if n in part_a else "b") for n in range(1, count + 1)
     ]
-    _write_report(_tsv(["line_no", "group"], rows), v["output"])
+    _write_report(_tsv(["line_no", "group"], rows), args.output)
     return 0
 
 
-def _read_aligned(text_path: str, pos_path: str) -> tuple[list, list]:
-    sentences = list(read_mono(text_path))
-    annotations = list(read_mono(pos_path))
-    return sentences, annotations
-
-
-def _cmd_fmeasure(v: dict[str, object]) -> int:
-    hyp = list(read_mono(str(v["hyp"])))
-    ref, ref_pos = _read_aligned(str(v["ref"]), str(v["ref_pos"]))
-    if v["buckets"]:
-        from .fileio import read_section_file
-
-        sections = read_section_file(str(v["buckets"]))
+def _cmd_fmeasure(args: argparse.Namespace) -> int:
+    hyp = list(read_mono(args.hyp))
+    ref = list(read_mono(args.ref))
+    ref_pos = list(read_mono(args.ref_pos))
+    if args.buckets:
+        sections = read_section_file(args.buckets)
         if not sections:
-            raise DataError(f"{v['buckets']}: no bucket sections")
+            raise DataError(f"{args.buckets}: no bucket sections")
         buckets = {name: frozenset(tags) for name, tags in sections.items()}
         for name, tags in buckets.items():
             if not tags:
-                raise DataError(f"{v['buckets']}: bucket [{name}] lists no tags")
+                raise DataError(f"{args.buckets}: bucket [{name}] lists no tags")
     else:
         buckets = dict(DEFAULT_BUCKETS)
     report = word_fmeasure(hyp, ref, ref_pos, buckets)
-    _write_report(report.to_tsv(), v["output"])
+    _write_report(report.to_tsv(), args.output)
     return 0
 
 
-def _cmd_abstract(v: dict[str, object]) -> int:
-    rule = AbstractionRule(
-        classes=_word_classes(v["word_classes"]),
-        tag_prefix=str(v["tag_prefix"]),
-        tag_suffix=str(v["tag_suffix"]),
-    )
-    abstract_corpus(str(v["input"]), str(v["pos"]), str(v["output"]), rule)
+def _cmd_abstract(args: argparse.Namespace) -> int:
+    abstract_corpus(args.input, args.pos, args.output, _abstraction_rule(args))
     return 0
 
 
 def _read_fluency_baseline(path: str) -> FluencyReport:
     by_level = {}
     for row in read_tsv(path, ["level", "ppl"]):
-        by_level[row["level"]] = _parse_score(row, path, column="ppl")
+        ppl = _parse_score(row, path, column="ppl")
+        if ppl <= 0:
+            raise DataError(f"{path}: ppl value {row['ppl']!r} is not positive")
+        by_level[row["level"]] = ppl
     missing = {"plain", "abstracted"} - set(by_level)
     if missing:
         raise DataError(f"{path}: missing level row(s): {', '.join(sorted(missing))}")
     return FluencyReport(by_level["plain"], by_level["abstracted"])
 
 
-def _cmd_fluency(v: dict[str, object]) -> int:
-    outputs, outputs_pos = _read_aligned(str(v["input"]), str(v["pos"]))
-    rule = AbstractionRule(
-        classes=_word_classes(v["word_classes"]),
-        tag_prefix=str(v["tag_prefix"]),
-        tag_suffix=str(v["tag_suffix"]),
-    )
-    baseline = _read_fluency_baseline(str(v["baseline"])) if v["baseline"] else None
+def _cmd_fluency(args: argparse.Namespace) -> int:
+    outputs = list(read_mono(args.input))
+    outputs_pos = list(read_mono(args.pos))
+    rule = _abstraction_rule(args)
+    baseline = _read_fluency_baseline(args.baseline) if args.baseline else None
     report = fluency_report(
         outputs,
         outputs_pos,
-        plain_lm=NGramModel.load(str(v["plain_lm"])),
-        abstracted_lm=NGramModel.load(str(v["abstracted_lm"])),
+        plain_lm=NGramModel.load(args.plain_lm),
+        abstracted_lm=NGramModel.load(args.abstracted_lm),
         rule=rule,
         baseline=baseline,
     )
-    _write_report(report.to_tsv(), v["output"])
+    _write_report(report.to_tsv(), args.output)
     return 0
 
 
@@ -396,268 +338,271 @@ def _read_labels(path: str) -> list[OriginLabel]:
     return labels
 
 
-def _cmd_tag(v: dict[str, object]) -> int:
-    labels = _read_labels(str(v["records"]))
-    examples = read_parallel(str(v["source"]), str(v["target"]))
-    tagged = bias_tag(examples, labels, TagPolicy(str(v["tag_token"])))
-    write_parallel(tagged, str(v["out_source"]), str(v["out_target"]))
+def _cmd_tag(args: argparse.Namespace) -> int:
+    labels = _read_labels(args.records)
+    examples = read_parallel(args.source, args.target)
+    tagged = bias_tag(examples, labels, TagPolicy(args.tag_token))
+    write_parallel(tagged, args.out_source, args.out_target)
     return 0
 
 
-def _cmd_split_finetune(v: dict[str, object]) -> int:
-    if bool(v["records"]) == bool(v["selection"]):
+def _read_selection(path: str) -> set[int]:
+    selection = set()
+    for row in read_tsv(path, ["line_no", "group"]):
+        line_no = _parse_line_no(row, path)
+        if row["group"] == "most_source":
+            selection.add(line_no)
+        elif row["group"] != "most_target":
+            raise DataError(
+                f"{path}: group must be most_source or most_target, got {row['group']!r}"
+            )
+    return selection
+
+
+def _cmd_split_finetune(args: argparse.Namespace) -> int:
+    if bool(args.records) == bool(args.selection):
         raise UsageError("pass exactly one of --records or --selection")
-    examples = list(read_parallel(str(v["source"]), str(v["target"])))
-    if v["records"]:
-        selection: object = _read_records(str(v["records"]))
+    examples = list(read_parallel(args.source, args.target))
+    if args.records:
+        selection: object = _read_records(args.records)
     else:
-        path = str(v["selection"])
-        selection = {
-            _parse_line_no(row, path)
-            for row in read_tsv(path, ["line_no", "group"])
-            if row["group"] == "most_source"
-        }
+        selection = _read_selection(args.selection)
     pretrain, finetune, manifest = finetune_split(examples, selection)
-    write_parallel(pretrain, str(v["out_pretrain_source"]), str(v["out_pretrain_target"]))
-    write_parallel(finetune, str(v["out_finetune_source"]), str(v["out_finetune_target"]))
-    _write_report(manifest_to_tsv(manifest), v["manifest"])
+    write_parallel(pretrain, args.out_pretrain_source, args.out_pretrain_target)
+    write_parallel(finetune, args.out_finetune_source, args.out_finetune_target)
+    _write_report(manifest_to_tsv(manifest), args.manifest)
     return 0
 
 
-def _cmd_merge_augment(v: dict[str, object]) -> int:
-    authentic = list(read_parallel(str(v["authentic_source"]), str(v["authentic_target"])))
-    synthetic = list(read_parallel(str(v["synthetic_source"]), str(v["synthetic_target"])))
-    policy = TagPolicy(str(v["tag_token"])) if v["tag_token"] else None
-    seed = None if v["seed"] is None else int(v["seed"])
-    merged, manifest = merge_augment(authentic, synthetic, policy, seed)
-    write_parallel(merged, str(v["out_source"]), str(v["out_target"]))
-    _write_report(manifest_to_tsv(manifest), v["manifest"])
+def _cmd_merge_augment(args: argparse.Namespace) -> int:
+    authentic = list(read_parallel(args.authentic_source, args.authentic_target))
+    synthetic = list(read_parallel(args.synthetic_source, args.synthetic_target))
+    policy = TagPolicy(args.tag_token) if args.tag_token else None
+    merged, manifest = merge_augment(authentic, synthetic, policy, args.seed)
+    write_parallel(merged, args.out_source, args.out_target)
+    _write_report(manifest_to_tsv(manifest), args.manifest)
     return 0
 
 
 # -- wiring -----------------------------------------------------------------
 
+# name -> (help, handler, [(flag, add_argument keywords)]); every subcommand
+# also takes --threads and --config
+_OUTPUT = ("--output", dict(help="output file (default: stdout)"))
+_THREADS = (
+    "--threads",
+    dict(type=_thread_count, default=1, help="accepted for compatibility; no effect on speed"),
+)
 
-@dataclass(frozen=True)
-class _Command:
-    name: str
-    help: str
-    opts: list[Opt]
-    handler: Callable[[dict[str, object]], int]
-
-
-_OUTPUT = Opt("--output", kind="path", help="output file (default: stdout)")
-
-_COMMANDS = [
-    _Command(
-        "train-lm",
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], list[tuple[str, dict]]]] = {
+    "train-lm": (
         "train an n-gram model on a monolingual corpus",
-        [
-            Opt("--input", kind="path", required=True, help="training corpus"),
-            Opt("--output", kind="path", required=True, help="model file to write"),
-            Opt("--order", kind="int", default=4),
-            Opt("--min-count", kind="int", default=2),
-        ],
         _cmd_train_lm,
+        [
+            ("--input", dict(required=True, help="training corpus")),
+            ("--output", dict(required=True, help="model file to write")),
+            ("--order", dict(type=int, default=4)),
+            ("--min-count", dict(type=int, default=2)),
+        ],
     ),
-    _Command(
-        "perplexity",
+    "perplexity": (
         "perplexity of a model on a corpus",
-        [
-            Opt("--model", kind="path", required=True),
-            Opt("--input", kind="path", required=True),
-            _OUTPUT,
-        ],
         _cmd_perplexity,
+        [("--model", dict(required=True)), ("--input", dict(required=True)), _OUTPUT],
     ),
-    _Command(
-        "score-pairs",
+    "score-pairs": (
         "score parallel pairs by the two-model log-probability difference",
-        [
-            Opt("--source-model", kind="path", required=True),
-            Opt("--target-model", kind="path", required=True),
-            Opt("--source", kind="path", required=True),
-            Opt("--target", kind="path", required=True),
-            Opt("--offset-c", kind="float", default=0.0),
-            Opt("--length-normalize", kind="bool", default=False),
-            _OUTPUT,
-        ],
         _cmd_score_pairs,
+        [
+            ("--source-model", dict(required=True)),
+            ("--target-model", dict(required=True)),
+            ("--source", dict(required=True)),
+            ("--target", dict(required=True)),
+            ("--offset-c", dict(type=_finite_float, default=0.0)),
+            ("--length-normalize", dict(action="store_true")),
+            _OUTPUT,
+        ],
     ),
-    _Command(
-        "tune-offset",
+    "tune-offset": (
         "pick the offset maximizing macro-F1 on scored, gold-labeled pairs",
-        [
-            Opt("--input", kind="path", required=True, help="TSV with score and gold columns"),
-            _OUTPUT,
-        ],
         _cmd_tune_offset,
+        [("--input", dict(required=True, help="TSV with score and gold columns")), _OUTPUT],
     ),
-    _Command(
-        "classify",
+    "classify": (
         "apply an offset to raw scores and label each line",
-        [
-            Opt("--scores", kind="path", required=True, help="TSV with line_no and score"),
-            Opt("--offset-c", kind="float", default=0.0),
-            _OUTPUT,
-        ],
         _cmd_classify,
+        [
+            ("--scores", dict(required=True, help="TSV with line_no and score")),
+            ("--offset-c", dict(type=_finite_float, default=0.0)),
+            _OUTPUT,
+        ],
     ),
-    _Command(
-        "select",
+    "select": (
         "take the most extreme lines from both ends of the score ranking",
-        [
-            Opt("--records", kind="path", required=True, help="classify output TSV"),
-            Opt("--ratio", kind="float", required=True, help="percent per side, in (0, 50]"),
-            _OUTPUT,
-        ],
         _cmd_select,
+        [
+            ("--records", dict(required=True, help="classify output TSV")),
+            ("--ratio", dict(type=_finite_float, required=True, help="percent per side, in (0, 50]")),
+            _OUTPUT,
+        ],
     ),
-    _Command(
-        "jsdiv",
+    "jsdiv": (
         "Jensen-Shannon divergence between two line partitions",
-        [
-            Opt("--source", kind="path", required=True),
-            Opt("--target", kind="path", required=True),
-            Opt("--side", choices=("source", "target"), required=True),
-            Opt("--source-pos", kind="path"),
-            Opt("--target-pos", kind="path"),
-            Opt("--split", kind="path", required=True, help="TSV with line_no and group"),
-            Opt("--word-classes", kind="path", help="section file with [content] tags"),
-            _OUTPUT,
-        ],
         _cmd_jsdiv,
+        [
+            ("--source", dict(required=True)),
+            ("--target", dict(required=True)),
+            ("--side", dict(choices=("source", "target"), required=True)),
+            ("--source-pos", {}),
+            ("--target-pos", {}),
+            ("--split", dict(required=True, help="TSV with line_no and group")),
+            ("--word-classes", dict(help="section file with [content] tags")),
+            _OUTPUT,
+        ],
     ),
-    _Command(
-        "random-split",
+    "random-split": (
         "deterministic random partition of line numbers",
-        [
-            Opt("--count", kind="int", required=True),
-            Opt("--fraction", kind="float", required=True),
-            Opt("--seed", kind="int", required=True),
-            _OUTPUT,
-        ],
         _cmd_random_split,
+        [
+            ("--count", dict(type=int, required=True)),
+            ("--fraction", dict(type=_finite_float, required=True)),
+            ("--seed", dict(type=int, required=True)),
+            _OUTPUT,
+        ],
     ),
-    _Command(
-        "fmeasure",
+    "fmeasure": (
         "bag-of-words F-measure per POS bucket",
-        [
-            Opt("--hyp", kind="path", required=True),
-            Opt("--ref", kind="path", required=True),
-            Opt("--ref-pos", kind="path", required=True),
-            Opt("--buckets", kind="path", help="section file naming buckets"),
-            _OUTPUT,
-        ],
         _cmd_fmeasure,
-    ),
-    _Command(
-        "abstract",
-        "replace content words by rendered POS tags",
         [
-            Opt("--input", kind="path", required=True),
-            Opt("--pos", kind="path", required=True),
-            Opt("--output", kind="path", required=True),
-            Opt("--word-classes", kind="path"),
-            Opt("--tag-prefix", default=""),
-            Opt("--tag-suffix", default=""),
-        ],
-        _cmd_abstract,
-    ),
-    _Command(
-        "fluency",
-        "perplexity report over plain and abstracted system output",
-        [
-            Opt("--input", kind="path", required=True, help="system output corpus"),
-            Opt("--pos", kind="path", required=True),
-            Opt("--plain-lm", kind="path", required=True),
-            Opt("--abstracted-lm", kind="path", required=True),
-            Opt("--word-classes", kind="path"),
-            Opt("--tag-prefix", default=""),
-            Opt("--tag-suffix", default=""),
-            Opt("--baseline", kind="path", help="earlier fluency TSV to diff against"),
+            ("--hyp", dict(required=True)),
+            ("--ref", dict(required=True)),
+            ("--ref-pos", dict(required=True)),
+            ("--buckets", dict(help="section file naming buckets")),
             _OUTPUT,
         ],
+    ),
+    "abstract": (
+        "replace content words by rendered POS tags",
+        _cmd_abstract,
+        [
+            ("--input", dict(required=True)),
+            ("--pos", dict(required=True)),
+            ("--output", dict(required=True)),
+            ("--word-classes", {}),
+            ("--tag-prefix", dict(default="")),
+            ("--tag-suffix", dict(default="")),
+        ],
+    ),
+    "fluency": (
+        "perplexity report over plain and abstracted system output",
         _cmd_fluency,
+        [
+            ("--input", dict(required=True, help="system output corpus")),
+            ("--pos", dict(required=True)),
+            ("--plain-lm", dict(required=True)),
+            ("--abstracted-lm", dict(required=True)),
+            ("--word-classes", {}),
+            ("--tag-prefix", dict(default="")),
+            ("--tag-suffix", dict(default="")),
+            ("--baseline", dict(help="earlier fluency TSV to diff against")),
+            _OUTPUT,
+        ],
     ),
-    _Command(
-        "tag",
+    "tag": (
         "prepend an origin tag to target-original source sides",
-        [
-            Opt("--source", kind="path", required=True),
-            Opt("--target", kind="path", required=True),
-            Opt("--records", kind="path", required=True, help="classify output TSV"),
-            Opt("--tag-token", default=DEFAULT_ORIGIN_TAG),
-            Opt("--out-source", kind="path", required=True),
-            Opt("--out-target", kind="path", required=True),
-        ],
         _cmd_tag,
+        [
+            ("--source", dict(required=True)),
+            ("--target", dict(required=True)),
+            ("--records", dict(required=True, help="classify output TSV")),
+            ("--tag-token", dict(default=DEFAULT_ORIGIN_TAG)),
+            ("--out-source", dict(required=True)),
+            ("--out-target", dict(required=True)),
+        ],
     ),
-    _Command(
-        "split-finetune",
+    "split-finetune": (
         "write the full corpus plus its source-original subset",
-        [
-            Opt("--source", kind="path", required=True),
-            Opt("--target", kind="path", required=True),
-            Opt("--records", kind="path", help="classify output TSV"),
-            Opt("--selection", kind="path", help="select output TSV"),
-            Opt("--out-pretrain-source", kind="path", required=True),
-            Opt("--out-pretrain-target", kind="path", required=True),
-            Opt("--out-finetune-source", kind="path", required=True),
-            Opt("--out-finetune-target", kind="path", required=True),
-            Opt("--manifest", kind="path", required=True),
-        ],
         _cmd_split_finetune,
-    ),
-    _Command(
-        "merge-augment",
-        "merge authentic and synthetic corpora with manifest",
         [
-            Opt("--authentic-source", kind="path", required=True),
-            Opt("--authentic-target", kind="path", required=True),
-            Opt("--synthetic-source", kind="path", required=True),
-            Opt("--synthetic-target", kind="path", required=True),
-            Opt("--tag-token", help=f"tag synthetic source sides (e.g. {DEFAULT_SYNTHETIC_TAG})"),
-            Opt("--seed", kind="int", help="shuffle the merged order reproducibly"),
-            Opt("--out-source", kind="path", required=True),
-            Opt("--out-target", kind="path", required=True),
-            Opt("--manifest", kind="path", required=True),
+            ("--source", dict(required=True)),
+            ("--target", dict(required=True)),
+            ("--records", dict(help="classify output TSV")),
+            ("--selection", dict(help="select output TSV")),
+            ("--out-pretrain-source", dict(required=True)),
+            ("--out-pretrain-target", dict(required=True)),
+            ("--out-finetune-source", dict(required=True)),
+            ("--out-finetune-target", dict(required=True)),
+            ("--manifest", dict(required=True)),
         ],
-        _cmd_merge_augment,
     ),
-]
+    "merge-augment": (
+        "merge authentic and synthetic corpora with manifest",
+        _cmd_merge_augment,
+        [
+            ("--authentic-source", dict(required=True)),
+            ("--authentic-target", dict(required=True)),
+            ("--synthetic-source", dict(required=True)),
+            ("--synthetic-target", dict(required=True)),
+            ("--tag-token", dict(help=f"tag synthetic source sides (e.g. {DEFAULT_SYNTHETIC_TAG})")),
+            ("--seed", dict(type=int, help="shuffle the merged order reproducibly")),
+            ("--out-source", dict(required=True)),
+            ("--out-target", dict(required=True)),
+            ("--manifest", dict(required=True)),
+        ],
+    ),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="covbias", description=__doc__)
     parser.add_argument("--version", action="version", version=VERSION_LINE)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        sub = subparsers.add_parser(command.name, help=command.help)
-        for opt in command.opts + _COMMON:
-            if opt.kind == "bool":
-                sub.add_argument(
-                    opt.flag, dest=opt.dest, action="store_const", const="true",
-                    default=None, help=opt.help,
-                )
-            else:
-                sub.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help)
-        sub.set_defaults(_command=command)
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        for flag, keywords in arguments + [_THREADS]:
+            sub.add_argument(flag, **keywords)
+        sub.add_argument("--config", help="key=value file merged under explicit flags")
     return parser
 
 
+def _config_flags(command: str, argv: list[str]) -> list[str]:
+    """The flags that the --config file named in argv stands for."""
+    arguments = _COMMANDS[command][2] + [_THREADS]
+    # The subcommand's flags, untyped and none required: unknown, ambiguous and
+    # valueless flags fail here as in the full parse, before the file is read.
+    pre = _Parser(prog=f"covbias {command}", add_help=False)
+    pre.add_argument("-h", "--help", action="store_true")
+    pre.add_argument("--config")
+    for flag, keywords in arguments:
+        pre.add_argument(flag, action=keywords.get("action"))
+    known = pre.parse_args(argv)
+    if known.help or not known.config:
+        return []
+    config = _read_config(known.config)
+    by_key = {flag[2:].replace("-", "_"): (flag, keywords) for flag, keywords in arguments}
+    unknown = sorted(key for key in config if key not in by_key)
+    if unknown:
+        raise UsageError(
+            f"{known.config}: unknown config key(s) for this subcommand: " + ", ".join(unknown)
+        )
+    flags = []
+    for key, value in config.items():
+        flag, keywords = by_key[key]
+        if keywords.get("action") != "store_true":
+            flags.append(f"{flag}={value}")
+        elif _parse_bool(value, flag):
+            flags.append(flag)
+    return flags
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = _build_parser()
-        args = parser.parse_args(list(argv))
-        command: _Command = args._command
-        values = _resolve(args, command.opts + _COMMON)
-        threads = int(values["threads"])
-        if threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {threads}")
-        return command.handler(values)
+        if argv and argv[0] in _COMMANDS:
+            # config values go ahead of the explicit flags, so the explicit ones win
+            argv[1:1] = _config_flags(argv[0], argv[1:])
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][1](args)
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code
         return code if isinstance(code, int) else 0
@@ -667,10 +612,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             message = f"covbias: {message}"
         print(message, file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
-        print(f"covbias: error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"covbias: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

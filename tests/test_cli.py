@@ -1,12 +1,16 @@
 import math
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import covbias
+from covbias import cli
 from covbias import (
     NGramModel,
     OriginLabel,
@@ -55,6 +59,34 @@ def _train(corpus, name, input_name, *extra):
     )
     assert code == 0
     return model
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_parse_against_the_parser():
+    text = README.read_text(encoding="utf-8")
+    table = re.findall(r"^\| `([a-z-]+)` \|", text, re.M)
+    assert sorted(table) == sorted(cli._COMMANDS)
+    command_lines = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["covbias"]:
+                command_lines.append(words[1:])
+    assert len(command_lines) >= len(table)
+    parser = cli._build_parser()
+    for argv in command_lines:
+        try:
+            parser.parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail(f"README: covbias {shlex.join(argv)}: {exc}")
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_subcommand_prints_its_help(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: covbias {command} ")
 
 
 def test_version_line(capsys):
@@ -318,6 +350,45 @@ def test_unknown_or_malformed_config_keys_are_usage_errors(corpus, capsys):
     malformed = corpus / "malformed.cfg"
     malformed.write_text("order: 2\n", encoding="utf-8")
     assert main(args + ["--config", str(malformed)]) == 1
+
+
+_SCORE_PAIRS = ["score-pairs", "--source-model", "src.lm", "--target-model", "tgt.lm",
+                "--source", "src.txt", "--target", "tgt.txt"]
+_JSDIV = ["jsdiv", "--source", "src.txt", "--target", "tgt.txt", "--source-pos", "src.pos",
+          "--split", "split.tsv"]
+
+
+@pytest.mark.parametrize(
+    "config_flag, argv, config, same_as",
+    [
+        ("--config", _JSDIV, "side = bogus", 1),
+        ("--config", _SCORE_PAIRS, "length_normalize = maybe", 1),
+        ("--config", _SCORE_PAIRS, "offset_c = nan", 1),
+        ("--config", _SCORE_PAIRS, "threads = 0", 1),
+        ("--config", _SCORE_PAIRS, "length_normalize = yes\noutput = cfg.out", ["--length-normalize"]),
+        ("--config", _SCORE_PAIRS, "length_normalize = no\noutput = cfg.out", []),
+        ("--config", _SCORE_PAIRS, "offset_c = -0.5\noutput = cfg.out", ["--offset-c", "-0.5"]),
+        ("--config", ["train-lm", "--input", "src.txt", "--order", "2"], "output = cfg.out", []),
+        ("--conf", _SCORE_PAIRS, "offset_c = 2\noutput = cfg.out", ["--offset-c", "2"]),
+    ],
+)
+def test_config_values_get_the_checks_their_flags_get(
+    corpus, monkeypatch, config_flag, argv, config, same_as
+):
+    """A config value is refused (exit 1) or gives the bytes of the flags in same_as."""
+    monkeypatch.chdir(corpus)
+    _train(corpus, "src.lm", "src.txt")
+    _train(corpus, "tgt.lm", "tgt.txt")
+    (corpus / "src.pos").write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
+    (corpus / "split.tsv").write_text("line_no\tgroup\n1\ta\n2\ta\n3\tb\n4\tb\n", encoding="utf-8")
+    (corpus / "run.cfg").write_text(config + "\n", encoding="utf-8")
+    code = main(argv + [config_flag, "run.cfg"])
+    if same_as == 1:
+        assert code == 1
+        return
+    assert code == 0
+    assert main(argv + same_as + ["--output", "flags.out"]) == 0
+    assert (corpus / "cfg.out").read_bytes() == (corpus / "flags.out").read_bytes()
 
 
 def test_tune_offset_reads_score_gold_tsv(corpus, capsys):
@@ -725,6 +796,19 @@ def test_split_finetune_requires_exactly_one_selector(corpus):
     )
 
 
+def test_split_finetune_rejects_foreign_selection_groups(corpus, capsys):
+    selection = corpus / "random.tsv"
+    selection.write_text("line_no\tgroup\n1\ta\n2\tb\n3\ta\n4\tb\n", encoding="utf-8")
+    args = ["split-finetune", "--source", str(corpus / "src.txt")]
+    args += ["--target", str(corpus / "tgt.txt"), "--selection", str(selection)]
+    for flag in ("pretrain-source", "pretrain-target", "finetune-source", "finetune-target"):
+        args += [f"--out-{flag}", str(corpus / flag)]
+    assert main(args + ["--manifest", str(corpus / "manifest.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert str(selection) in err and "'a'" in err
+    assert not (corpus / "manifest.tsv").exists()
+
+
 def test_merge_augment_with_tag_and_seed(corpus):
     outs = [corpus / "m.src", corpus / "m.tgt", corpus / "m.manifest"]
     args = [
@@ -846,12 +930,13 @@ def test_split_finetune_rejects_non_finite_record_scores(corpus):
     assert not (corpus / "manifest.tsv").exists()
 
 
-def test_fluency_rejects_a_non_finite_baseline(corpus):
+@pytest.mark.parametrize("ppl", ["inf", "0", "-2"])
+def test_fluency_rejects_a_non_finite_baseline(corpus, ppl):
     pos = corpus / "src.pos"
     pos.write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
     model = _train(corpus, "plain.lm", "src.txt")
     baseline = corpus / "baseline.tsv"
-    baseline.write_text("level\tppl\tdiff\nplain\tinf\t-\nabstracted\t3.5\t-\n", encoding="utf-8")
+    baseline.write_text(f"level\tppl\tdiff\nplain\t{ppl}\t-\nabstracted\t3.5\t-\n", encoding="utf-8")
     args = ["fluency", "--input", str(corpus / "src.txt"), "--pos", str(pos)]
     args += ["--plain-lm", str(model), "--abstracted-lm", str(model)]
     assert main(args) == 0
