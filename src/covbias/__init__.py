@@ -58,12 +58,9 @@ from .divergence import (
     build_distribution,
     divergence_report,
     js,
-    js_scaled,
-    kl,
     random_split,
 )
 from .errors import (
-    BucketMismatch,
     CovbiasError,
     DataError,
     DegenerateVocabulary,
@@ -83,8 +80,6 @@ from .errors import (
 from .fmeasure import (
     AdequacyReport,
     BucketStats,
-    DeltaReport,
-    compare_reports,
     word_fmeasure,
 )
 from .lm import MODEL_FORMAT_VERSION, LmScore, NGramModel, perplexity
@@ -94,14 +89,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractionRule",
     "AdequacyReport",
-    "BucketMismatch",
     "BucketStats",
     "CovbiasError",
     "DataError",
     "DEFAULT_ORIGIN_TAG",
     "DEFAULT_SYNTHETIC_TAG",
     "DegenerateVocabulary",
-    "DeltaReport",
     "DetectionEval",
     "DetectorConfig",
     "DivergenceReport",
@@ -136,15 +129,12 @@ __all__ = [
     "bias_tag",
     "build_distribution",
     "classify",
-    "compare_reports",
     "detag",
     "divergence_report",
     "evaluate_detection",
     "finetune_split",
     "fluency_report",
     "js",
-    "js_scaled",
-    "kl",
     "label_for",
     "manifest_to_tsv",
     "merge_augment",

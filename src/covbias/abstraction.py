@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .corpus import PosAnnotation, Sentence, read_mono
+from .corpus import PosAnnotation, Sentence, read_tagged
 from .divergence import WordClassMap
-from .errors import LineCountMismatch, PosAlignmentError
-from .fileio import atomic_write, fmt_float
+from .errors import PosAlignmentError
+from .fileio import atomic_write, fmt_float, format_tsv
 from .lm import NGramModel, perplexity
 
 
@@ -57,30 +57,10 @@ def abstract_corpus(
 ) -> int:
     """Abstract a corpus file line by line (atomic write); returns line count."""
     count = 0
-    sentinel = object()
     with atomic_write(output_path) as handle:
-        sentences = read_mono(input_path)
-        annotations = read_mono(pos_path)
-        for line_no, sentence in enumerate(sentences, 1):
-            pos = next(annotations, sentinel)
-            if pos is sentinel:
-                raise LineCountMismatch(
-                    f"{pos_path} ended at line {line_no} but {input_path} continues",
-                    line_no=line_no,
-                )
-            if len(sentence) != len(pos):
-                raise PosAlignmentError(
-                    f"{pos_path}: line {line_no} has {len(pos)} tags "
-                    f"for {len(sentence)} tokens",
-                    line_no=line_no,
-                )
+        for sentence, pos in read_tagged(input_path, pos_path):
             handle.write(" ".join(abstract_sentence(sentence, pos, rule)) + "\n")
             count += 1
-        if next(annotations, sentinel) is not sentinel:
-            raise LineCountMismatch(
-                f"{input_path} ended at line {count} but {pos_path} continues",
-                line_no=count + 1,
-            )
     return count
 
 
@@ -101,13 +81,17 @@ class FluencyReport:
         def diff_cell(value: float | None) -> str:
             return "-" if value is None else fmt_float(value)
 
-        lines = ["level\tppl\tdiff"]
-        lines.append(f"plain\t{fmt_float(self.ppl_plain)}\t{diff_cell(self.diff_plain)}")
-        lines.append(
-            "abstracted\t"
-            f"{fmt_float(self.ppl_abstracted)}\t{diff_cell(self.diff_abstracted)}"
+        return format_tsv(
+            ("level", "ppl", "diff"),
+            [
+                ("plain", fmt_float(self.ppl_plain), diff_cell(self.diff_plain)),
+                (
+                    "abstracted",
+                    fmt_float(self.ppl_abstracted),
+                    diff_cell(self.diff_abstracted),
+                ),
+            ],
         )
-        return "\n".join(lines) + "\n"
 
 
 def fluency_report(

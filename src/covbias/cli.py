@@ -22,11 +22,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import __version__
 from .abstraction import AbstractionRule, FluencyReport, abstract_corpus, fluency_report
-from .corpus import OriginLabel, read_mono, read_parallel, write_parallel
+from .corpus import OriginLabel, read_mono, read_parallel, read_tagged, write_parallel
 from .dataprep import (
     DEFAULT_ORIGIN_TAG,
     DEFAULT_SYNTHETIC_TAG,
@@ -47,7 +47,7 @@ from .detect import (
 )
 from .divergence import WordClassMap, divergence_report, random_split
 from .errors import DataError
-from .fileio import atomic_write, fmt_float, read_section_file, read_tsv
+from .fileio import atomic_write, fmt_float, format_tsv, read_section_file, read_tsv
 from .fmeasure import DEFAULT_BUCKETS, word_fmeasure
 from .lm import MODEL_FORMAT_VERSION, NGramModel, perplexity
 
@@ -114,12 +114,6 @@ def _write_report(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    out = ["\t".join(header)]
-    out.extend("\t".join(row) for row in rows)
-    return "\n".join(out) + "\n"
-
-
 def _word_classes(path: str | None) -> WordClassMap:
     return WordClassMap.from_file(path) if path else WordClassMap.default()
 
@@ -165,7 +159,7 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
 def _cmd_perplexity(args: argparse.Namespace) -> int:
     model = NGramModel.load(args.model)
     value = perplexity(model, read_mono(args.input))
-    _write_report(_tsv(["metric", "value"], [("perplexity", fmt_float(value))]), args.output)
+    _write_report(format_tsv(["metric", "value"], [("perplexity", fmt_float(value))]), args.output)
     return 0
 
 
@@ -182,7 +176,7 @@ def _cmd_score_pairs(args: argparse.Namespace) -> int:
         (str(line_no), fmt_float(score), label_for(score).code)
         for line_no, score in enumerate(scores, 1)
     ]
-    _write_report(_tsv(["line_no", "score", "label"], rows), args.output)
+    _write_report(format_tsv(["line_no", "score", "label"], rows), args.output)
     return 0
 
 
@@ -194,7 +188,7 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
     ]
     c, macro_f1 = tune_offset(scored)
     _write_report(
-        _tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output
+        format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output
     )
     return 0
 
@@ -206,7 +200,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         line_no = _parse_line_no(row, path)
         score = _parse_score(row, path) + args.offset_c
         rows.append((str(line_no), fmt_float(score), label_for(score).code))
-    _write_report(_tsv(["line_no", "score", "label"], rows), args.output)
+    _write_report(format_tsv(["line_no", "score", "label"], rows), args.output)
     return 0
 
 
@@ -226,7 +220,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     )
     rows = [(str(n), "most_source") for n in sorted(most_source)]
     rows += [(str(n), "most_target") for n in sorted(most_target)]
-    _write_report(_tsv(["line_no", "group"], rows), args.output)
+    _write_report(format_tsv(["line_no", "group"], rows), args.output)
     return 0
 
 
@@ -267,7 +261,7 @@ def _cmd_random_split(args: argparse.Namespace) -> int:
     rows = [
         (str(n), "a" if n in part_a else "b") for n in range(1, count + 1)
     ]
-    _write_report(_tsv(["line_no", "group"], rows), args.output)
+    _write_report(format_tsv(["line_no", "group"], rows), args.output)
     return 0
 
 
@@ -298,10 +292,15 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
 def _read_fluency_baseline(path: str) -> FluencyReport:
     by_level = {}
     for row in read_tsv(path, ["level", "ppl"]):
+        level = row["level"]
+        if level not in ("plain", "abstracted"):
+            raise DataError(f"{path}: level must be plain or abstracted, got {level!r}")
+        if level in by_level:
+            raise DataError(f"{path}: level {level!r} is given more than once")
         ppl = _parse_score(row, path, column="ppl")
         if ppl <= 0:
             raise DataError(f"{path}: ppl value {row['ppl']!r} is not positive")
-        by_level[row["level"]] = ppl
+        by_level[level] = ppl
     missing = {"plain", "abstracted"} - set(by_level)
     if missing:
         raise DataError(f"{path}: missing level row(s): {', '.join(sorted(missing))}")
@@ -309,13 +308,12 @@ def _read_fluency_baseline(path: str) -> FluencyReport:
 
 
 def _cmd_fluency(args: argparse.Namespace) -> int:
-    outputs = list(read_mono(args.input))
-    outputs_pos = list(read_mono(args.pos))
+    tagged = list(read_tagged(args.input, args.pos))
     rule = _abstraction_rule(args)
     baseline = _read_fluency_baseline(args.baseline) if args.baseline else None
     report = fluency_report(
-        outputs,
-        outputs_pos,
+        [sentence for sentence, _ in tagged],
+        [tags for _, tags in tagged],
         plain_lm=NGramModel.load(args.plain_lm),
         abstracted_lm=NGramModel.load(args.abstracted_lm),
         rule=rule,

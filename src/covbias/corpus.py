@@ -126,6 +126,35 @@ def read_parallel(
             yield ParallelExample(source, target, source_pos, target_pos)
 
 
+def read_tagged(
+    input_path: str, pos_path: str
+) -> Iterator[tuple[Sentence, PosAnnotation]]:
+    """Stream (sentence, tags) pairs from a corpus and its POS file.
+
+    The files must have the same line count, and each POS line one tag per
+    token; LineCountMismatch and PosAlignmentError name the file and line.
+    """
+    lines = zip_longest(read_mono(input_path), read_mono(pos_path), fillvalue=_END)
+    for line_no, (sentence, tags) in enumerate(lines, 1):
+        if tags is _END:
+            raise LineCountMismatch(
+                f"{pos_path} ended at line {line_no} but {input_path} continues",
+                line_no=line_no,
+            )
+        if sentence is _END:
+            raise LineCountMismatch(
+                f"{input_path} ended at line {line_no - 1} but {pos_path} continues",
+                line_no=line_no,
+            )
+        if len(sentence) != len(tags):
+            raise PosAlignmentError(
+                f"{pos_path}: line {line_no} has {len(tags)} tags "
+                f"for {len(sentence)} tokens",
+                line_no=line_no,
+            )
+        yield sentence, tags
+
+
 def _check_writable(sentence: Sentence, line_no: int) -> str:
     """The sentence as one space-joined line, or DataError naming the bad token.
 

@@ -19,6 +19,7 @@ from typing import NamedTuple
 from .corpus import OriginLabel, ParallelExample
 from .detect import ScoreRecord
 from .errors import DataError, LengthMismatch, TagCollision
+from .fileio import format_tsv
 
 DEFAULT_ORIGIN_TAG = "<TORIG>"
 DEFAULT_SYNTHETIC_TAG = "<BT>"
@@ -54,10 +55,10 @@ class ManifestEntry(NamedTuple):
 
 
 def manifest_to_tsv(entries: Sequence[ManifestEntry]) -> str:
-    lines = ["output_line_no\tprovenance\toriginal_line_no"]
-    for entry in entries:
-        lines.append(f"{entry.output_line_no}\t{entry.provenance}\t{entry.original_line_no}")
-    return "\n".join(lines) + "\n"
+    return format_tsv(
+        ("output_line_no", "provenance", "original_line_no"),
+        ((str(e.output_line_no), e.provenance, str(e.original_line_no)) for e in entries),
+    )
 
 
 def _check_collision(

@@ -3,17 +3,17 @@
 Distributions are unsmoothed relative frequencies over one side of a corpus,
 optionally restricted to content words (by POS tag) or function words (the
 complement). Divergences are in natural log units, so js() is bounded by
-ln 2; js_scaled presents the same number multiplied by 1e5, convenient for
-comparing very close distributions. Summation uses math.fsum over a sorted
-token order, which makes js exactly symmetric and exactly zero on identical
-inputs.
+ln 2; the jsdiv report (DivergenceReport.to_tsv) also gives each value
+multiplied by JS_SCALE = 1e5, convenient for comparing very close
+distributions. Summation uses math.fsum over a sorted token order, which
+makes js exactly symmetric and exactly zero on identical inputs.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .corpus import ParallelExample
@@ -23,7 +23,7 @@ from .errors import (
     InvalidFraction,
     MissingPosAnnotations,
 )
-from .fileio import fmt_float, read_section_file
+from .fileio import fmt_float, format_tsv, read_section_file
 
 JS_SCALE = 1e5
 WORD_CLASSES = ("all", "content", "function")
@@ -77,9 +77,6 @@ class VocabDistribution:
             raise EmptySelection("distribution over zero tokens")
         return cls(positive, sum(positive.values()))
 
-    def prob(self, token: str) -> float:
-        return self.counts.get(token, 0) / self.total
-
 
 def _side_tokens(
     example: ParallelExample, side: str, line_no: int, need_pos: bool
@@ -97,6 +94,26 @@ def _side_tokens(
     return tokens, pos
 
 
+def _count_words(
+    counts: Mapping[str, dict[str, int]],
+    tokens: Sequence[str],
+    pos: Sequence[str] | None,
+    classes: WordClassMap,
+) -> None:
+    """Add one side's tokens to counts["all"] and, when it is tagged, each
+    token to counts["content"] or counts["function"] by its tag."""
+    all_counts = counts["all"]
+    if pos is None:
+        for token in tokens:
+            all_counts[token] = all_counts.get(token, 0) + 1
+        return
+    content_counts, function_counts = counts["content"], counts["function"]
+    for token, tag in zip(tokens, pos):
+        all_counts[token] = all_counts.get(token, 0) + 1
+        bucket = content_counts if classes.is_content(tag) else function_counts
+        bucket[token] = bucket.get(token, 0) + 1
+
+
 def build_distribution(
     examples: Iterable[ParallelExample],
     side: str,
@@ -112,33 +129,14 @@ def build_distribution(
     if word_class not in WORD_CLASSES:
         raise ValueError(f"word_class must be one of {WORD_CLASSES}, got {word_class!r}")
     classes = classes or WordClassMap.default()
-    counts: dict[str, int] = {}
+    counts: dict[str, dict[str, int]] = {name: {} for name in WORD_CLASSES}
     need_pos = word_class != "all"
     for line_no, example in enumerate(examples, 1):
         tokens, pos = _side_tokens(example, side, line_no, need_pos)
-        if not need_pos:
-            for token in tokens:
-                counts[token] = counts.get(token, 0) + 1
-            continue
-        want_content = word_class == "content"
-        for token, tag in zip(tokens, pos):
-            if classes.is_content(tag) == want_content:
-                counts[token] = counts.get(token, 0) + 1
-    if not counts:
+        _count_words(counts, tokens, pos if need_pos else None, classes)
+    if not counts[word_class]:
         raise EmptySelection(f"no {word_class} tokens in the {side}-side selection")
-    return VocabDistribution.from_counts(counts)
-
-
-def kl(p: VocabDistribution, q: VocabDistribution) -> float:
-    """Kullback-Leibler divergence in nats; +inf if q misses any p token."""
-    terms = []
-    for token in sorted(p.counts):
-        pi = p.counts[token] / p.total
-        qc = q.counts.get(token, 0)
-        if qc == 0:
-            return math.inf
-        terms.append(pi * math.log(pi / (qc / q.total)))
-    return math.fsum(terms)
+    return VocabDistribution.from_counts(counts[word_class])
 
 
 def js(p: VocabDistribution, q: VocabDistribution) -> float:
@@ -157,10 +155,6 @@ def js(p: VocabDistribution, q: VocabDistribution) -> float:
     return 0.5 * (math.fsum(terms_p) + math.fsum(terms_q))
 
 
-def js_scaled(p: VocabDistribution, q: VocabDistribution) -> float:
-    return js(p, q) * JS_SCALE
-
-
 @dataclass(frozen=True, slots=True)
 class DivergenceReport:
     """Per-word-class JS divergence between two line partitions."""
@@ -169,16 +163,12 @@ class DivergenceReport:
     js_content: float
     js_function: float
 
-    def row(self, word_class: str) -> tuple[float, float]:
-        value = getattr(self, f"js_{word_class}")
-        return value, value * JS_SCALE
-
     def to_tsv(self) -> str:
-        lines = ["class\tjs_nats\tjs_x1e5"]
+        rows = []
         for word_class in WORD_CLASSES:
-            nats, scaled = self.row(word_class)
-            lines.append(f"{word_class}\t{fmt_float(nats)}\t{fmt_float(scaled)}")
-        return "\n".join(lines) + "\n"
+            nats = getattr(self, f"js_{word_class}")
+            rows.append((word_class, fmt_float(nats), fmt_float(nats * JS_SCALE)))
+        return format_tsv(("class", "js_nats", "js_x1e5"), rows)
 
 
 def divergence_report(
@@ -201,11 +191,7 @@ def divergence_report(
         )
     classes = classes or WordClassMap.default()
     sides = {"a": partition_a, "b": partition_b}
-    counts = {
-        (group, word_class): {}
-        for group in sides
-        for word_class in WORD_CLASSES
-    }
+    counts = {group: {name: {} for name in WORD_CLASSES} for group in sides}
     seen = {"a": 0, "b": 0}
     last_line = 0
     for line_no, example in enumerate(examples, 1):
@@ -218,13 +204,7 @@ def divergence_report(
             continue
         seen[group] += 1
         tokens, pos = _side_tokens(example, side, line_no, need_pos=True)
-        all_counts = counts[(group, "all")]
-        content_counts = counts[(group, "content")]
-        function_counts = counts[(group, "function")]
-        for token, tag in zip(tokens, pos):
-            all_counts[token] = all_counts.get(token, 0) + 1
-            bucket = content_counts if classes.is_content(tag) else function_counts
-            bucket[token] = bucket.get(token, 0) + 1
+        _count_words(counts[group], tokens, pos, classes)
     for group, wanted in sides.items():
         if seen[group] != len(wanted):
             raise DataError(
@@ -233,8 +213,8 @@ def divergence_report(
             )
     values = {}
     for word_class in WORD_CLASSES:
-        dist_a = VocabDistribution.from_counts(counts[("a", word_class)])
-        dist_b = VocabDistribution.from_counts(counts[("b", word_class)])
+        dist_a = VocabDistribution.from_counts(counts["a"][word_class])
+        dist_b = VocabDistribution.from_counts(counts["b"][word_class])
         values[word_class] = js(dist_a, dist_b)
     return DivergenceReport(
         js_all=values["all"], js_content=values["content"], js_function=values["function"]

@@ -13,32 +13,31 @@ class CovbiasError(Exception):
 
 
 class DataError(CovbiasError):
-    """Invalid or inconsistent input data (CLI exit code 2)."""
+    """Invalid or inconsistent input data (CLI exit code 2).
 
-
-class LineCountMismatch(DataError):
-    """Parallel files (or aligned annotation files) differ in line count."""
+    line_no is the 1-based input line the error is about, or None when it
+    concerns no single line.
+    """
 
     def __init__(self, message: str, line_no: int | None = None):
         super().__init__(message)
         self.line_no = line_no
+
+
+class LineCountMismatch(DataError):
+    """Parallel files (or aligned annotation files) differ in line count."""
 
 
 class EmptyLine(DataError):
     """A corpus file contains a blank or whitespace-only line."""
 
     def __init__(self, path: str, line_no: int):
-        super().__init__(f"{path}: line {line_no} is empty")
+        super().__init__(f"{path}: line {line_no} is empty", line_no)
         self.path = path
-        self.line_no = line_no
 
 
 class PosAlignmentError(DataError):
     """A POS annotation does not have one tag per token."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class EmptyCorpus(DataError):
@@ -68,10 +67,6 @@ class LengthMismatch(DataError):
 class MissingPosAnnotations(DataError):
     """A class-filtered operation hit an example without POS tags."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message)
-        self.line_no = line_no
-
 
 class EmptySelection(DataError):
     """A distribution was requested over a selection with zero tokens."""
@@ -81,13 +76,5 @@ class InvalidFraction(DataError):
     """A split fraction was outside the open interval (0, 1)."""
 
 
-class BucketMismatch(DataError):
-    """Two adequacy reports cover different bucket sets."""
-
-
 class TagCollision(DataError):
     """A corpus already contains the token a tagging step would prepend."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message)
-        self.line_no = line_no

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import AbstractContextManager, contextmanager
 from typing import IO
 
@@ -57,6 +57,16 @@ def atomic_write(path: str) -> AbstractContextManager[IO[str]]:
 def atomic_write_bytes(path: str) -> AbstractContextManager[IO[bytes]]:
     """Binary twin of atomic_write."""
     return _atomic(path, "wb")
+
+
+def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """A TSV report: the header row, then one row per line, fields tab-joined.
+
+    Every line, the last one included, ends in a newline.
+    """
+    lines = ["\t".join(header)]
+    lines.extend("\t".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def read_tsv(path: str, required: Sequence[str]) -> list[dict[str, str]]:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import PosAnnotation, Sentence
-from .errors import BucketMismatch, LengthMismatch, PosAlignmentError
-from .fileio import fmt_float
+from .errors import LengthMismatch, PosAlignmentError
+from .fileio import fmt_float, format_tsv
 
 DEFAULT_BUCKETS: dict[str, frozenset[str]] = {
     "noun": frozenset({"NOUN"}),
@@ -40,23 +40,21 @@ class AdequacyReport:
     buckets: Mapping[str, BucketStats]
 
     def to_tsv(self) -> str:
-        lines = ["bucket\tprecision\trecall\tf1\tmatched\tsys_count\tref_count"]
-        for name in sorted(self.buckets):
-            s = self.buckets[name]
-            lines.append(
-                "\t".join(
-                    [
-                        name,
-                        fmt_float(s.precision),
-                        fmt_float(s.recall),
-                        fmt_float(s.f1),
-                        str(s.matched),
-                        str(s.sys_count),
-                        str(s.ref_count),
-                    ]
+        return format_tsv(
+            ("bucket", "precision", "recall", "f1", "matched", "sys_count", "ref_count"),
+            (
+                (
+                    name,
+                    fmt_float(s.precision),
+                    fmt_float(s.recall),
+                    fmt_float(s.f1),
+                    str(s.matched),
+                    str(s.sys_count),
+                    str(s.ref_count),
                 )
-            )
-        return "\n".join(lines) + "\n"
+                for name, s in sorted(self.buckets.items())
+            ),
+        )
 
 
 def _type_buckets(
@@ -136,32 +134,3 @@ def word_fmeasure(
         )
         stats[name] = BucketStats(precision, recall, f1, m, s, r)
     return AdequacyReport(stats)
-
-
-@dataclass(frozen=True, slots=True)
-class DeltaReport:
-    """F1 of two systems per bucket plus the signed difference (b - a)."""
-
-    deltas: Mapping[str, tuple[float, float, float]]
-
-    def to_tsv(self) -> str:
-        lines = ["bucket\tf1_a\tf1_b\tdelta"]
-        for name in sorted(self.deltas):
-            f1_a, f1_b, delta = self.deltas[name]
-            lines.append(
-                f"{name}\t{fmt_float(f1_a)}\t{fmt_float(f1_b)}\t{fmt_float(delta)}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def compare_reports(a: AdequacyReport, b: AdequacyReport) -> DeltaReport:
-    if set(a.buckets) != set(b.buckets):
-        raise BucketMismatch(
-            f"bucket sets differ: {sorted(a.buckets)} vs {sorted(b.buckets)}"
-        )
-    deltas = {}
-    for name in a.buckets:
-        f1_a = a.buckets[name].f1
-        f1_b = b.buckets[name].f1
-        deltas[name] = (f1_a, f1_b, f1_b - f1_a)
-    return DeltaReport(deltas)

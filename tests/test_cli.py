@@ -930,17 +930,48 @@ def test_split_finetune_rejects_non_finite_record_scores(corpus):
     assert not (corpus / "manifest.tsv").exists()
 
 
-@pytest.mark.parametrize("ppl", ["inf", "0", "-2"])
-def test_fluency_rejects_a_non_finite_baseline(corpus, ppl):
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        pytest.param("plain\tinf\t-\nabstracted\t3.5\t-\n", "'inf'", id="inf"),
+        pytest.param("plain\t0\t-\nabstracted\t3.5\t-\n", "'0'", id="0"),
+        pytest.param("plain\t-2\t-\nabstracted\t3.5\t-\n", "'-2'", id="-2"),
+        pytest.param(
+            "plain\t3\t-\nplain\t1e300\t-\nabstracted\t3.5\t-\n", "'plain'", id="repeated-level"
+        ),
+        pytest.param(
+            "plain\t3\t-\nabstracted\t3.5\t-\nbogus\t7\t-\n", "'bogus'", id="unknown-level"
+        ),
+    ],
+)
+def test_fluency_rejects_a_non_finite_baseline(corpus, capsys, rows, named):
     pos = corpus / "src.pos"
     pos.write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
     model = _train(corpus, "plain.lm", "src.txt")
     baseline = corpus / "baseline.tsv"
-    baseline.write_text(f"level\tppl\tdiff\nplain\t{ppl}\t-\nabstracted\t3.5\t-\n", encoding="utf-8")
+    baseline.write_text("level\tppl\tdiff\n" + rows, encoding="utf-8")
     args = ["fluency", "--input", str(corpus / "src.txt"), "--pos", str(pos)]
     args += ["--plain-lm", str(model), "--abstracted-lm", str(model)]
     assert main(args) == 0
+    capsys.readouterr()
     assert main(args + ["--baseline", str(baseline)]) == 2
+    err = capsys.readouterr().err
+    assert str(baseline) in err and named in err
+
+
+@pytest.mark.parametrize(
+    "pos_text, line_no",
+    [("DET NOUN VERB\nDET NOUN\n" + "DET NOUN VERB\n" * 2, 2), ("DET NOUN VERB\n" * 2, 3)],
+    ids=["short-line", "short-file"],
+)
+def test_fluency_names_the_pos_file_and_line_that_do_not_align(corpus, capsys, pos_text, line_no):
+    pos = corpus / "src.pos"
+    pos.write_text(pos_text, encoding="utf-8")
+    model = _train(corpus, "plain.lm", "src.txt")
+    args = ["fluency", "--input", str(corpus / "src.txt"), "--pos", str(pos)]
+    assert main(args + ["--plain-lm", str(model), "--abstracted-lm", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert str(pos) in err and f"line {line_no}" in err
 
 
 @pytest.mark.parametrize("value", _NON_FINITE)

@@ -16,8 +16,6 @@ from covbias import (
     build_distribution,
     divergence_report,
     js,
-    js_scaled,
-    kl,
     random_split,
 )
 
@@ -32,8 +30,6 @@ def test_distribution_drops_zeros_and_rejects_negatives():
     dist = VocabDistribution.from_counts({"a": 3, "b": 0, "c": 1})
     assert set(dist.counts) == {"a", "c"}
     assert dist.total == 4
-    assert dist.prob("a") == 0.75
-    assert dist.prob("b") == 0.0
     with pytest.raises(ValueError):
         VocabDistribution.from_counts({"a": 1, "b": -2})
     with pytest.raises(EmptySelection):
@@ -109,20 +105,6 @@ def test_build_distribution_requires_pos_only_when_filtering():
     assert err.value.line_no == 2
 
 
-def test_kl_matches_hand_computation():
-    # p = (3/4, 1/4), q = (1/4, 3/4):
-    # KL = 3/4 ln 3 - 1/4 ln 3 = 0.5 ln 3
-    got = kl(_dist(x=3, y=1), _dist(x=1, y=3))
-    assert math.isclose(got, 0.5 * math.log(3), rel_tol=0, abs_tol=1e-12)
-
-
-def test_kl_is_infinite_off_support():
-    assert kl(_dist(x=1, y=1), _dist(x=2)) == math.inf
-    assert math.isclose(
-        kl(_dist(x=2), _dist(x=1, y=1)), math.log(2), rel_tol=0, abs_tol=1e-12
-    )
-
-
 def test_js_identical_distributions_is_exactly_zero():
     p = _dist(a=5, b=3, c=9)
     q = _dist(a=10, b=6, c=18)  # same relative frequencies
@@ -141,11 +123,6 @@ def test_js_known_value():
     expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
     assert math.isclose(got, expected, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(got, 0.13081203594113694, rel_tol=0, abs_tol=1e-6)
-
-
-def test_js_scaled_is_exactly_1e5_times_js():
-    p, q = _dist(a=3, b=1), _dist(a=1, b=1, c=2)
-    assert js_scaled(p, q) == js(p, q) * 1e5
 
 
 _counts = st.dictionaries(

@@ -3,10 +3,8 @@ import random
 import pytest
 
 from covbias import (
-    BucketMismatch,
     LengthMismatch,
     PosAlignmentError,
-    compare_reports,
     word_fmeasure,
 )
 from covbias.fmeasure import DEFAULT_BUCKETS
@@ -120,26 +118,6 @@ def test_shape_validation():
             [("a",), ("b",)], [("a",), ("b",)], [("NOUN",), ("NOUN", "X")], NOUNS
         )
     assert err.value.line_no == 2
-
-
-def test_compare_reports_delta_is_b_minus_a():
-    ref = [("a", "b")]
-    pos = [("NOUN", "NOUN")]
-    a = word_fmeasure([("a",)], ref, pos, NOUNS)
-    b = word_fmeasure([("a", "b")], ref, pos, NOUNS)
-    delta = compare_reports(a, b).deltas["noun"]
-    assert delta[0] == a.buckets["noun"].f1
-    assert delta[1] == 1.0
-    assert delta[2] == 1.0 - a.buckets["noun"].f1
-
-
-def test_compare_reports_rejects_different_buckets():
-    ref = [("a",)]
-    pos = [("NOUN",)]
-    a = word_fmeasure([("a",)], ref, pos, NOUNS)
-    b = word_fmeasure([("a",)], ref, pos, {"x": frozenset({"NOUN"})})
-    with pytest.raises(BucketMismatch):
-        compare_reports(a, b)
 
 
 def test_report_tsv_layout():
