@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .corpus import PosAnnotation, Sentence, read_tagged
+from .corpus import PosAnnotation, Sentence, read_tagged, write_mono
 from .divergence import WordClassMap
 from .errors import PosAlignmentError
-from .fileio import atomic_write, fmt_float, format_tsv
+from .fileio import fmt_float, format_tsv
 from .lm import NGramModel, perplexity
 
 
@@ -56,12 +56,8 @@ def abstract_corpus(
     input_path: str, pos_path: str, output_path: str, rule: AbstractionRule
 ) -> int:
     """Abstract a corpus file line by line (atomic write); returns line count."""
-    count = 0
-    with atomic_write(output_path) as handle:
-        for sentence, pos in read_tagged(input_path, pos_path):
-            handle.write(" ".join(abstract_sentence(sentence, pos, rule)) + "\n")
-            count += 1
-    return count
+    tagged = read_tagged(input_path, pos_path)
+    return write_mono((abstract_sentence(s, pos, rule) for s, pos in tagged), output_path)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,24 +91,20 @@ class FluencyReport:
 
 
 def fluency_report(
-    outputs: Sequence[Sentence],
-    outputs_pos: Sequence[PosAnnotation],
+    tagged: Sequence[tuple[Sentence, PosAnnotation]],
     *,
     plain_lm: NGramModel,
     abstracted_lm: NGramModel,
     rule: AbstractionRule,
     baseline: FluencyReport | None = None,
 ) -> FluencyReport:
-    """Score outputs with a plain LM and their abstraction with an abstracted LM."""
-    if len(outputs) != len(outputs_pos):
-        raise PosAlignmentError(
-            f"{len(outputs_pos)} POS lines for {len(outputs)} output lines"
-        )
-    abstracted = [
-        abstract_sentence(sentence, pos, rule)
-        for sentence, pos in zip(outputs, outputs_pos)
-    ]
-    ppl_plain = perplexity(plain_lm, outputs)
+    """Score outputs with a plain LM and their abstraction with an abstracted LM.
+
+    tagged holds one (sentence, tags) pair per output line, as read_tagged
+    yields them.
+    """
+    abstracted = [abstract_sentence(sentence, pos, rule) for sentence, pos in tagged]
+    ppl_plain = perplexity(plain_lm, (sentence for sentence, _ in tagged))
     ppl_abstracted = perplexity(abstracted_lm, abstracted)
     diff_plain = diff_abstracted = None
     if baseline is not None:

@@ -14,7 +14,8 @@ value passes the same type, choice and finiteness checks as its flag.
 --threads N is accepted (N >= 1) but every stage runs on one thread: scoring
 is pure Python, so worker threads only slowed it down. Any N produces
 byte-identical output to N=1. Non-finite numbers (nan, inf) are rejected in
-float flags (exit 1) and in score columns of input reports (exit 2).
+float flags (exit 1), and in score columns of input reports and in scores
+shifted by --offset-c (exit 2).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import __version__
 from .abstraction import AbstractionRule, FluencyReport, abstract_corpus, fluency_report
@@ -147,6 +148,20 @@ def _parse_score(row: dict[str, str], path: str, column: str = "score") -> float
     return value
 
 
+def _labelled_scores(scored: Iterable[tuple[int, float]], path: str | None = None) -> str:
+    """The line_no/score/label report; a score that is not finite is a DataError."""
+    where = f"{path}: " if path else ""
+    rows = []
+    for line_no, score in scored:
+        if not math.isfinite(score):
+            raise DataError(
+                f"{where}line_no {line_no}: shifted score {score} is not finite",
+                line_no=line_no,
+            )
+        rows.append((str(line_no), fmt_float(score), label_for(score).code))
+    return format_tsv(["line_no", "score", "label"], rows)
+
+
 # -- handlers ---------------------------------------------------------------
 
 
@@ -171,12 +186,8 @@ def _cmd_score_pairs(args: argparse.Namespace) -> int:
         length_normalize=args.length_normalize,
     )
     examples = read_parallel(args.source, args.target)
-    scores = [score_pair(config, ex) for ex in examples]
-    rows = [
-        (str(line_no), fmt_float(score), label_for(score).code)
-        for line_no, score in enumerate(scores, 1)
-    ]
-    _write_report(format_tsv(["line_no", "score", "label"], rows), args.output)
+    scored = enumerate((score_pair(config, ex) for ex in examples), 1)
+    _write_report(_labelled_scores(scored), args.output)
     return 0
 
 
@@ -195,12 +206,11 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     path = args.scores
-    rows = []
-    for row in read_tsv(path, ["line_no", "score"]):
-        line_no = _parse_line_no(row, path)
-        score = _parse_score(row, path) + args.offset_c
-        rows.append((str(line_no), fmt_float(score), label_for(score).code))
-    _write_report(format_tsv(["line_no", "score", "label"], rows), args.output)
+    scored = [
+        (_parse_line_no(row, path), _parse_score(row, path) + args.offset_c)
+        for row in read_tsv(path, ["line_no", "score"])
+    ]
+    _write_report(_labelled_scores(scored, path), args.output)
     return 0
 
 
@@ -266,9 +276,7 @@ def _cmd_random_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmeasure(args: argparse.Namespace) -> int:
-    hyp = list(read_mono(args.hyp))
-    ref = list(read_mono(args.ref))
-    ref_pos = list(read_mono(args.ref_pos))
+    examples = list(read_parallel(args.hyp, args.ref, None, args.ref_pos))
     if args.buckets:
         sections = read_section_file(args.buckets)
         if not sections:
@@ -279,7 +287,12 @@ def _cmd_fmeasure(args: argparse.Namespace) -> int:
                 raise DataError(f"{args.buckets}: bucket [{name}] lists no tags")
     else:
         buckets = dict(DEFAULT_BUCKETS)
-    report = word_fmeasure(hyp, ref, ref_pos, buckets)
+    report = word_fmeasure(
+        [ex.source for ex in examples],
+        [ex.target for ex in examples],
+        [ex.target_pos for ex in examples],
+        buckets,
+    )
     _write_report(report.to_tsv(), args.output)
     return 0
 
@@ -298,8 +311,8 @@ def _read_fluency_baseline(path: str) -> FluencyReport:
         if level in by_level:
             raise DataError(f"{path}: level {level!r} is given more than once")
         ppl = _parse_score(row, path, column="ppl")
-        if ppl <= 0:
-            raise DataError(f"{path}: ppl value {row['ppl']!r} is not positive")
+        if ppl < 1:  # every event log-probability is <= 0
+            raise DataError(f"{path}: ppl value {row['ppl']!r} is below 1")
         by_level[level] = ppl
     missing = {"plain", "abstracted"} - set(by_level)
     if missing:
@@ -312,8 +325,7 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
     rule = _abstraction_rule(args)
     baseline = _read_fluency_baseline(args.baseline) if args.baseline else None
     report = fluency_report(
-        [sentence for sentence, _ in tagged],
-        [tags for _, tags in tagged],
+        tagged,
         plain_lm=NGramModel.load(args.plain_lm),
         abstracted_lm=NGramModel.load(args.abstracted_lm),
         rule=rule,

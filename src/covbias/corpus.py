@@ -73,14 +73,11 @@ def read_mono(path: str) -> Iterator[Sentence]:
             yield tuple(raw.split()) or _empty_line(path, line_no)
 
 
-def _read_tags(
-    raw: str, path: str, line_no: int, tokens: Sentence, side: str
-) -> PosAnnotation:
+def _read_tags(raw: str, tokens: Sentence, path: str, line_no: int) -> PosAnnotation:
     tags = tuple(raw.split()) or _empty_line(path, line_no)
     if len(tags) != len(tokens):
         raise PosAlignmentError(
-            f"{path}: line {line_no} has {len(tags)} tags "
-            f"for {len(tokens)} {side} tokens",
+            f"{path}: line {line_no} has {len(tags)} tags for {len(tokens)} tokens",
             line_no=line_no,
         )
     return tags
@@ -89,20 +86,12 @@ def _read_tags(
 _END = object()
 
 
-def read_parallel(
-    source_path: str,
-    target_path: str,
-    source_pos_path: str | None = None,
-    target_pos_path: str | None = None,
-) -> Iterator[ParallelExample]:
-    """Stream aligned ParallelExamples from two (or four) files.
+def _read_lines(paths: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Walk files in lock-step, yielding (line_no, one raw line per file).
 
-    All provided files must have the same line count; the first file, in
-    argument order, to run out is named in the LineCountMismatch. POS lines
-    must carry exactly one tag per token of the corresponding side.
+    The first file, in argument order, to run out raises LineCountMismatch
+    naming that file and the first line it lacks.
     """
-    paths = [source_path, target_path, source_pos_path, target_pos_path]
-    paths = [p for p in paths if p is not None]
     with ExitStack() as stack:
         handles = [stack.enter_context(open(p, "r", encoding="utf-8")) for p in paths]
         for line_no, raws in enumerate(zip_longest(*handles, fillvalue=_END), 1):
@@ -112,47 +101,43 @@ def read_parallel(
                     "but other input(s) continue",
                     line_no=line_no,
                 )
-            source = tuple(raws[0].split()) or _empty_line(source_path, line_no)
-            target = tuple(raws[1].split()) or _empty_line(target_path, line_no)
-            source_pos = target_pos = None
-            if source_pos_path is not None:
-                source_pos = _read_tags(
-                    raws[2], source_pos_path, line_no, source, "source"
-                )
-            if target_pos_path is not None:
-                target_pos = _read_tags(
-                    raws[-1], target_pos_path, line_no, target, "target"
-                )
-            yield ParallelExample(source, target, source_pos, target_pos)
+            yield line_no, raws
+
+
+def read_parallel(
+    source_path: str,
+    target_path: str,
+    source_pos_path: str | None = None,
+    target_pos_path: str | None = None,
+) -> Iterator[ParallelExample]:
+    """Stream aligned ParallelExamples from two (or four) files read in lock-step.
+
+    The first file to run out is named with the first line it lacks; each POS
+    line must carry exactly one tag per token of its side.
+    """
+    paths = [source_path, target_path, source_pos_path, target_pos_path]
+    for line_no, raws in _read_lines([p for p in paths if p is not None]):
+        source = tuple(raws[0].split()) or _empty_line(source_path, line_no)
+        target = tuple(raws[1].split()) or _empty_line(target_path, line_no)
+        source_pos = target_pos = None
+        if source_pos_path is not None:
+            source_pos = _read_tags(raws[2], source, source_pos_path, line_no)
+        if target_pos_path is not None:
+            target_pos = _read_tags(raws[-1], target, target_pos_path, line_no)
+        yield ParallelExample(source, target, source_pos, target_pos)
 
 
 def read_tagged(
     input_path: str, pos_path: str
 ) -> Iterator[tuple[Sentence, PosAnnotation]]:
-    """Stream (sentence, tags) pairs from a corpus and its POS file.
+    """Stream (sentence, tags) pairs from a corpus and its POS file in lock-step.
 
-    The files must have the same line count, and each POS line one tag per
-    token; LineCountMismatch and PosAlignmentError name the file and line.
+    Errors name the file and line: the first line a shorter file lacks, or a
+    POS line without exactly one tag per token.
     """
-    lines = zip_longest(read_mono(input_path), read_mono(pos_path), fillvalue=_END)
-    for line_no, (sentence, tags) in enumerate(lines, 1):
-        if tags is _END:
-            raise LineCountMismatch(
-                f"{pos_path} ended at line {line_no} but {input_path} continues",
-                line_no=line_no,
-            )
-        if sentence is _END:
-            raise LineCountMismatch(
-                f"{input_path} ended at line {line_no - 1} but {pos_path} continues",
-                line_no=line_no,
-            )
-        if len(sentence) != len(tags):
-            raise PosAlignmentError(
-                f"{pos_path}: line {line_no} has {len(tags)} tags "
-                f"for {len(sentence)} tokens",
-                line_no=line_no,
-            )
-        yield sentence, tags
+    for line_no, (raw, raw_tags) in _read_lines([input_path, pos_path]):
+        sentence = tuple(raw.split()) or _empty_line(input_path, line_no)
+        yield sentence, _read_tags(raw_tags, sentence, pos_path, line_no)
 
 
 def _check_writable(sentence: Sentence, line_no: int) -> str:
@@ -174,12 +159,11 @@ def _check_writable(sentence: Sentence, line_no: int) -> str:
 
 def write_mono(sentences: Iterable[Sentence], path: str) -> int:
     """Write one space-joined line per sentence (atomically); returns line count."""
-    count = 0
+    line_no = 0
     with atomic_write(path) as handle:
         for line_no, sentence in enumerate(sentences, 1):
             handle.write(_check_writable(sentence, line_no) + "\n")
-            count += 1
-    return count
+    return line_no
 
 
 def write_parallel(
@@ -191,10 +175,9 @@ def write_parallel(
     exactly (the round-trip law), which is why tokens with whitespace are
     rejected rather than silently corrupted.
     """
-    count = 0
+    line_no = 0
     with atomic_write(source_path) as src, atomic_write(target_path) as tgt:
         for line_no, ex in enumerate(examples, 1):
             src.write(_check_writable(ex.source, line_no) + "\n")
             tgt.write(_check_writable(ex.target, line_no) + "\n")
-            count += 1
-    return count
+    return line_no

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .corpus import OriginLabel, ParallelExample
@@ -82,23 +83,19 @@ def bias_tag(
     token anywhere raises TagCollision so detagging stays unambiguous.
     """
     policy = policy or TagPolicy()
-    sentinel = object()
-    label_iter = iter(labels)
-    line_no = 0
-    for example in examples:
-        line_no += 1
-        label = next(label_iter, sentinel)
-        if label is sentinel:
+    missing = object()
+    pairs = zip_longest(examples, labels, fillvalue=missing)
+    for line_no, (example, label) in enumerate(pairs, 1):
+        if example is missing or label is missing:
+            short, other = ("examples", "labels") if example is missing else ("labels", "examples")
             raise LengthMismatch(
-                f"labels ended at line {line_no} but examples continue"
+                f"{short} ended at line {line_no} but {other} continue", line_no=line_no
             )
         _check_collision(example, policy.tag_token, line_no)
         if label is OriginLabel.TARGET_ORIGINAL:
             yield _prepend_marker(example, policy.tag_token)
         else:
             yield example
-    if next(label_iter, sentinel) is not sentinel:
-        raise LengthMismatch(f"examples ended at line {line_no} but labels continue")
 
 
 def detag(

@@ -114,7 +114,10 @@ def test_fluency_report_scores_both_levels():
     outputs = [("the", "dog", "sat"), ("a", "cat", "runs")]
     outputs_pos = [("DET", "NOUN", "VERB")] * 2
     report = fluency_report(
-        outputs, outputs_pos, plain_lm=plain_lm, abstracted_lm=abstracted_lm, rule=rule
+        list(zip(outputs, outputs_pos)),
+        plain_lm=plain_lm,
+        abstracted_lm=abstracted_lm,
+        rule=rule,
     )
     assert report.ppl_plain == perplexity(plain_lm, outputs)
     expected_abs = perplexity(
@@ -132,8 +135,7 @@ def test_fluency_report_diffs_are_relative_to_the_baseline():
     outputs_pos = [("DET", "NOUN", "VERB")]
     baseline = FluencyReport(ppl_plain=2.0, ppl_abstracted=4.0)
     report = fluency_report(
-        outputs,
-        outputs_pos,
+        list(zip(outputs, outputs_pos)),
         plain_lm=plain_lm,
         abstracted_lm=abstracted_lm,
         rule=rule,
@@ -147,7 +149,10 @@ def test_fluency_report_shape_validation():
     plain_lm, abstracted_lm, rule = _tiny_lms()
     with pytest.raises(PosAlignmentError):
         fluency_report(
-            [("a",)], [], plain_lm=plain_lm, abstracted_lm=abstracted_lm, rule=rule
+            [(("a", "b"), ("DET",))],
+            plain_lm=plain_lm,
+            abstracted_lm=abstracted_lm,
+            rule=rule,
         )
 
 

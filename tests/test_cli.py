@@ -906,6 +906,17 @@ def test_classify_rejects_non_finite_scores(corpus, value):
     assert main(["classify", "--scores", str(scores)]) == 2
 
 
+def test_classify_rejects_a_shifted_score_that_is_not_finite(corpus, capsys):
+    scores = corpus / "scores.tsv"
+    scores.write_text("line_no\tscore\n1\t1e308\n", encoding="utf-8")
+    out = corpus / "labels.tsv"
+    argv = ["classify", "--scores", str(scores), "--offset-c", "1e308", "--output", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(scores) in err and "line_no 1" in err
+
+
 @pytest.mark.parametrize("value", _NON_FINITE)
 def test_select_rejects_non_finite_scores(corpus, value):
     records = corpus / "records.tsv"
@@ -942,6 +953,8 @@ def test_split_finetune_rejects_non_finite_record_scores(corpus):
         pytest.param(
             "plain\t3\t-\nabstracted\t3.5\t-\nbogus\t7\t-\n", "'bogus'", id="unknown-level"
         ),
+        pytest.param("plain\t0.5\t-\nabstracted\t3.5\t-\n", "'0.5'", id="0.5"),
+        pytest.param("plain\t3\t-\nabstracted\t1e-320\t-\n", "'1e-320'", id="1e-320"),
     ],
 )
 def test_fluency_rejects_a_non_finite_baseline(corpus, capsys, rows, named):
@@ -972,6 +985,46 @@ def test_fluency_names_the_pos_file_and_line_that_do_not_align(corpus, capsys, p
     assert main(args + ["--plain-lm", str(model), "--abstracted-lm", str(model)]) == 2
     err = capsys.readouterr().err
     assert str(pos) in err and f"line {line_no}" in err
+
+
+# each command's aligned inputs: (flag, one line of the file), POS file last
+_ALIGNED = {
+    "abstract": [("--input", "der hund läuft\n"), ("--pos", "DET NOUN VERB\n")],
+    "fluency": [("--input", "der hund läuft\n"), ("--pos", "DET NOUN VERB\n")],
+    "fmeasure": [
+        ("--hyp", "the dog runs\n"),
+        ("--ref", "the dog sleeps\n"),
+        ("--ref-pos", "DET NOUN VERB\n"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, short, fault",
+    [(c, flag, "short-file") for c, inputs in _ALIGNED.items() for flag, _ in inputs]
+    + [(c, inputs[-1][0], "short-line") for c, inputs in _ALIGNED.items()],
+)
+def test_aligned_inputs_name_the_file_and_the_line_at_fault(corpus, capsys, command, short, fault):
+    argv = [command]
+    for flag, line in _ALIGNED[command]:
+        path = corpus / f"{flag[2:]}.txt"
+        text = line * 3
+        if flag == short:
+            text = line * 2 if fault == "short-file" else line + "DET NOUN\n" + line
+        path.write_text(text, encoding="utf-8")
+        argv += [flag, str(path)]
+    if command == "fluency":
+        model = _train(corpus, "plain.lm", "src.txt")
+        argv += ["--plain-lm", str(model), "--abstracted-lm", str(model)]
+    out = corpus / "out.txt"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert not out.exists()
+    named = corpus / f"{short[2:]}.txt"
+    if fault == "short-file":
+        expected = f"{named} ended at line 3 but other input(s) continue"
+    else:
+        expected = f"{named}: line 2 has 2 tags for 3 tokens"
+    assert capsys.readouterr().err == f"covbias: error: {expected}\n"
 
 
 @pytest.mark.parametrize("value", _NON_FINITE)

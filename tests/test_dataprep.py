@@ -80,10 +80,15 @@ def test_tag_collision_reports_the_line():
 
 
 def test_tag_label_length_mismatch_both_directions():
-    with pytest.raises(LengthMismatch):
+    # the shorter input is named with the first line it lacks
+    with pytest.raises(LengthMismatch) as err:
         list(bias_tag(_examples(), [S, T]))
-    with pytest.raises(LengthMismatch):
+    assert str(err.value) == "labels ended at line 3 but examples continue"
+    assert err.value.line_no == 3
+    with pytest.raises(LengthMismatch) as err:
         list(bias_tag(_examples(), [S, T, S, T]))
+    assert str(err.value) == "examples ended at line 4 but labels continue"
+    assert err.value.line_no == 4
 
 
 def test_detag_inverts_tagging():

@@ -1,5 +1,8 @@
-"""The package's public surface: __all__ and the names README documents."""
+"""The package's public surface: __all__, the names README documents and the
+functions the benchmark tracer wraps by name."""
 
+import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import covbias
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _library_section() -> str:
@@ -58,3 +62,23 @@ def test_all_names_exactly_the_public_attributes():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(covbias.__all__)
+
+
+def test_traced_layer_functions_resolve():
+    # bench/tracer.py wraps each layer by its module-global name; read its
+    # LAYER_FUNCTIONS without importing bench code and resolve every entry
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"]
+    ]
+    assert layers.elts
+    for entry in layers.elts:
+        module_name, dotted = (ast.literal_eval(e) for e in entry.elts[:2])
+        obj = importlib.import_module(f"covbias.{module_name}")
+        for part in dotted.split("."):
+            assert hasattr(obj, part), f"covbias.{module_name}.{dotted}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"covbias.{module_name}.{dotted}"
