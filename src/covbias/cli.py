@@ -204,23 +204,28 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_scores(path: str) -> list[tuple[int, float]]:
+    """(line_no, score) per row of a TSV; a line_no may appear only once."""
+    scored: dict[int, float] = {}
+    for file_line, row in enumerate(read_tsv(path, ["line_no", "score"]), 2):
+        line_no = _parse_line_no(row, path)
+        score = _parse_score(row, path)
+        if line_no in scored:
+            raise DataError(
+                f"{path}: line {file_line}: line_no {line_no} is repeated", line_no=file_line
+            )
+        scored[line_no] = score
+    return list(scored.items())
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
-    path = args.scores
-    scored = [
-        (_parse_line_no(row, path), _parse_score(row, path) + args.offset_c)
-        for row in read_tsv(path, ["line_no", "score"])
-    ]
-    _write_report(_labelled_scores(scored, path), args.output)
+    scored = [(line_no, score + args.offset_c) for line_no, score in _read_scores(args.scores)]
+    _write_report(_labelled_scores(scored, args.scores), args.output)
     return 0
 
 
 def _read_records(path: str) -> list[ScoreRecord]:
-    records = []
-    for row in read_tsv(path, ["line_no", "score"]):
-        line_no = _parse_line_no(row, path)
-        score = _parse_score(row, path)
-        records.append(ScoreRecord(line_no, score, label_for(score)))
-    return records
+    return [ScoreRecord(n, score, label_for(score)) for n, score in _read_scores(path)]
 
 
 def _cmd_select(args: argparse.Namespace) -> int:

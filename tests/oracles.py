@@ -106,3 +106,54 @@ def bruteforce_writable(sentence):
             if ch.isspace():
                 return False
     return True
+
+
+def tuple_event_logprob(logprobs, backoffs, context, wid):
+    """log p(wid | context) by the back-off walk over id-tuple keyed tables.
+
+    logprobs maps n-gram id tuples to log-probabilities and backoffs maps
+    context id tuples to backoff weights; each miss adds the context's weight
+    (if any) and drops the oldest context id. An id with no unigram ("<s>")
+    has probability 0.
+    """
+    acc = 0.0
+    while True:
+        hit = logprobs.get(context + (wid,))
+        if hit is not None:
+            return acc + hit
+        if not context:
+            return -math.inf
+        weight = backoffs.get(context)
+        if weight is not None:
+            acc += weight
+        context = context[1:]
+
+
+def tuple_sentence_logprob(order, token_ids, logprobs, backoffs, sentence):
+    """(total log-probability, events) of a sentence plus its "</s>".
+
+    The history starts as order-1 "<s>" ids; a data token spelled like a
+    reserved symbol ("<unk>", "<s>", "</s>", ids 0..2) or missing from
+    token_ids scores as "<unk>".
+    """
+    unk, bos, eos = 0, 1, 2
+    history = (bos,) * (order - 1)
+    total = 0.0
+    for token in sentence:
+        wid = token_ids.get(token, unk)
+        if wid in (bos, eos):
+            wid = unk
+        total += tuple_event_logprob(logprobs, backoffs, history, wid)
+        if history:
+            history = history[1:] + (wid,)
+    total += tuple_event_logprob(logprobs, backoffs, history, eos)
+    return total, len(sentence) + 1
+
+
+def tuple_word_logprob(order, token_ids, logprobs, backoffs, context, word):
+    """log p(word | the last order-1 tokens of context); reserved symbols denote themselves."""
+    if word == "<s>":
+        return -math.inf
+    kept = context[max(0, len(context) - order + 1) :]
+    ids = tuple(token_ids.get(t, 0) for t in kept)
+    return tuple_event_logprob(logprobs, backoffs, ids, token_ids.get(word, 0))

@@ -442,6 +442,26 @@ def test_select_groups_extremes(corpus, capsys):
     ]
 
 
+_REPEATED_LINE_NO = "line_no\tscore\tlabel\n1\t5\tS\n1\t-5\tT\n2\t1\tS\n3\t-1\tT\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["select", "--records", "{table}", "--ratio", "50"], ["classify", "--scores", "{table}"]],
+    ids=["select", "classify"],
+)
+def test_a_repeated_line_no_is_a_data_error(corpus, capsys, argv):
+    table = corpus / "records.tsv"
+    table.write_text(_REPEATED_LINE_NO, encoding="utf-8")
+    out = corpus / "out.tsv"
+    argv = [str(table) if a == "{table}" else a for a in argv]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"covbias: error: {table}: line 3: line_no 1 is repeated\n"
+    )
+
+
 def test_select_ratio_out_of_range_is_a_usage_error(corpus):
     records = corpus / "records.tsv"
     records.write_text("line_no\tscore\n1\t5.0\n", encoding="utf-8")

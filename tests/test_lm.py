@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -18,6 +19,8 @@ from covbias import (
 )
 from covbias.cli import main as cli_main
 from covbias.lm import BOS, BOS_ID, EOS, UNK
+from oracles import tuple_sentence_logprob, tuple_word_logprob
+from synthbed import make_testbed
 
 # Hand-computed reference values, worked from the closed-form estimator
 # definitions independently of the implementation.
@@ -486,3 +489,127 @@ def test_score_pairs_exits_2_on_a_nan_backoff_model(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(argv + ["--source-model", str(good), "--target-model", str(bad)]) == 2
     assert "nan.lm" in capsys.readouterr().err
+
+
+# -- the packed tables against the tuple-keyed oracle and the v1 bytes ---------
+
+
+def _oracle_args(model):
+    return model.order, model.token_ids, dict(model.logprobs), dict(model.backoffs)
+
+
+def _bits_of(value):
+    return struct.pack("<d", value)
+
+
+_probe_tokens = st.sampled_from(["a", "b", "c", "d", "e", "zzz", UNK, BOS, EOS])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=_corpora,
+    order=st.integers(1, 6),
+    min_count=st.integers(1, 2),
+    probes=st.lists(st.lists(_probe_tokens, max_size=9).map(tuple), min_size=1, max_size=8),
+)
+def test_scoring_matches_the_tuple_oracle_bit_for_bit(corpus, order, min_count, probes):
+    model = _train_or_none(corpus, order, min_count)
+    if model is None:
+        return
+    args = _oracle_args(model)
+    for sent in probes + corpus:
+        got = model.logprob(sent)
+        total, events = tuple_sentence_logprob(*args, sent)
+        assert (_bits_of(got.total_logprob), got.token_count) == (_bits_of(total), events)
+    for probe in probes:
+        for cut in range(len(probe)):
+            context, word = probe[:cut], probe[cut]
+            expected = tuple_word_logprob(*args, context, word)
+            assert _bits_of(model.logprob_word(context, word)) == _bits_of(expected)
+
+
+# ids above 65,535 need more than 16 bits in every digit of a packed key
+_WIDE_VOCAB = (UNK, BOS, EOS) + tuple(f"w{i}" for i in range(3, 70_003))
+_WIDE = len(_WIDE_VOCAB) - 1  # the largest id, 70,002
+_WIDE_UNIGRAM = math.log(1 / (len(_WIDE_VOCAB) - 1))
+_WIDE_TABLES = [
+    [
+        ((i,), _WIDE_UNIGRAM, -0.25 if i in (65_536, _WIDE) else 0.0)
+        for i in range(len(_WIDE_VOCAB))
+        if i != BOS_ID
+    ],
+    [
+        ((65_536, _WIDE), _HALF, -0.125),
+        ((_WIDE, 65_536), _THIRD, 0.0),
+        ((_WIDE, 65_537), _HALF, 0.0),
+    ],
+    [((65_536, _WIDE, 2), math.log(0.75), 0.0)],
+]
+
+
+def test_ids_wider_than_16_bits_load_score_and_save(tmp_path):
+    raw = _encode(3, _WIDE_VOCAB, _WIDE_TABLES)
+    path = tmp_path / "wide.lm"
+    path.write_bytes(raw)
+    model = NGramModel.load(str(path))
+    assert model.logprobs[(_WIDE, 65_536)] == _THIRD
+    assert model.backoffs[(65_536, _WIDE)] == -0.125
+    args = _oracle_args(model)
+    high = ["w65536", f"w{_WIDE}", "w65537", "zzz"]
+    rng = random.Random(3)
+    for _ in range(200):
+        sent = tuple(rng.choice(high) for _ in range(rng.randint(0, 6)))
+        got = model.logprob(sent)
+        assert (got.total_logprob, got.token_count) == tuple_sentence_logprob(*args, sent)
+        context, word = sent[:-1], sent[-1] if sent else EOS
+        assert model.logprob_word(context, word) == tuple_word_logprob(*args, context, word)
+    # a unigram after two <s>, then the seen bigram and the seen trigram
+    assert model.logprob(("w65536", f"w{_WIDE}")).total_logprob == (
+        _WIDE_UNIGRAM + _HALF + math.log(0.75)
+    )
+    again = tmp_path / "again.lm"
+    model.save(str(again))
+    assert again.read_bytes() == raw
+
+
+def test_constructor_rejects_an_empty_context_backoff():
+    unigrams = {(0,): _THIRD, (2,): _THIRD, (3,): _THIRD}
+    for order in (1, 2):
+        with pytest.raises(ValueError):
+            NGramModel(order, _VOCAB, unigrams, {(): -0.5})
+
+
+def _file_rows(raw):
+    """Row count of every table of a v1 model file."""
+    (order,) = struct.unpack_from("<H", raw, 6)
+    (vocab_size,) = struct.unpack_from("<I", raw, 8)
+    pos = 12
+    for _ in range(vocab_size):
+        pos += 4 + struct.unpack_from("<I", raw, pos)[0]
+    rows = 0
+    for k in range(1, order + 1):
+        (n,) = struct.unpack_from("<I", raw, pos)
+        rows += n
+        pos += 4 + n * struct.calcsize(f"<{k}Idd")
+    assert pos == len(raw)
+    return rows
+
+
+# Digests of the files this training run wrote before the tables were packed;
+# a change here changes the model format.
+@pytest.mark.parametrize(
+    "order, min_count, digest",
+    [
+        (4, 2, "47a7b93515ba27bc8afdef91ef4662b7638734f4911ccab0908ed087d50e1e07"),
+        (6, 1, "353e643268967b58416aa71ba5c7a92d9fc9f16a414d1c29879a0f1b89fa2fde"),
+    ],
+)
+def test_trained_model_file_bytes_are_unchanged(tmp_path, order, min_count, digest):
+    bed = make_testbed(seed=7, n_mono=400, n_heldout=0, n_pairs_each=0)
+    model = NGramModel.train(bed.src_mono, order=order, min_count=min_count)
+    path = tmp_path / "m.lm"
+    model.save(str(path))
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+    # what bench/tracer.py counts as the rows of a model
+    assert len(model.logprobs.keys() | {c for c in model.backoffs if c}) == _file_rows(raw)
