@@ -18,15 +18,27 @@ Out-of-vocabulary tokens map to "<unk>"; literal data tokens spelled like one
 of the reserved symbols are masked to "<unk>" as well, at train and score
 time, so text cannot forge sentence boundaries.
 
-In memory an n-gram of k ids is one int whose base-2**32 digits are the ids,
-oldest most significant: g0 << 32*(k-1) | ... | g(k-1). There is one dict per
-length, _lp[k] for n-grams of k = 1..order ids and _bo[k] for contexts of
-k = 1..order-1 ids (keys of different lengths collide, since id 0 is
-"<unk>"). Numeric order of same-length keys is the order of their id tuples,
-which is the row order of the file. The scorer keeps the last m context ids
-as one int H and looks the event w up as _lp[m+1][H << 32 | w]; on a miss it
-adds _bo[m][H] if present, drops the oldest id (H &= 2**(32*(m-1)) - 1) and
-tries again with m-1.
+In memory an n-gram of k ids is one int whose base-V digits are the ids, V
+the vocabulary size, oldest most significant: ((g0*V + g1)*V + ...)*V + g(k-1).
+There is one dict per length, _lp[k] for n-grams of k = 1..order ids and
+_bo[k] for contexts of k = 1..order-1 ids (keys of different lengths
+collide). Numeric order of same-length keys is the order of their id tuples.
+The scorer keeps the last m context ids as one int H and looks the event w up
+as _lp[m+1][H*V + w]; on a miss it adds _bo[m][H] if present, drops the
+oldest id (H %= V**(m-1)) and tries again with m-1.
+
+The file (format 2, little-endian) holds the same keys. After the magic
+"NGLM", u16 version, u16 order, u32 V and each token as a u32 length and its
+UTF-8 bytes come the training metadata: u8 flags (1: token count, 2:
+discounts), the u64 token count and one f64 discount per order, zero where
+the flag is clear. Then for k = 1..order come the order-k events table and,
+for k < order, the order-k contexts table. A table is a u32 row count, a
+column of strictly increasing keys and a column of f64 values
+(log-probabilities or backoff weights). Keys are u64 when V**k <= 2**64 and
+otherwise big-endian, in the fewest bytes that hold V**k - 1. Format 1 is
+read, not written: no metadata, and one table per order whose rows are k u32
+ids, an f64 log-probability (-inf on context-only rows) and an f64 backoff
+weight (0 for none).
 """
 
 from __future__ import annotations
@@ -38,10 +50,10 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, compress, repeat, starmap
-from operator import ge, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import add, floordiv, ge, lt, mod, mul, ne, not_
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from .corpus import Sentence
 from .errors import DegenerateVocabulary, EmptyCorpus, FormatError
@@ -52,21 +64,19 @@ EOS = "</s>"
 RESERVED = (UNK, BOS, EOS)
 UNK_ID, BOS_ID, EOS_ID = 0, 1, 2
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 _MAGIC = b"NGLM"
 _MAX_ORDER = 6
 _FALLBACK_DISCOUNT = 0.75
 _U32 = struct.Struct("<I")
 _VERSION_ORDER = struct.Struct("<HH")
-# _MASKS[m] keeps the last m ids of a packed key
-_MASKS = tuple((1 << 32 * m) - 1 for m in range(_MAX_ORDER + 1))
+_META = struct.Struct("<BQ")  # flags, training token count; the discounts follow
+_HAS_COUNT, _HAS_DISCOUNTS = 1, 2
+_SWAP = sys.byteorder == "big"  # file columns are little-endian
 
-# Log-probability placeholder for rows that exist only to carry a context's
+# Log-probability of a format-1 row that exists only to carry a context's
 # backoff weight (real event probabilities are always finite and negative).
 _NO_PROB = -math.inf
-
-# Table rows decoded per step of a load; bounds the buffers a load holds.
-_CHUNK_ROWS = 4096
 
 _Tables = tuple[dict[int, float], ...]
 
@@ -108,7 +118,7 @@ class NGramModel:
                 raise ValueError(f"n-gram {gram} has an out-of-range token id")
             if not value <= 0.0 or math.isinf(value):
                 raise ValueError(f"log-probability for {gram} must be finite and <= 0")
-            lp[len(gram)][_pack(gram)] = value
+            lp[len(gram)][_pack(gram, vocab_size)] = value
         for ctx, weight in (backoffs or {}).items():
             if not 1 <= len(ctx) <= order - 1:
                 raise ValueError(f"backoff context {ctx} must have 1..order-1 ids")
@@ -116,8 +126,16 @@ class NGramModel:
                 raise ValueError(f"backoff context {ctx} has an out-of-range token id")
             if not math.isfinite(weight):
                 raise ValueError(f"backoff weight for {ctx} must be finite")
-            bo[len(ctx)][_pack(ctx)] = weight
+            bo[len(ctx)][_pack(ctx, vocab_size)] = weight
         _check_unigrams(vocab_size, lp[1])
+        if train_token_count is not None and not (
+            isinstance(train_token_count, int) and 0 <= train_token_count < 1 << 64
+        ):
+            raise ValueError("train_token_count must be an int in 0..2**64-1")
+        if discounts is not None and not (
+            len(discounts) == order and all(map(math.isfinite, discounts))
+        ):
+            raise ValueError(f"discounts must be {order} finite values, one per order")
         self._adopt(order, tokens, lp, bo, train_token_count, discounts)
 
     @classmethod
@@ -153,11 +171,12 @@ class NGramModel:
         self.id_to_token: tuple[str, ...] = tokens
         self._ids = {t: i for i, t in enumerate(tokens)}
         self.token_ids: Mapping[str, int] = MappingProxyType(self._ids)
+        base = len(tokens)
         # the scorer's back-off steps, from the longest context (m = order-1) down
         self._levels = tuple(
-            (lp[m + 1].get, bo[m].get, _MASKS[max(m - 1, 0)]) for m in range(order - 1, -1, -1)
+            (lp[m + 1].get, bo[m].get, base ** max(m - 1, 0)) for m in range(order - 1, -1, -1)
         )
-        self._start = _pack((BOS_ID,) * (order - 1))  # the <s> padding as a history
+        self._start = _pack((BOS_ID,) * (order - 1), base)  # the <s> padding as a history
         self._lp = lp
         self._bo = bo
         self.train_token_count = train_token_count
@@ -165,11 +184,11 @@ class NGramModel:
 
     @property
     def logprobs(self) -> Mapping[tuple[int, ...], float]:
-        return MappingProxyType(_decode(self._lp))
+        return MappingProxyType(_decode(self._lp, len(self.id_to_token)))
 
     @property
     def backoffs(self) -> Mapping[tuple[int, ...], float]:
-        return MappingProxyType(_decode(self._bo))
+        return MappingProxyType(_decode(self._bo, len(self.id_to_token)))
 
     # -- training ----------------------------------------------------------
 
@@ -209,27 +228,28 @@ class NGramModel:
             )
         id_to_token = list(RESERVED) + surviving
         data_ids = {t: i for i, t in enumerate(surviving, len(RESERVED))}
+        base = len(id_to_token)
 
         # Highest order: raw event counts over <s>-padded, </s>-terminated
         # rows, each event's n-gram packed as it rolls over the row.
         counts: list[Counter[int]] = [Counter() for _ in range(order + 1)]
         top = counts[order]
-        start, keep = _pack((BOS_ID,) * (order - 1)), _MASKS[order - 1]
+        start, keep = _pack((BOS_ID,) * (order - 1), base), base ** (order - 1)
         token_total = 0
         for sentence in sentences:
             token_total += len(sentence)
             history = start
             for wid in chain(map(data_ids.get, sentence, repeat(UNK_ID)), (EOS_ID,)):
-                gram = history << 32 | wid
+                gram = history * base + wid
                 top[gram] += 1
-                history = gram & keep
+                history = gram % keep
 
         # Lower orders: continuation counts (distinct left extensions).
         for k in range(order - 1, 0, -1):
             cont = counts[k]
-            keep = _MASKS[k]
+            keep = base**k
             for gram in counts[k + 1]:
-                cont[gram & keep] += 1
+                cont[gram % keep] += 1
 
         discounts = [0.0] * (order + 1)
         for k in range(1, order + 1):
@@ -264,16 +284,16 @@ class NGramModel:
             ctx_total: dict[int, int] = {}
             ctx_types: dict[int, int] = {}
             for gram, c in level.items():
-                h = gram >> 32
+                h = gram // base
                 ctx_total[h] = ctx_total.get(h, 0) + c
                 ctx_types[h] = ctx_types.get(h, 0) + 1
             weights = backoffs[k - 1]
             for h, t in ctx_total.items():
                 weights[h] = math.log(dk * ctx_types[h] / t)
-            table, lower_table, keep = logprobs[k], logprobs[k - 1], _MASKS[k - 1]
+            table, lower_table, keep = logprobs[k], logprobs[k - 1], base ** (k - 1)
             for gram, c in level.items():
-                h = gram >> 32
-                lower = math.exp(lower_table[gram & keep])
+                h = gram // base
+                lower = math.exp(lower_table[gram % keep])
                 p = (
                     max(c - dk, 0.0) / ctx_total[h]
                     + dk * ctx_types[h] / ctx_total[h] * lower
@@ -297,7 +317,8 @@ class NGramModel:
     def logprob(self, sentence: Sequence[str]) -> LmScore:
         """Total log-probability of a sentence plus its terminating </s>."""
         levels = self._levels
-        keep = _MASKS[self.order - 1]
+        base = len(self.id_to_token)
+        keep = base ** (self.order - 1)
         history = self._start
         ids = self._ids
         total = 0.0
@@ -305,9 +326,9 @@ class NGramModel:
             wid = ids.get(token, UNK_ID)
             if wid <= EOS_ID:  # reserved spellings in data are masked
                 wid = UNK_ID
-            total += _walk(levels, history, wid)
-            history = (history << 32 | wid) & keep
-        total += _walk(levels, history, EOS_ID)
+            total += _walk(levels, base, history, wid)
+            history = (history * base + wid) % keep
+        total += _walk(levels, base, history, EOS_ID)
         return LmScore(total, len(sentence) + 1)
 
     def logprob_word(self, context: Sequence[str], word: str) -> float:
@@ -321,132 +342,112 @@ class NGramModel:
             return -math.inf
         ids = [self._ids.get(t, UNK_ID) for t in context[max(0, len(context) - self.order + 1) :]]
         wid = self._ids.get(word, UNK_ID)
-        return _walk(self._levels[self.order - 1 - len(ids) :], _pack(ids), wid)
+        base = len(self.id_to_token)
+        return _walk(self._levels[self.order - 1 - len(ids) :], base, _pack(ids, base), wid)
 
     # -- serialization -----------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the model in the bit-exact little-endian binary layout."""
+        """Write the model as a format-2 file (see the module docstring).
+
+        The bytes depend only on the model: save -> load -> save reproduces
+        the file byte for byte.
+        """
         from .fileio import atomic_write_bytes
 
+        base = len(self.id_to_token)
+        flags = (self.train_token_count is not None) * _HAS_COUNT
+        flags |= (self.discounts is not None) * _HAS_DISCOUNTS
         with atomic_write_bytes(path) as handle:
-            handle.write(_MAGIC)
-            handle.write(_VERSION_ORDER.pack(MODEL_FORMAT_VERSION, self.order))
-            handle.write(_U32.pack(len(self.id_to_token)))
+            handle.write(_MAGIC + _VERSION_ORDER.pack(MODEL_FORMAT_VERSION, self.order))
+            handle.write(_U32.pack(base))
             for token in self.id_to_token:
                 raw = token.encode("utf-8")
-                handle.write(_U32.pack(len(raw)))
-                handle.write(raw)
+                handle.write(_U32.pack(len(raw)) + raw)
+            handle.write(_META.pack(flags, self.train_token_count or 0))
+            handle.write(struct.pack(f"<{self.order}d", *self.discounts or repeat(0.0, self.order)))
             for k in range(1, self.order + 1):
-                lp, bo = self._lp[k], self._bo[k]
-                keys = sorted(lp.keys() | bo.keys())
-                rows = zip(
-                    _grams(keys, k),
-                    map(lp.get, keys, repeat(_NO_PROB)),
-                    map(bo.get, keys, repeat(0.0)),
-                )
-                handle.write(_U32.pack(len(keys)))
-                handle.write(b"".join(starmap(struct.Struct(f"<{4 * k}sdd").pack, rows)))
+                for table in (self._lp[k], self._bo[k]) if k < self.order else (self._lp[k],):
+                    keys = sorted(table)
+                    handle.write(_U32.pack(len(keys)))
+                    handle.write(_key_column(keys, base**k))
+                    handle.write(_little(array("d", map(table.__getitem__, keys))))
 
     @classmethod
     def load(cls, path: str) -> "NGramModel":
-        """Read a model saved by save(); scoring is reproduced exactly.
+        """Read a model file of format 2, or of format 1; scoring is reproduced exactly.
 
-        Each table is read _CHUNK_ROWS rows at a time, and each chunk checked
-        column by column in C before it is decoded. Loading raises
+        Every length and count is checked against the bytes left before
+        anything is read, and each table is checked column by column in C;
+        the offending row is looked for only to report it. Loading raises
         FormatError on a bad magic or version, an order outside 1..6, a token
         that is not UTF-8, a vocabulary that does not start with the reserved
-        symbols or repeats a token, a token id outside the vocabulary, a
-        log-probability that is NaN or above 0, a backoff weight that is NaN
-        or infinite or sits on a full-order row, a missing unigram,
-        probability mass on "<s>", and on truncation or trailing bytes. Every
-        length and count is checked against the bytes left before anything
-        is read.
-
-        Training metadata (token count, discounts) is not part of the binary
-        layout, so loaded models carry None there.
+        symbols or repeats a token, a table whose n-grams are not strictly
+        increasing (a repeated or out-of-order row), a token id outside the
+        vocabulary, a log-probability that is NaN or above 0, a backoff
+        weight that is NaN or infinite, a missing unigram, probability mass
+        on "<s>", and on truncation or trailing bytes. Format 2 also rejects
+        an infinite log-probability and training metadata that is not
+        finite or is set but flagged absent; format 1 a backoff weight on a
+        full-order row. Format-1 files carry no training metadata, so their
+        models have None there.
         """
         with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            pos = 0
-
-            def room(n: int, what: str) -> int:
-                nonlocal pos
-                if n > size - pos:
-                    raise FormatError(f"{path}: truncated while reading {what}")
-                pos += n
-                return n
-
-            def take(n: int, what: str) -> bytes:
-                return handle.read(room(n, what))
-
-            def count(what: str) -> int:
-                return _U32.unpack(take(4, what))[0]
-
-            if take(4, "magic") != _MAGIC:
-                raise FormatError(f"{path}: bad magic, not a model file")
-            version, order = _VERSION_ORDER.unpack(take(4, "header"))
-            if version != MODEL_FORMAT_VERSION:
-                raise FormatError(
-                    f"{path}: format version {version} not supported "
-                    f"(this build reads version {MODEL_FORMAT_VERSION})"
+            reader = _Reader(handle, path)
+            if reader.take(4, "magic") != _MAGIC:
+                raise reader.fail("bad magic, not a model file")
+            version, order = _VERSION_ORDER.unpack(reader.take(4, "header"))
+            if version not in (1, MODEL_FORMAT_VERSION):
+                raise reader.fail(
+                    f"format version {version} not supported "
+                    f"(this build reads versions 1 and {MODEL_FORMAT_VERSION})"
                 )
             if not 1 <= order <= _MAX_ORDER:
-                raise FormatError(f"{path}: order {order} out of range 1..{_MAX_ORDER}")
-            vocab_size = count("vocabulary size")
-            if vocab_size > (size - pos) // 4:  # each token has a 4-byte length
-                raise FormatError(f"{path}: truncated while reading the vocabulary")
+                raise reader.fail(f"order {order} out of range 1..{_MAX_ORDER}")
+            base = reader.count("vocabulary size")
+            if base > reader.left // 4:  # each token has a 4-byte length
+                raise reader.fail("truncated while reading the vocabulary")
             tokens = []
-            for i in range(vocab_size):
-                raw = take(count(f"token {i} length"), f"token {i}")
+            for i in range(base):
+                raw = reader.take(reader.count(f"token {i} length"), f"token {i}")
                 try:
                     tokens.append(str(raw, "utf-8"))
                 except UnicodeDecodeError as exc:
-                    raise FormatError(f"{path}: token {i} is not valid UTF-8") from exc
+                    raise reader.fail(f"token {i} is not valid UTF-8") from exc
             try:
                 _check_vocabulary(tokens)
             except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
+                raise reader.fail(str(exc)) from exc
 
+            reader.base = base
             lp, bo = _empty_tables(order)
-            for k in range(1, order + 1):
-                n_rows = count(f"order-{k} row count")
-                room(n_rows * (4 * k + 16), f"order-{k} table")
-                for first in range(0, n_rows, _CHUNK_ROWS):
-                    table = array("I")  # each row's ids, then its two doubles as four words
-                    table.fromfile(handle, min(_CHUNK_ROWS, n_rows - first) * (k + 4))
-                    logprobs, weights = _columns(table, k)
-                    _check_table(path, table, k, order, vocab_size, logprobs, weights)
-                    keys = _keys(table, k)
-                    seen = map(ne, logprobs, repeat(_NO_PROB))
-                    lp[k].update(compress(zip(keys, logprobs), seen))
-                    if k < order:
-                        bo[k].update(compress(zip(keys, weights), weights))
-            if pos != size:
-                raise FormatError(f"{path}: trailing bytes after the last table")
+            read = _read_v1 if version == 1 else _read_v2
+            meta = read(reader, order, lp, bo)
+            if reader.left:
+                raise reader.fail("trailing bytes after the last table")
             try:
-                _check_unigrams(vocab_size, lp[1])
+                _check_unigrams(base, lp[1])
             except ValueError as exc:
-                raise FormatError(f"{path}: inconsistent tables: {exc}") from exc
-            return cls._trusted(order, tokens, lp, bo)
+                raise reader.fail(f"inconsistent tables: {exc}") from exc
+            return cls._trusted(order, tokens, lp, bo, *meta)
 
 
-def _walk(levels: Sequence[tuple], history: int, wid: int) -> float:
+def _walk(levels: Sequence[tuple], base: int, history: int, wid: int) -> float:
     """log p(wid | history), backing off one level (one context id) per miss.
 
-    levels[i] is (_lp[m+1].get, _bo[m].get, the mask that keeps m-1 ids) for
-    a history of m ids. Every id but "<s>" has a unigram, so only "<s>" falls
-    through all levels, with probability 0.
+    levels[i] is (_lp[m+1].get, _bo[m].get, base**(m-1)) for a history of m
+    ids; history % base**(m-1) keeps its last m-1 ids. Every id but "<s>" has
+    a unigram, so only "<s>" falls through all levels, with probability 0.
     """
     acc = 0.0
-    for lp_get, bo_get, keep in levels:
-        hit = lp_get(history << 32 | wid)
+    for lp_get, bo_get, drop in levels:
+        hit = lp_get(history * base + wid)
         if hit is not None:
             return acc + hit
         weight = bo_get(history)
         if weight is not None:
             acc += weight
-        history &= keep
+        history %= drop
     return -math.inf
 
 
@@ -458,80 +459,202 @@ def _empty_tables(order: int) -> tuple[_Tables, _Tables]:
     )
 
 
-def _columns(table: array, k: int) -> tuple[array, array]:
-    """The log-probability and backoff columns of an order-k table."""
-    values = array("d")
-    pairs = struct.Struct(f"{4 * k}x16s").iter_unpack(table)
-    values.frombytes(b"".join(chain.from_iterable(pairs)))
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values[::2], values[1::2]
+class _Reader:
+    """A model file read front to back; every length is checked against the bytes left."""
+
+    def __init__(self, handle: BinaryIO, path: str):
+        self.handle = handle
+        self.path = path
+        self.left = os.fstat(handle.fileno()).st_size
+        self.base = 0  # the vocabulary size, once read
+
+    def fail(self, problem: str) -> FormatError:
+        return FormatError(f"{self.path}: {problem}")
+
+    def room(self, n: int, what: str) -> int:
+        if n > self.left:
+            raise self.fail(f"truncated while reading {what}")
+        self.left -= n
+        return n
+
+    def take(self, n: int, what: str) -> bytes:
+        return self.handle.read(self.room(n, what))
+
+    def count(self, what: str) -> int:
+        return _U32.unpack(self.take(4, what))[0]
+
+    def column(self, typecode: str, n: int, what: str) -> list:
+        """n little-endian items of an array typecode, as a list."""
+        items = array(typecode)
+        items.fromfile(self.handle, self.room(n * items.itemsize, what) // items.itemsize)
+        return _little(items).tolist()
+
+    def check(
+        self,
+        k: int,
+        table: str,
+        keys: Sequence[int],
+        column: Sequence,
+        ok: Iterable[bool],
+        problem: str,
+    ) -> None:
+        """Raise FormatError naming the first row of an order-k table whose ok flag is false.
+
+        problem may show the row's value in column as {}.
+        """
+        row = next(compress(count(), map(not_, ok)), None)
+        if row is not None:
+            gram = _ids(keys[row], k, self.base)
+            raise self.fail(f"{table}, row {row + 1} {gram}: " + problem.format(column[row]))
+
+    def check_increasing(self, k: int, table: str, keys: Sequence[int]) -> None:
+        """No key repeats or comes before the key of the row above it."""
+        ok = chain((True,), map(lt, keys, islice(keys, 1, None)))
+        self.check(k, table, keys, keys, ok, "not after the row before it")
 
 
-def _check_table(
-    path: str,
-    table: array,
-    k: int,
-    order: int,
-    vocab_size: int,
-    logprobs: array,
-    weights: array,
-) -> None:
-    """Check an order-k table one column at a time; find the row only to report it."""
-
-    def fault(bad: Iterable[bool], problem: str) -> FormatError:
-        rows = struct.Struct(f"<{k}Idd").iter_unpack(table)
-        *gram, logprob, backoff = next(compress(rows, bad))
-        return FormatError(f"{path}: " + problem.format(gram=tuple(gram), lp=logprob, bo=backoff))
-
-    words = table
-    if sys.byteorder == "big":
-        words = array("I", table)
-        words.byteswap()
-    columns = memoryview(words)
-    if max(max(columns[j :: k + 4], default=0) for j in range(k)) >= vocab_size:
-        bad = (max(gram) >= vocab_size for gram in struct.Struct(f"<{k}I16x").iter_unpack(table))
-        raise fault(bad, f"token id out of range in order-{k} table, row {{gram}}")
-    if not all(map(ge, repeat(0.0), logprobs)):  # -inf marks a backoff-only row
-        raise fault((not x <= 0.0 for x in logprobs), "log-probability {lp} for {gram} is not <= 0")
-    if k == order and any(weights):
-        raise fault(weights, "backoff weight on full-order row {gram}")
-    if not all(map(math.isfinite, weights)):
-        raise fault(
-            (not math.isfinite(x) for x in weights), "backoff weight {bo} for {gram} is not finite"
-        )
+def _read_v2(
+    reader: _Reader, order: int, lp: _Tables, bo: _Tables
+) -> tuple[int | None, tuple[float, ...] | None]:
+    """Fill lp and bo from format-2 tables; return (token count, discounts)."""
+    flags, token_count = _META.unpack(reader.take(_META.size, "metadata"))
+    raw = reader.take(8 * order, "discounts")
+    discounts = struct.unpack(f"<{order}d", raw)
+    if flags & ~(_HAS_COUNT | _HAS_DISCOUNTS):
+        raise reader.fail(f"unknown metadata flags {flags}")
+    if not flags & _HAS_COUNT and token_count:
+        raise reader.fail("token count set but flagged absent")
+    if not flags & _HAS_DISCOUNTS and any(raw):
+        raise reader.fail("discounts set but flagged absent")
+    if not all(map(math.isfinite, discounts)):
+        raise reader.fail(f"discounts {discounts} are not all finite")
+    for k in range(1, order + 1):
+        _read_table(reader, k, "events", lp[k])
+        if k < order:
+            _read_table(reader, k, "contexts", bo[k])
+    return (
+        token_count if flags & _HAS_COUNT else None,
+        discounts if flags & _HAS_DISCOUNTS else None,
+    )
 
 
-def _keys(table: array, k: int) -> list[int]:
-    """The packed key of every row of an order-k table; byte-swaps the table."""
-    table.byteswap()  # little-endian ids -> big-endian digits
-    grams = chain.from_iterable(struct.Struct(f"{4 * k}s16x").iter_unpack(table))
-    return list(map(int.from_bytes, grams, repeat("big")))
+def _read_table(reader: _Reader, k: int, what: str, into: dict[int, float]) -> None:
+    """Read one format-2 table, "events" or "contexts", into an empty dict.
+
+    Each check is one C-level pass over a column; a failing one is redone
+    row by row to name the row. Keys strictly increase when the dict holds
+    every row and the key column is its own sorted copy; then the last key
+    is the largest and must be below V**k. Event log-probabilities are
+    finite and <= 0, backoff weights finite.
+    """
+    table = f"order-{k} {what} table"
+    n = reader.count(f"{table} row count")
+    span = reader.base**k
+    width = _key_width(span)
+    if width == 8:
+        keys = reader.column("Q", n, table)
+    else:
+        grams = struct.Struct(f"{width}s").iter_unpack(reader.take(n * width, table))
+        keys = list(map(int.from_bytes, chain.from_iterable(grams), repeat("big")))
+    values = reader.column("d", n, table)
+    into.update(zip(keys, values))
+    if len(into) != n or keys != sorted(keys):
+        reader.check_increasing(k, table, keys)
+    if keys and keys[-1] >= span:
+        gram = _ids(keys[-1], k, reader.base)
+        raise reader.fail(f"{table}, row {n} {gram}: token id out of range")
+    if what == "contexts":
+        if not all(map(math.isfinite, values)):
+            ok = map(math.isfinite, values)
+            reader.check(k, table, keys, values, ok, "backoff weight {} is not finite")
+    elif not (all(map(math.isfinite, values)) and max(values, default=0.0) <= 0.0):
+        ok = (-math.inf < x <= 0.0 for x in values)
+        reader.check(k, table, keys, values, ok, "log-probability {} is not finite and <= 0")
 
 
-def _grams(keys: Sequence[int], k: int) -> Iterable[bytes]:
-    """Each packed k-id key as the little-endian ids of its file row."""
-    ids = array("I", b"".join(map(int.to_bytes, keys, repeat(4 * k), repeat("big"))))
-    ids.byteswap()  # big-endian digits -> little-endian ids
-    return chain.from_iterable(struct.Struct(f"{4 * k}s").iter_unpack(ids))
+def _read_v1(reader: _Reader, order: int, lp: _Tables, bo: _Tables) -> tuple[None, None]:
+    """Fill lp and bo from format-1 tables, which carry no metadata."""
+    base = reader.base
+    for k in range(1, order + 1):
+        table = f"order-{k} table"
+        n = reader.count(f"{table} row count")
+        rows = struct.Struct(f"<{k}Idd").iter_unpack(reader.take(n * (4 * k + 16), table))
+        *ids, logprobs, weights = list(zip(*rows)) or [()] * (k + 2)
+        if n and max(map(max, ids)) >= base:
+            row = next(compress(count(1), (max(gram) >= base for gram in zip(*ids))))
+            gram = tuple(column[row - 1] for column in ids)
+            raise reader.fail(f"{table}, row {row} {gram}: token id out of range")
+        keys = ids[0]
+        for column in ids[1:]:
+            keys = map(add, map(mul, keys, repeat(base)), column)
+        keys = list(keys)
+        reader.check_increasing(k, table, keys)
+        # -inf marks a row that only carries a context's backoff weight
+        ok = map(ge, repeat(0.0), logprobs)
+        reader.check(k, table, keys, logprobs, ok, "log-probability {} is not <= 0")
+        ok = map(math.isfinite, weights)
+        reader.check(k, table, keys, weights, ok, "backoff weight {} is not finite")
+        if k == order:
+            ok = map(not_, weights)
+            reader.check(k, table, keys, weights, ok, "backoff weight {} on a full-order row")
+        lp[k].update(compress(zip(keys, logprobs), map(ne, logprobs, repeat(_NO_PROB))))
+        if k < order:
+            bo[k].update(compress(zip(keys, weights), weights))
+    return None, None
 
 
-def _pack(ids: Iterable[int]) -> int:
-    """The packed key of an id sequence, oldest id most significant."""
+def _key_width(span: int) -> int:
+    """Bytes per key in a table whose keys lie in 0..span-1: 8, or more when u64 is too narrow."""
+    return 8 if span <= 1 << 64 else ((span - 1).bit_length() + 7) // 8
+
+
+def _key_column(keys: Sequence[int], span: int) -> bytes | array:
+    """The file column of sorted keys that lie in 0..span-1."""
+    width = _key_width(span)
+    if width == 8:
+        return _little(array("Q", keys))
+    return b"".join(map(int.to_bytes, keys, repeat(width), repeat("big")))
+
+
+def _little(items: array) -> array:
+    """Swap an array between native and little-endian order, in place."""
+    if _SWAP:
+        items.byteswap()
+    return items
+
+
+def _pack(ids: Iterable[int], base: int) -> int:
+    """The key of an id sequence: its ids as base-`base` digits, oldest most significant."""
     key = 0
     for i in ids:
-        key = key << 32 | i
+        key = key * base + i
     return key
 
 
-def _decode(tables: _Tables) -> dict[tuple[int, ...], float]:
-    """Id-tuple keyed copy of per-length packed tables."""
+def _ids(key: int, k: int, base: int) -> tuple[int, ...]:
+    """The k ids of a key; the oldest carries whatever does not fit k-1 digits."""
+    ids = []
+    for _ in range(k - 1):
+        key, i = divmod(key, base)
+        ids.append(i)
+    ids.append(key)
+    return tuple(reversed(ids))
+
+
+def _decode(tables: _Tables, base: int) -> dict[tuple[int, ...], float]:
+    """Id-tuple keyed copy of per-length packed tables, decoded one digit column at a time."""
     out: dict[tuple[int, ...], float] = {}
     for k, table in enumerate(tables):
         if table:
-            unpack = struct.Struct(f">{k}I").unpack
-            grams = map(unpack, map(int.to_bytes, table, repeat(4 * k), repeat("big")))
-            out.update(zip(grams, table.values()))
+            # id j of k, oldest first, is key // base**(k-1-j) % base; the
+            # oldest needs no % and the newest no //
+            digits = [map(floordiv, table, repeat(base ** (k - 1)))]
+            digits += [
+                map(mod, map(floordiv, table, repeat(base**e)), repeat(base))
+                for e in range(k - 2, 0, -1)
+            ]
+            digits += [map(mod, table, repeat(base))] if k > 1 else []
+            out.update(zip(zip(*digits), table.values()))
     return out
 
 

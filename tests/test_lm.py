@@ -19,7 +19,7 @@ from covbias import (
 )
 from covbias.cli import main as cli_main
 from covbias.lm import BOS, BOS_ID, EOS, UNK
-from oracles import tuple_sentence_logprob, tuple_word_logprob
+from oracles import encode_v1, tuple_sentence_logprob, tuple_word_logprob
 from synthbed import make_testbed
 
 # Hand-computed reference values, worked from the closed-form estimator
@@ -205,8 +205,8 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
 
     assert loaded.order == model.order
     assert loaded.id_to_token == model.id_to_token
-    assert loaded.train_token_count is None
-    assert loaded.discounts is None
+    assert loaded.train_token_count == model.train_token_count == 9
+    assert loaded.discounts == model.discounts
 
     rng = random.Random(7)
     words = ["a", "b", "c", "zzz"]
@@ -294,8 +294,8 @@ def test_trained_models_score_finitely_and_round_trip(tmp_path_factory, corpus, 
 # -- the model-file boundary ---------------------------------------------------
 
 
-def _encode(order, tokens, tables, version=MODEL_FORMAT_VERSION):
-    """NGLM bytes built by hand: tables[k-1] lists (gram, logprob, backoff) rows."""
+def _encode(order, tokens, tables, version=1):
+    """Format-1 bytes built by hand: tables[k-1] lists (gram, logprob, backoff) rows."""
     out = bytearray(b"NGLM" + struct.pack("<HHI", version, order, len(tokens)))
     for token in tokens:
         raw = token if isinstance(token, bytes) else token.encode("utf-8")
@@ -350,15 +350,93 @@ def test_load_rejects_invalid_models(tmp_path, case):
         NGramModel.load(str(path))
 
 
-def _fuzz_base():
-    model = NGramModel.train(
-        [("a", "b", "c"), ("c", "b", "a"), ("a", "c"), ("b",)], order=3, min_count=1
-    )
+# format-1 unigram rows that repeat or go back; the last row is at -5.0
+_UNORDERED = {
+    "out of order": ([0, 3, 2, 3], "row 3 (2,)"),
+    "repeated": ([0, 2, 3, 3], "row 4 (3,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNORDERED))
+def test_load_rejects_repeated_or_out_of_order_rows(tmp_path, capsys, case):
+    ids, where = _UNORDERED[case]
+    rows = [((i,), _THIRD, 0.0) for i in ids[:-1]] + [((ids[-1],), -5.0, 0.0)]
+    path = tmp_path / "rows.lm"
+    path.write_bytes(_encode(1, _VOCAB, [rows]))
+    with pytest.raises(FormatError) as err:
+        NGramModel.load(str(path))
+    assert str(err.value) == f"{path}: order-1 table, {where}: not after the row before it"
+    text, out = tmp_path / "in.txt", tmp_path / "ppl.tsv"
+    text.write_text("a\n", encoding="utf-8")
+    argv = ["perplexity", "--model", str(path), "--input", str(text), "--output", str(out)]
+    assert cli_main(argv) == 2
+    assert not out.exists()
+    assert f"{where}: not after the row before it" in capsys.readouterr().err
+
+
+def _saved_bytes(model):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.lm")
         model.save(path)
         with open(path, "rb") as handle:
-            raw = handle.read()
+            return handle.read()
+
+
+def test_v2_load_rejects_repeated_or_out_of_order_keys(tmp_path):
+    raw = _saved_bytes(_model_abba())
+    _, _, tables = _v2_layout(raw)
+    _, width, pos, n = tables[0]  # order-1 events
+    assert (width, struct.unpack_from(f"<{n}Q", raw, pos)) == (8, (0, 2, 3, 4))
+    path = tmp_path / "keys.lm"
+    for keys in [(0, 3, 2, 4), (0, 2, 2, 4)]:
+        bad = bytearray(raw)
+        struct.pack_into(f"<{n}Q", bad, pos, *keys)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(FormatError) as err:
+            NGramModel.load(str(path))
+        assert str(err.value) == (
+            f"{path}: order-1 events table, row 3 (2,): not after the row before it"
+        )
+
+
+def test_training_metadata_round_trips_in_format_2_only(tmp_path):
+    model = _model_abba()
+    assert (model.train_token_count, model.discounts) == (4, (0.75, 0.75))
+    loaded = _assert_round_trips(model, tmp_path)
+    assert (loaded.train_token_count, loaded.discounts) == (4, (0.75, 0.75))
+    (tmp_path / "v1.lm").write_bytes(encode_v1(model))
+    old = NGramModel.load(str(tmp_path / "v1.lm"))
+    assert (old.train_token_count, old.discounts) == (None, None)
+    # a model built without metadata saves and loads without it
+    bare = NGramModel(1, _VOCAB, {(0,): _THIRD, (2,): _THIRD, (3,): _THIRD})
+    assert _assert_round_trips(bare, tmp_path).discounts is None
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        dict(train_token_count=-1),
+        dict(train_token_count=2**64),
+        dict(train_token_count=1.5),
+        dict(discounts=(0.5, 0.5)),
+        dict(discounts=(math.nan,)),
+    ],
+    ids=["negative count", "count past u64", "float count", "too many discounts", "nan discount"],
+)
+def test_constructor_rejects_bad_training_metadata(meta):
+    with pytest.raises(ValueError):
+        NGramModel(1, _VOCAB, {(0,): _THIRD, (2,): _THIRD, (3,): _THIRD}, **meta)
+
+
+def _fuzz_model():
+    return NGramModel.train(
+        [("a", "b", "c"), ("c", "b", "a"), ("a", "c"), ("b",)], order=3, min_count=1
+    )
+
+
+def _fuzz_base():
+    model = _fuzz_model()
+    raw = encode_v1(model)
     # offsets of every 32-bit length or count field in the layout
     fields = [8]
     pos = 12
@@ -419,6 +497,122 @@ def test_mutated_model_files_load_or_raise_format_error(tmp_path_factory, raw):
         assert not math.isnan(model.logprob(sent).total_logprob)
 
 
+def _v2_layout(raw):
+    """Offsets in a format-2 file: its u32 count fields, its metadata and its tables.
+
+    Each table is (V**k, key width, offset of its key column, rows).
+    """
+    (order,) = struct.unpack_from("<H", raw, 6)
+    (vocab_size,) = struct.unpack_from("<I", raw, 8)
+    fields, pos = [8], 12
+    for _ in range(vocab_size):
+        fields.append(pos)
+        pos += 4 + struct.unpack_from("<I", raw, pos)[0]
+    meta, pos = pos, pos + 9 + 8 * order
+    tables = []
+    for k in range(1, order + 1):
+        for _ in range(2 if k < order else 1):  # events, then contexts below the top order
+            fields.append(pos)
+            (n,) = struct.unpack_from("<I", raw, pos)
+            span = vocab_size**k
+            width = 8 if span <= 2**64 else ((span - 1).bit_length() + 7) // 8
+            tables.append((span, width, pos + 4, n))
+            pos += 4 + n * (width + 8)
+    assert pos == len(raw)
+    return fields, meta, tables
+
+
+def _wide6_model():
+    """An order-6 model whose 6-gram keys need more than 64 bits (V = 1,626)."""
+    tokens = (UNK, BOS, EOS) + tuple(f"w{i}" for i in range(3, 1_626))
+    top = len(tokens) - 1
+    unigram = math.log(1 / (len(tokens) - 1))
+    logprobs = {(i,): unigram for i in range(len(tokens)) if i != BOS_ID}
+    backoffs = {}
+    gram = (top, top - 1, 3, top, 4, top - 2)
+    for k in range(2, 7):
+        logprobs[gram[:k]] = _HALF
+        backoffs[gram[: k - 1]] = -0.25
+    return NGramModel(6, tokens, logprobs, backoffs, train_token_count=12, discounts=(0.5,) * 6)
+
+
+_V2_BASES = [
+    (raw, _v2_layout(raw))
+    for raw in map(_saved_bytes, [_model_abba(), _fuzz_model(), _wide6_model()])
+]
+
+
+def _key_slice(table, row):
+    _, width, pos, _ = table
+    return slice(pos + row * width, pos + (row + 1) * width), "little" if width == 8 else "big"
+
+
+def _key_at(raw, table, row):
+    where, byteorder = _key_slice(table, row)
+    return int.from_bytes(raw[where], byteorder)
+
+
+def _put_key(raw, table, row, key):
+    where, byteorder = _key_slice(table, row)
+    raw[where] = key.to_bytes(where.stop - where.start, byteorder)
+
+
+@st.composite
+def _mutated_v2_bytes(draw):
+    base, (fields, meta, tables) = draw(st.sampled_from(_V2_BASES))
+    raw = bytearray(base)
+    how = draw(st.sampled_from(["cut", "flip", "count", "metadata", "key", "value"]))
+    if how == "cut":
+        return base[: draw(st.integers(0, len(base) - 1))]
+    if how == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+    elif how == "count":
+        value = draw(st.one_of(st.integers(0, 0xFFFFFFFF), st.sampled_from([0, 1, 0xFFFFFFFF])))
+        struct.pack_into("<I", raw, draw(st.sampled_from(fields)), value)
+    elif how == "metadata":  # flags, token count, or one discount
+        offset = draw(st.sampled_from([meta, meta + 1, meta + 9]))
+        size = {meta: 1, meta + 1: 8}.get(offset, 8)
+        raw[offset : offset + size] = draw(st.binary(min_size=size, max_size=size))
+    else:
+        table = draw(st.sampled_from([t for t in tables if t[3] > 1]))
+        span, width, pos, n = table
+        row = draw(st.integers(0, n - 2))
+        if how == "key":
+            kind = draw(st.sampled_from(["at or above V**k", "repeat", "swap", "any"]))
+            if kind == "at or above V**k":  # on the last row, so the keys stay in order
+                _put_key(raw, table, n - 1, draw(st.integers(span, 2 ** (8 * width) - 1)))
+            elif kind == "repeat":
+                _put_key(raw, table, row + 1, _key_at(raw, table, row))
+            elif kind == "swap":
+                low, high = _key_at(raw, table, row), _key_at(raw, table, row + 1)
+                _put_key(raw, table, row, high)
+                _put_key(raw, table, row + 1, low)
+            else:
+                _put_key(raw, table, row, draw(st.integers(0, 2 ** (8 * width) - 1)))
+        else:
+            special = st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -0.0, -1e308])
+            value = draw(st.one_of(special, st.floats()))
+            struct.pack_into("<d", raw, pos + n * width + 8 * row, value)
+    return bytes(raw)
+
+
+@settings(max_examples=400, deadline=1000, derandomize=True)
+@given(raw=_mutated_v2_bytes())
+def test_mutated_v2_model_files_load_or_raise_format_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz2") / "m.lm"
+    path.write_bytes(raw)
+    try:
+        model = NGramModel.load(str(path))
+    except FormatError:
+        return
+    for sent in [("a", "b", "c"), ("c", "zzz"), (), ("w1625", "w1624", "w3")]:
+        assert not math.isnan(model.logprob(sent).total_logprob)
+    # a file that loads is the one its model saves
+    model.save(str(path))
+    assert path.read_bytes() == raw
+
+
 _corpora = st.lists(
     st.lists(st.sampled_from(["a", "b", "c", "d", "e", UNK, BOS]), min_size=1, max_size=7).map(
         tuple
@@ -457,19 +651,19 @@ def _bits(table):
 
 
 @settings(max_examples=40, deadline=None)
-@given(corpus=_corpora, order=st.integers(1, 5), min_count=st.integers(1, 3))
+@given(corpus=_corpora, order=st.integers(1, 6), min_count=st.integers(1, 3))
 def test_save_load_save_is_byte_identical(tmp_path_factory, corpus, order, min_count):
     model = _train_or_none(corpus, order, min_count)
     if model is None:
         return
     root = tmp_path_factory.mktemp("rt")
-    model.save(str(root / "one.lm"))
-    loaded = NGramModel.load(str(root / "one.lm"))
-    loaded.save(str(root / "two.lm"))
-    assert (root / "one.lm").read_bytes() == (root / "two.lm").read_bytes()
-    assert loaded.id_to_token == model.id_to_token
-    assert _bits(loaded.logprobs) == _bits(model.logprobs)
-    assert _bits(loaded.backoffs) == _bits(model.backoffs)
+    _assert_round_trips(model, root)
+    # the format-1 file of the same model loads to the same tables, without metadata
+    (root / "v1.lm").write_bytes(encode_v1(model))
+    old = NGramModel.load(str(root / "v1.lm"))
+    assert (old.train_token_count, old.discounts) == (None, None)
+    assert _bits(old.logprobs) == _bits(model.logprobs)
+    assert _bits(old.backoffs) == _bits(model.backoffs)
 
 
 def test_score_pairs_exits_2_on_a_nan_backoff_model(tmp_path, capsys):
@@ -528,7 +722,8 @@ def test_scoring_matches_the_tuple_oracle_bit_for_bit(corpus, order, min_count, 
             assert _bits_of(model.logprob_word(context, word)) == _bits_of(expected)
 
 
-# ids above 65,535 need more than 16 bits in every digit of a packed key
+# ids above 65,535 need more than 16 bits in every id of a format-1 row, and
+# with V = 70,003 the order-4 keys need more than 64 bits (V**4 > 2**64)
 _WIDE_VOCAB = (UNK, BOS, EOS) + tuple(f"w{i}" for i in range(3, 70_003))
 _WIDE = len(_WIDE_VOCAB) - 1  # the largest id, 70,002
 _WIDE_UNIGRAM = math.log(1 / (len(_WIDE_VOCAB) - 1))
@@ -543,12 +738,17 @@ _WIDE_TABLES = [
         ((_WIDE, 65_536), _THIRD, 0.0),
         ((_WIDE, 65_537), _HALF, 0.0),
     ],
-    [((65_536, _WIDE, 2), math.log(0.75), 0.0)],
+    [
+        ((65_536, _WIDE, 2), math.log(0.75), 0.0),
+        ((65_536, _WIDE, 65_537), _HALF, -0.0625),
+    ],
+    [((65_536, _WIDE, 65_537, _WIDE), _THIRD, 0.0)],
 ]
 
 
 def test_ids_wider_than_16_bits_load_score_and_save(tmp_path):
-    raw = _encode(3, _WIDE_VOCAB, _WIDE_TABLES)
+    assert len(_WIDE_VOCAB) ** 3 <= 2**64 < len(_WIDE_VOCAB) ** 4
+    raw = _encode(4, _WIDE_VOCAB, _WIDE_TABLES)
     path = tmp_path / "wide.lm"
     path.write_bytes(raw)
     model = NGramModel.load(str(path))
@@ -563,13 +763,55 @@ def test_ids_wider_than_16_bits_load_score_and_save(tmp_path):
         assert (got.total_logprob, got.token_count) == tuple_sentence_logprob(*args, sent)
         context, word = sent[:-1], sent[-1] if sent else EOS
         assert model.logprob_word(context, word) == tuple_word_logprob(*args, context, word)
-    # a unigram after two <s>, then the seen bigram and the seen trigram
+    # a unigram after three <s>, then the seen bigram and the seen trigram
     assert model.logprob(("w65536", f"w{_WIDE}")).total_logprob == (
         _WIDE_UNIGRAM + _HALF + math.log(0.75)
     )
-    again = tmp_path / "again.lm"
-    model.save(str(again))
-    assert again.read_bytes() == raw
+    assert model.logprob_word(("w65536", f"w{_WIDE}", "w65537"), f"w{_WIDE}") == _THIRD
+    assert encode_v1(model) == raw
+    # format 2 stores the order-4 keys in 9 bytes each, and reads them back
+    _assert_round_trips(model, tmp_path)
+
+
+def _assert_round_trips(model, root):
+    """save -> load gives the same tables, metadata and scores; a second save the same bytes."""
+    model.save(str(root / "one.lm"))
+    loaded = NGramModel.load(str(root / "one.lm"))
+    loaded.save(str(root / "two.lm"))
+    assert (root / "one.lm").read_bytes() == (root / "two.lm").read_bytes()
+    assert (loaded.order, loaded.id_to_token) == (model.order, model.id_to_token)
+    assert loaded.train_token_count == model.train_token_count
+    assert loaded.discounts == model.discounts
+    assert _bits(loaded.logprobs) == _bits(model.logprobs)
+    assert _bits(loaded.backoffs) == _bits(model.backoffs)
+    return loaded
+
+
+def test_order_6_keys_wider_than_64_bits_train_score_and_save(tmp_path):
+    rng = random.Random(11)
+    words = [f"t{i}" for i in range(1_700)]
+    corpus = []
+    for _ in range(2):
+        rng.shuffle(words)
+        corpus += [tuple(words[i : i + 10]) for i in range(0, len(words), 10)]
+    corpus += corpus[:40]  # repeated n-grams, so higher orders see counts above 1
+    model = NGramModel.train(corpus, order=6, min_count=1)
+    vocab_size = len(model.id_to_token)
+    assert vocab_size**5 <= 2**64 < vocab_size**6
+    loaded = _assert_round_trips(model, tmp_path)
+    args = _oracle_args(model)
+    probes = corpus[::7] + [tuple(rng.choice(words) for _ in range(8)) for _ in range(30)]
+    for sent in probes:
+        got = loaded.logprob(sent)
+        total, events = tuple_sentence_logprob(*args, sent)
+        assert (_bits_of(got.total_logprob), got.token_count) == (_bits_of(total), events)
+        expected = tuple_word_logprob(*args, sent[:-1], sent[-1])
+        assert _bits_of(loaded.logprob_word(sent[:-1], sent[-1])) == _bits_of(expected)
+    # the same tables read from format 1
+    (tmp_path / "v1.lm").write_bytes(encode_v1(model))
+    old = NGramModel.load(str(tmp_path / "v1.lm"))
+    assert _bits(old.logprobs) == _bits(model.logprobs)
+    assert _bits(old.backoffs) == _bits(model.backoffs)
 
 
 def test_constructor_rejects_an_empty_context_backoff():
@@ -595,8 +837,14 @@ def _file_rows(raw):
     return rows
 
 
-# Digests of the files this training run wrote before the tables were packed;
-# a change here changes the model format.
+def _golden_model(order, min_count):
+    bed = make_testbed(seed=7, n_mono=400, n_heldout=0, n_pairs_each=0)
+    return bed, NGramModel.train(bed.src_mono, order=order, min_count=min_count)
+
+
+# Digests of the format-1 files this training run wrote before the tables were
+# packed, now rebuilt by the format-1 encoder of tests/oracles.py; a format-1
+# file still loads to the tables and scores of the format-2 file.
 @pytest.mark.parametrize(
     "order, min_count, digest",
     [
@@ -605,11 +853,31 @@ def _file_rows(raw):
     ],
 )
 def test_trained_model_file_bytes_are_unchanged(tmp_path, order, min_count, digest):
-    bed = make_testbed(seed=7, n_mono=400, n_heldout=0, n_pairs_each=0)
-    model = NGramModel.train(bed.src_mono, order=order, min_count=min_count)
-    path = tmp_path / "m.lm"
-    model.save(str(path))
-    raw = path.read_bytes()
+    bed, model = _golden_model(order, min_count)
+    raw = encode_v1(model)
     assert hashlib.sha256(raw).hexdigest() == digest
     # what bench/tracer.py counts as the rows of a model
     assert len(model.logprobs.keys() | {c for c in model.backoffs if c}) == _file_rows(raw)
+    (tmp_path / "v1.lm").write_bytes(raw)
+    model.save(str(tmp_path / "v2.lm"))
+    old, new = (NGramModel.load(str(tmp_path / name)) for name in ("v1.lm", "v2.lm"))
+    assert _bits(old.logprobs) == _bits(new.logprobs)
+    assert _bits(old.backoffs) == _bits(new.backoffs)
+    for sent in bed.src_mono[:100] + [("zzz", "a", UNK)]:
+        old_total, new_total = old.logprob(sent).total_logprob, new.logprob(sent).total_logprob
+        assert _bits_of(old_total) == _bits_of(new_total)
+
+
+# Digests of the format-2 files of the same training runs; a change here
+# changes the model format.
+@pytest.mark.parametrize(
+    "order, min_count, digest",
+    [
+        (4, 2, "48ae21450ffac430ed2b70aa34ee92a716c5f04610cce9ab797a1f38a5d4fda6"),
+        (6, 1, "3150fb6daf9797dceca1765528db29034997fab6aee7b8b0c8f8bf65e357bcf4"),
+    ],
+)
+def test_trained_model_v2_file_bytes_are_unchanged(tmp_path, order, min_count, digest):
+    _, model = _golden_model(order, min_count)
+    model.save(str(tmp_path / "m.lm"))
+    assert hashlib.sha256((tmp_path / "m.lm").read_bytes()).hexdigest() == digest
