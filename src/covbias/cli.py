@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 
@@ -284,12 +285,7 @@ def _cmd_fmeasure(args: argparse.Namespace) -> int:
     examples = list(read_parallel(args.hyp, args.ref, None, args.ref_pos))
     if args.buckets:
         sections = read_section_file(args.buckets)
-        if not sections:
-            raise DataError(f"{args.buckets}: no bucket sections")
         buckets = {name: frozenset(tags) for name, tags in sections.items()}
-        for name, tags in buckets.items():
-            if not tags:
-                raise DataError(f"{args.buckets}: bucket [{name}] lists no tags")
     else:
         buckets = dict(DEFAULT_BUCKETS)
     report = word_fmeasure(
@@ -392,7 +388,7 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
 def _cmd_merge_augment(args: argparse.Namespace) -> int:
     authentic = list(read_parallel(args.authentic_source, args.authentic_target))
     synthetic = list(read_parallel(args.synthetic_source, args.synthetic_target))
-    policy = TagPolicy(args.tag_token) if args.tag_token else None
+    policy = TagPolicy(args.tag_token) if args.tag_token is not None else None
     merged, manifest = merge_augment(authentic, synthetic, policy, args.seed)
     write_parallel(merged, args.out_source, args.out_target)
     _write_report(manifest_to_tsv(manifest), args.manifest)
@@ -610,6 +606,17 @@ def _config_flags(command: str, argv: list[str]) -> list[str]:
     return flags
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """No two of --output, --out-* and --manifest may name one file; an input may be one."""
+    seen: dict[str, str] = {}
+    for dest, value in vars(args).items():
+        if (dest in ("output", "manifest") or dest.startswith("out_")) and value not in (None, "-"):
+            flag = "--" + dest.replace("_", "-")
+            other = seen.setdefault(os.path.realpath(value), flag)
+            if other != flag:
+                raise UsageError(f"{other} and {flag} both name the file {value}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -617,6 +624,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # config values go ahead of the explicit flags, so the explicit ones win
             argv[1:1] = _config_flags(argv[0], argv[1:])
         args = _build_parser().parse_args(argv)
+        _check_outputs(args)
         return _COMMANDS[args.command][1](args)
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code

@@ -53,8 +53,6 @@ class WordClassMap:
             raise DataError(
                 f"{path}: unexpected section(s) {', '.join(sorted(unknown))}"
             )
-        if not sections["content"]:
-            raise DataError(f"{path}: [content] section lists no tags")
         return cls(frozenset(sections["content"]))
 
     def is_content(self, tag: str) -> bool:

@@ -98,11 +98,13 @@ def read_tsv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
 def read_section_file(path: str) -> dict[str, list[str]]:
     """Parse a section config file: [name] headers, one token per line.
 
-    Blank lines and lines starting with # are ignored. Tokens may not contain
-    whitespace, duplicate section names are rejected, and tokens before any
-    section header are an error.
+    Blank lines and lines starting with # are ignored. A DataError names the
+    file and the line of a token with whitespace, a token before any section
+    header, an empty or duplicate section name, and a section that lists no
+    tokens; a file without sections is refused too.
     """
     sections: dict[str, list[str]] = {}
+    header_lines: dict[str, int] = {}
     current: str | None = None
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, 1):
@@ -116,6 +118,7 @@ def read_section_file(path: str) -> dict[str, list[str]]:
                 if name in sections:
                     raise DataError(f"{path}: line {line_no}: duplicate section [{name}]")
                 sections[name] = []
+                header_lines[name] = line_no
                 current = name
                 continue
             if current is None:
@@ -123,4 +126,9 @@ def read_section_file(path: str) -> dict[str, list[str]]:
             if len(line.split()) != 1:
                 raise DataError(f"{path}: line {line_no}: expected one token per line")
             sections[current].append(line)
+    if not sections:
+        raise DataError(f"{path}: no [section] headers")
+    for name, tokens in sections.items():
+        if not tokens:
+            raise DataError(f"{path}: line {header_lines[name]}: section [{name}] lists no tokens")
     return sections

@@ -51,7 +51,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, count, islice, repeat
-from operator import add, floordiv, ge, lt, mod, mul, ne, not_
+from operator import add, floordiv, ge, mod, mul, ne
 from types import MappingProxyType
 from typing import BinaryIO, NamedTuple
 
@@ -105,37 +105,22 @@ class NGramModel:
         train_token_count: int | None = None,
         discounts: Sequence[float] | None = None,
     ):
-        if not 1 <= order <= _MAX_ORDER:
-            raise ValueError(f"order must be in 1..{_MAX_ORDER}, got {order}")
+        """Raise ValueError on a bad-length or unknown-id n-gram, or as _check_model does."""
+        _check_order(order)
         tokens = tuple(tokens)
-        _check_vocabulary(tokens)
         vocab_size = len(tokens)
         lp, bo = _empty_tables(order)
-        for gram, value in logprobs.items():
-            if not 1 <= len(gram) <= order:
-                raise ValueError(f"n-gram {gram} longer than order {order}")
-            if any(not 0 <= i < vocab_size for i in gram):
-                raise ValueError(f"n-gram {gram} has an out-of-range token id")
-            if not value <= 0.0 or math.isinf(value):
-                raise ValueError(f"log-probability for {gram} must be finite and <= 0")
-            lp[len(gram)][_pack(gram, vocab_size)] = value
-        for ctx, weight in (backoffs or {}).items():
-            if not 1 <= len(ctx) <= order - 1:
-                raise ValueError(f"backoff context {ctx} must have 1..order-1 ids")
-            if any(not 0 <= i < vocab_size for i in ctx):
-                raise ValueError(f"backoff context {ctx} has an out-of-range token id")
-            if not math.isfinite(weight):
-                raise ValueError(f"backoff weight for {ctx} must be finite")
-            bo[len(ctx)][_pack(ctx, vocab_size)] = weight
-        _check_unigrams(vocab_size, lp[1])
-        if train_token_count is not None and not (
-            isinstance(train_token_count, int) and 0 <= train_token_count < 1 << 64
+        for tables, grams, top, what in (
+            (lp, logprobs, order, "n-gram"),
+            (bo, backoffs or {}, order - 1, "backoff context"),
         ):
-            raise ValueError("train_token_count must be an int in 0..2**64-1")
-        if discounts is not None and not (
-            len(discounts) == order and all(map(math.isfinite, discounts))
-        ):
-            raise ValueError(f"discounts must be {order} finite values, one per order")
+            for gram, value in grams.items():
+                if not 1 <= len(gram) <= top:
+                    raise ValueError(f"{what} {gram} does not fit order {order}")
+                if any(not 0 <= i < vocab_size for i in gram):
+                    raise ValueError(f"{what} {gram}: token id out of range")
+                tables[len(gram)][_pack(gram, vocab_size)] = value
+        _check_model(tokens, lp, bo, train_token_count, discounts)
         self._adopt(order, tokens, lp, bo, train_token_count, discounts)
 
     @classmethod
@@ -201,8 +186,7 @@ class NGramModel:
         Tokens seen fewer than min_count times are masked to <unk>. The
         corpus iterable is materialized internally (two logical passes).
         """
-        if not 1 <= order <= _MAX_ORDER:
-            raise ValueError(f"order must be in 1..{_MAX_ORDER}, got {order}")
+        _check_order(order)
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
 
@@ -378,19 +362,13 @@ class NGramModel:
         """Read a model file of format 2, or of format 1; scoring is reproduced exactly.
 
         Every length and count is checked against the bytes left before
-        anything is read, and each table is checked column by column in C;
-        the offending row is looked for only to report it. Loading raises
-        FormatError on a bad magic or version, an order outside 1..6, a token
-        that is not UTF-8, a vocabulary that does not start with the reserved
-        symbols or repeats a token, a table whose n-grams are not strictly
-        increasing (a repeated or out-of-order row), a token id outside the
-        vocabulary, a log-probability that is NaN or above 0, a backoff
-        weight that is NaN or infinite, a missing unigram, probability mass
-        on "<s>", and on truncation or trailing bytes. Format 2 also rejects
-        an infinite log-probability and training metadata that is not
-        finite or is set but flagged absent; format 1 a backoff weight on a
-        full-order row. Format-1 files carry no training metadata, so their
-        models have None there.
+        anything is read. FormatError names the file and a framing fault: a
+        bad magic or version, a token that is not UTF-8, a table whose keys
+        repeat, go back or name an id outside the vocabulary, truncation or
+        trailing bytes; in format 2 unknown metadata flags or metadata set
+        but flagged absent; in format 1 a backoff weight on a full-order row.
+        The order, then the model, must pass _check_order and _check_model.
+        Format-1 files carry no training metadata, so their models have None.
         """
         with open(path, "rb") as handle:
             reader = _Reader(handle, path)
@@ -402,34 +380,28 @@ class NGramModel:
                     f"format version {version} not supported "
                     f"(this build reads versions 1 and {MODEL_FORMAT_VERSION})"
                 )
-            if not 1 <= order <= _MAX_ORDER:
-                raise reader.fail(f"order {order} out of range 1..{_MAX_ORDER}")
-            base = reader.count("vocabulary size")
-            if base > reader.left // 4:  # each token has a 4-byte length
-                raise reader.fail("truncated while reading the vocabulary")
-            tokens = []
-            for i in range(base):
-                raw = reader.take(reader.count(f"token {i} length"), f"token {i}")
-                try:
-                    tokens.append(str(raw, "utf-8"))
-                except UnicodeDecodeError as exc:
-                    raise reader.fail(f"token {i} is not valid UTF-8") from exc
             try:
-                _check_vocabulary(tokens)
+                _check_order(order)
+                base = reader.count("vocabulary size")
+                if base > reader.left // 4:  # each token has a 4-byte length
+                    raise reader.fail("truncated while reading the vocabulary")
+                tokens = []
+                for i in range(base):
+                    raw = reader.take(reader.count(f"token {i} length"), f"token {i}")
+                    try:
+                        tokens.append(str(raw, "utf-8"))
+                    except UnicodeDecodeError as exc:
+                        raise reader.fail(f"token {i} is not valid UTF-8") from exc
+                reader.base = base
+                lp, bo = _empty_tables(order)
+                read = _read_v1 if version == 1 else _read_v2
+                meta = read(reader, order, lp, bo)
+                if reader.left:
+                    raise reader.fail("trailing bytes after the last table")
+                _check_model(tokens, lp, bo, *meta)
             except ValueError as exc:
                 raise reader.fail(str(exc)) from exc
-
-            reader.base = base
-            lp, bo = _empty_tables(order)
-            read = _read_v1 if version == 1 else _read_v2
-            meta = read(reader, order, lp, bo)
-            if reader.left:
-                raise reader.fail("trailing bytes after the last table")
-            try:
-                _check_unigrams(base, lp[1])
-            except ValueError as exc:
-                raise reader.fail(f"inconsistent tables: {exc}") from exc
-            return cls._trusted(order, tokens, lp, bo, *meta)
+        return cls._trusted(order, tokens, lp, bo, *meta)
 
 
 def _walk(levels: Sequence[tuple], base: int, history: int, wid: int) -> float:
@@ -489,28 +461,12 @@ class _Reader:
         items.fromfile(self.handle, self.room(n * items.itemsize, what) // items.itemsize)
         return _little(items).tolist()
 
-    def check(
-        self,
-        k: int,
-        table: str,
-        keys: Sequence[int],
-        column: Sequence,
-        ok: Iterable[bool],
-        problem: str,
-    ) -> None:
-        """Raise FormatError naming the first row of an order-k table whose ok flag is false.
-
-        problem may show the row's value in column as {}.
-        """
-        row = next(compress(count(), map(not_, ok)), None)
-        if row is not None:
-            gram = _ids(keys[row], k, self.base)
-            raise self.fail(f"{table}, row {row + 1} {gram}: " + problem.format(column[row]))
-
     def check_increasing(self, k: int, table: str, keys: Sequence[int]) -> None:
         """No key repeats or comes before the key of the row above it."""
-        ok = chain((True,), map(lt, keys, islice(keys, 1, None)))
-        self.check(k, table, keys, keys, ok, "not after the row before it")
+        row = next(compress(count(1), map(ge, keys, islice(keys, 1, None))), None)
+        if row is not None:
+            gram = _ids(keys[row], k, self.base)
+            raise self.fail(f"{table}, row {row + 1} {gram}: not after the row before it")
 
 
 def _read_v2(
@@ -519,33 +475,29 @@ def _read_v2(
     """Fill lp and bo from format-2 tables; return (token count, discounts)."""
     flags, token_count = _META.unpack(reader.take(_META.size, "metadata"))
     raw = reader.take(8 * order, "discounts")
-    discounts = struct.unpack(f"<{order}d", raw)
     if flags & ~(_HAS_COUNT | _HAS_DISCOUNTS):
         raise reader.fail(f"unknown metadata flags {flags}")
     if not flags & _HAS_COUNT and token_count:
         raise reader.fail("token count set but flagged absent")
     if not flags & _HAS_DISCOUNTS and any(raw):
         raise reader.fail("discounts set but flagged absent")
-    if not all(map(math.isfinite, discounts)):
-        raise reader.fail(f"discounts {discounts} are not all finite")
     for k in range(1, order + 1):
         _read_table(reader, k, "events", lp[k])
         if k < order:
             _read_table(reader, k, "contexts", bo[k])
     return (
         token_count if flags & _HAS_COUNT else None,
-        discounts if flags & _HAS_DISCOUNTS else None,
+        struct.unpack(f"<{order}d", raw) if flags & _HAS_DISCOUNTS else None,
     )
 
 
 def _read_table(reader: _Reader, k: int, what: str, into: dict[int, float]) -> None:
     """Read one format-2 table, "events" or "contexts", into an empty dict.
 
-    Each check is one C-level pass over a column; a failing one is redone
-    row by row to name the row. Keys strictly increase when the dict holds
-    every row and the key column is its own sorted copy; then the last key
-    is the largest and must be below V**k. Event log-probabilities are
-    finite and <= 0, backoff weights finite.
+    Only what the file alone knows is checked here, one C-level pass each:
+    keys strictly increase when the dict holds every row and the key column
+    is its own sorted copy, and then the last key is the largest and must be
+    below V**k. A failing check is redone row by row to name the row.
     """
     table = f"order-{k} {what} table"
     n = reader.count(f"{table} row count")
@@ -556,20 +508,12 @@ def _read_table(reader: _Reader, k: int, what: str, into: dict[int, float]) -> N
     else:
         grams = struct.Struct(f"{width}s").iter_unpack(reader.take(n * width, table))
         keys = list(map(int.from_bytes, chain.from_iterable(grams), repeat("big")))
-    values = reader.column("d", n, table)
-    into.update(zip(keys, values))
+    into.update(zip(keys, reader.column("d", n, table)))
     if len(into) != n or keys != sorted(keys):
         reader.check_increasing(k, table, keys)
     if keys and keys[-1] >= span:
         gram = _ids(keys[-1], k, reader.base)
         raise reader.fail(f"{table}, row {n} {gram}: token id out of range")
-    if what == "contexts":
-        if not all(map(math.isfinite, values)):
-            ok = map(math.isfinite, values)
-            reader.check(k, table, keys, values, ok, "backoff weight {} is not finite")
-    elif not (all(map(math.isfinite, values)) and max(values, default=0.0) <= 0.0):
-        ok = (-math.inf < x <= 0.0 for x in values)
-        reader.check(k, table, keys, values, ok, "log-probability {} is not finite and <= 0")
 
 
 def _read_v1(reader: _Reader, order: int, lp: _Tables, bo: _Tables) -> tuple[None, None]:
@@ -580,7 +524,7 @@ def _read_v1(reader: _Reader, order: int, lp: _Tables, bo: _Tables) -> tuple[Non
         n = reader.count(f"{table} row count")
         rows = struct.Struct(f"<{k}Idd").iter_unpack(reader.take(n * (4 * k + 16), table))
         *ids, logprobs, weights = list(zip(*rows)) or [()] * (k + 2)
-        if n and max(map(max, ids)) >= base:
+        if n and max(map(max, ids)) >= base:  # checked per id: the key could alias
             row = next(compress(count(1), (max(gram) >= base for gram in zip(*ids))))
             gram = tuple(column[row - 1] for column in ids)
             raise reader.fail(f"{table}, row {row} {gram}: token id out of range")
@@ -589,14 +533,11 @@ def _read_v1(reader: _Reader, order: int, lp: _Tables, bo: _Tables) -> tuple[Non
             keys = map(add, map(mul, keys, repeat(base)), column)
         keys = list(keys)
         reader.check_increasing(k, table, keys)
+        if k == order and any(weights):
+            row = next(compress(count(), weights))
+            problem = f"backoff weight {weights[row]} on a full-order row"
+            raise reader.fail(f"{table}, row {row + 1} {_ids(keys[row], k, base)}: {problem}")
         # -inf marks a row that only carries a context's backoff weight
-        ok = map(ge, repeat(0.0), logprobs)
-        reader.check(k, table, keys, logprobs, ok, "log-probability {} is not <= 0")
-        ok = map(math.isfinite, weights)
-        reader.check(k, table, keys, weights, ok, "backoff weight {} is not finite")
-        if k == order:
-            ok = map(not_, weights)
-            reader.check(k, table, keys, weights, ok, "backoff weight {} on a full-order row")
         lp[k].update(compress(zip(keys, logprobs), map(ne, logprobs, repeat(_NO_PROB))))
         if k < order:
             bo[k].update(compress(zip(keys, weights), weights))
@@ -658,20 +599,61 @@ def _decode(tables: _Tables, base: int) -> dict[tuple[int, ...], float]:
     return out
 
 
-def _check_vocabulary(tokens: Sequence[str]) -> None:
+def _check_order(order: int) -> None:
+    if not 1 <= order <= _MAX_ORDER:
+        raise ValueError(f"order must be in 1..{_MAX_ORDER}, got {order}")
+
+
+def _check_model(
+    tokens: Sequence[str],
+    lp: _Tables,
+    bo: _Tables,
+    train_token_count: int | None,
+    discounts: Sequence[float] | None,
+) -> None:
+    """Raise ValueError unless packed tables and metadata form a valid model.
+
+    lp and bo are tables as _trusted takes them, of a checked order, whose
+    keys are known to be n-grams of ids below len(tokens). The faults, each
+    named in the message (a table fault with its table and n-gram, as in
+    "order-2 events (3, 2): log-probability nan is not finite and <= 0"):
+    - a vocabulary that does not start with <unk> <s> </s>, or repeats a token;
+    - an event log-probability that is NaN, infinite or above 0;
+    - a backoff weight that is NaN or infinite;
+    - an id other than <s> without a unigram, or a unigram for <s>;
+    - a token count that is not an int in 0..2**64-1;
+    - discounts that are not one finite value per order.
+    Each value check is one C-level pass per table; a failing table is
+    searched only to name the n-gram.
+    """
     if tuple(tokens[:3]) != RESERVED:
         raise ValueError(f"vocabulary must start with {RESERVED}")
     if len(set(tokens)) != len(tokens):
         raise ValueError("duplicate token in vocabulary")
-
-
-def _check_unigrams(vocab_size: int, unigrams: Mapping[int, float]) -> None:
-    """Every id but <s> has a unigram; all keys are known to be ids < vocab_size."""
-    if BOS_ID in unigrams:
+    base, order = len(tokens), len(lp) - 1
+    for k in range(1, order + 1):
+        events, contexts = lp[k], bo[k]
+        if not all(map(math.isfinite, events.values())) or max(events.values(), default=0) > 0:
+            key, x = next(item for item in events.items() if not -math.inf < item[1] <= 0.0)
+            problem = f"log-probability {x} is not finite and <= 0"
+            raise ValueError(f"order-{k} events {_ids(key, k, base)}: {problem}")
+        if not all(map(math.isfinite, contexts.values())):
+            key, x = next(item for item in contexts.items() if not math.isfinite(item[1]))
+            problem = f"backoff weight {x} is not finite"
+            raise ValueError(f"order-{k} contexts {_ids(key, k, base)}: {problem}")
+    if BOS_ID in lp[1]:
         raise ValueError(f"{BOS} must not carry probability mass")
-    if len(unigrams) != vocab_size - 1:
-        missing = next(i for i in range(vocab_size) if i != BOS_ID and i not in unigrams)
+    if len(lp[1]) != base - 1:
+        missing = next(i for i in range(base) if i != BOS_ID and i not in lp[1])
         raise ValueError(f"missing unigram entry for token id {missing}")
+    if train_token_count is not None and not (
+        isinstance(train_token_count, int) and 0 <= train_token_count < 1 << 64
+    ):
+        raise ValueError(f"train_token_count {train_token_count!r} is not an int in 0..2**64-1")
+    if discounts is not None and not (
+        len(discounts) == order and all(map(math.isfinite, discounts))
+    ):
+        raise ValueError(f"discounts {tuple(discounts)} are not {order} finite values")
 
 
 def perplexity(model: NGramModel, corpus: Iterable[Sentence]) -> float:

@@ -1079,3 +1079,93 @@ def test_outputs_get_the_mode_open_would_give(corpus):
         "--output", str(report))
     assert stat.S_IMODE(model.stat().st_mode) == 0o644
     assert stat.S_IMODE(report.stat().st_mode) == 0o644
+
+
+_MERGE = ["merge-augment", "--authentic-source", "src.txt", "--authentic-target", "tgt.txt",
+          "--synthetic-source", "src.txt", "--synthetic-target", "tgt.txt"]
+_SPLIT = ["split-finetune", "--source", "src.txt", "--target", "tgt.txt",
+          "--selection", "selection.tsv", "--out-pretrain-target", "pre.tgt",
+          "--out-finetune-source", "fine.src", "--out-finetune-target", "fine.tgt"]
+
+
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["tag", "--source", "src.txt", "--target", "tgt.txt", "--records", "records.tsv",
+          "--out-source", "o.txt", "--out-target", "o.txt"], "--out-source", "--out-target"),
+        (_SPLIT + ["--out-pretrain-source", "m.tsv", "--manifest", "m.tsv"],
+         "--out-pretrain-source", "--manifest"),
+        (_MERGE + ["--out-source", "m.src", "--out-target", "./sub/../m.tgt", "--manifest",
+                   "m.tgt"], "--out-target", "--manifest"),
+    ],
+    ids=["tag", "split-finetune", "merge-augment"],
+)
+def test_two_outputs_naming_one_file_are_a_usage_error(
+    corpus, monkeypatch, capsys, argv, first, second
+):
+    monkeypatch.chdir(corpus)
+    (corpus / "records.tsv").write_text("line_no\tscore\tlabel\n1\t1.0\tS\n", encoding="utf-8")
+    (corpus / "selection.tsv").write_text("line_no\tgroup\n1\tmost_source\n", encoding="utf-8")
+    before = sorted(os.listdir(corpus))
+    assert main(argv) == 1
+    assert f"{first} and {second} both name the file" in capsys.readouterr().err
+    assert sorted(os.listdir(corpus)) == before
+
+
+def test_an_output_may_overwrite_an_input(corpus, monkeypatch):
+    monkeypatch.chdir(corpus)
+    expected = (corpus / "tgt.txt").read_bytes() * 2
+    argv = _MERGE + ["--out-source", "m.src", "--out-target", "tgt.txt", "--manifest", "-"]
+    assert main(argv) == 0
+    assert (corpus / "tgt.txt").read_bytes() == expected
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_an_empty_tag_token_is_a_usage_error(corpus, monkeypatch, how):
+    monkeypatch.chdir(corpus)
+    if how == "flag":
+        extra = ["--tag-token", ""]
+    else:
+        (corpus / "run.cfg").write_text("tag_token =\n", encoding="utf-8")
+        extra = ["--config", "run.cfg"]
+    (corpus / "records.tsv").write_text("line_no\tscore\tlabel\n1\t1.0\tS\n", encoding="utf-8")
+    before = sorted(os.listdir(corpus))
+    argv = _MERGE + ["--out-source", "m.src", "--out-target", "m.tgt", "--manifest", "m.tsv"]
+    assert main(argv + extra) == 1
+    argv = ["tag", "--source", "src.txt", "--target", "tgt.txt", "--records", "records.tsv",
+            "--out-source", "t.src", "--out-target", "t.tgt"]
+    assert main(argv + extra) == 1
+    assert sorted(os.listdir(corpus)) == before
+
+
+_SECTION_FAULTS = {
+    "empty section": ("[a]\nNOUN\n# b is empty\n[b]\n", "line 4: section [b] lists no tokens"),
+    "empty file": ("", "no [section] headers"),
+    "token before a header": ("NOUN\n[a]\nVERB\n", "line 1: token before any [section] header"),
+    "two tokens on a line": ("[a]\nNOUN VERB\n", "line 2: expected one token per line"),
+}
+_FMEASURE = ["fmeasure", "--hyp", "src.txt", "--ref", "tgt.txt", "--ref-pos", "pos.txt",
+             "--buckets"]
+_WORD_CLASSES = ["jsdiv", "--source", "src.txt", "--target", "tgt.txt", "--side", "source",
+                 "--source-pos", "pos.txt", "--split", "split.tsv", "--word-classes"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, problem",
+    [(_FMEASURE, *fault) for fault in _SECTION_FAULTS.values()]
+    + [(_WORD_CLASSES, *fault) for fault in _SECTION_FAULTS.values()]
+    + [(_WORD_CLASSES, "[content]\nNOUN\n[other]\nDET\n", "unexpected section(s) other")],
+    ids=[f"fmeasure {case}" for case in _SECTION_FAULTS]
+    + [f"jsdiv {case}" for case in _SECTION_FAULTS]
+    + ["jsdiv unknown section"],
+)
+def test_bad_section_files_are_data_errors_naming_the_file(
+    corpus, monkeypatch, capsys, argv, text, problem
+):
+    monkeypatch.chdir(corpus)
+    (corpus / "pos.txt").write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
+    (corpus / "split.tsv").write_text("line_no\tgroup\n1\ta\n2\ta\n3\tb\n4\tb\n", encoding="utf-8")
+    (corpus / "sections.txt").write_text(text, encoding="utf-8")
+    assert main(argv + ["sections.txt", "--output", "out.tsv"]) == 2
+    assert f"sections.txt: {problem}" in capsys.readouterr().err
+    assert not (corpus / "out.tsv").exists()

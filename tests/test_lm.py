@@ -350,6 +350,98 @@ def test_load_rejects_invalid_models(tmp_path, case):
         NGramModel.load(str(path))
 
 
+def _encode_v2(order, tokens, tables, discounts=None):
+    """Format-2 bytes of _encode's rows: every row is an event, and a row below the
+    top order with a backoff weight is also a context; u64 keys only."""
+    out = bytearray(_encode(order, tokens, [], version=2))
+    out += struct.pack("<BQ", 0 if discounts is None else 2, 0)
+    out += struct.pack(f"<{order}d", *discounts or [0.0] * order)
+
+    def packed(gram):  # the ids as base-V digits, oldest most significant
+        return sum(i * len(tokens) ** e for e, i in enumerate(reversed(gram)))
+
+    for k, rows in enumerate(tables, 1):
+        events = sorted((packed(gram), logprob) for gram, logprob, _ in rows)
+        contexts = sorted((packed(gram), backoff) for gram, _, backoff in rows if backoff)
+        for table in [events, contexts] if k < order else [events]:
+            out += struct.pack(f"<I{len(table)}Q", len(table), *(key for key, _ in table))
+            out += struct.pack(f"<{len(table)}d", *(value for _, value in table))
+    return bytes(out)
+
+
+def _construct(order, tokens, tables, **meta):
+    logprobs = {gram: logprob for rows in tables for gram, logprob, _ in rows}
+    backoffs = {gram: backoff for rows in tables for gram, _, backoff in rows if backoff}
+    return NGramModel(order, tokens, logprobs, backoffs, **meta)
+
+
+def test_format_2_encoder_matches_save(tmp_path):
+    rows = [_UNIGRAMS, _BIGRAMS]
+    model = _construct(2, _VOCAB, rows, discounts=(0.5, 0.25))
+    model.save(str(tmp_path / "m.lm"))
+    assert (tmp_path / "m.lm").read_bytes() == _encode_v2(2, _VOCAB, rows, (0.5, 0.25))
+
+
+_TABLE_FAULTS = [
+    "nan backoff", "inf backoff", "-inf backoff", "nan logprob", "inf logprob",
+    "positive logprob", "id beyond vocabulary", "missing unigram", "mass on <s>",
+]
+# vocabulary faults, with tables that have no other fault (no top-order backoff)
+_PLAIN_UNIGRAMS = [((0,), _THIRD, 0.0), ((2,), _THIRD, 0.0), ((3,), _THIRD, 0.0)]
+_VOCABULARY_FAULTS = {
+    "reserved symbols out of place": (1, (UNK, EOS, BOS, "a"), [_PLAIN_UNIGRAMS]),
+    "repeated token": (1, _VOCAB + ("a",), [_PLAIN_UNIGRAMS + [((4,), _THIRD, 0.0)]]),
+}
+_REJECTED_THREE_WAYS = {
+    **{case: _REJECTED[case] for case in _TABLE_FAULTS},
+    **_VOCABULARY_FAULTS,
+    "too-long n-gram": (2, _VOCAB, [_UNIGRAMS, _BIGRAMS, [((3, 2, 0), _HALF, 0.0)]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_THREE_WAYS))
+def test_constructor_and_both_formats_reject_the_same_faults(tmp_path, case):
+    """One definition of a valid model: each way in refuses it, with the same problem text.
+
+    Rows go in key order, so that no format-1 file fails on row order instead.
+    """
+    order, tokens, tables = _REJECTED_THREE_WAYS[case]
+    tables = [sorted(rows) for rows in tables]
+    with pytest.raises(ValueError) as built:
+        _construct(order, tokens, tables)
+    problems = [str(built.value)]
+    for version, encode in [(1, _encode), (2, _encode_v2)]:
+        path = tmp_path / f"v{version}.lm"
+        path.write_bytes(encode(order, tokens, tables))
+        with pytest.raises(FormatError) as loaded:
+            NGramModel.load(str(path))
+        assert str(loaded.value).startswith(f"{path}: ")
+        problems.append(str(loaded.value))
+    if case != "too-long n-gram":  # which is trailing bytes to a file
+        assert len({problem.rsplit(": ", 1)[-1] for problem in problems}) == 1, problems
+
+
+@pytest.mark.parametrize("discounts", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)])
+def test_constructor_and_format_2_reject_the_same_discounts(tmp_path, discounts):
+    with pytest.raises(ValueError) as built:
+        _construct(2, _VOCAB, [_UNIGRAMS, _BIGRAMS], discounts=discounts)
+    path = tmp_path / "m.lm"
+    path.write_bytes(_encode_v2(2, _VOCAB, [_UNIGRAMS, _BIGRAMS], discounts))
+    with pytest.raises(FormatError) as loaded:
+        NGramModel.load(str(path))
+    assert str(loaded.value) == f"{path}: {built.value}"
+
+
+def test_value_faults_name_the_table_and_the_n_gram(tmp_path):
+    path = tmp_path / "m.lm"
+    path.write_bytes(_encode_v2(*_REJECTED["nan logprob"]))
+    with pytest.raises(FormatError) as err:
+        NGramModel.load(str(path))
+    assert str(err.value) == (
+        f"{path}: order-2 events (3, 2): log-probability nan is not finite and <= 0"
+    )
+
+
 # format-1 unigram rows that repeat or go back; the last row is at -5.0
 _UNORDERED = {
     "out of order": ([0, 3, 2, 3], "row 3 (2,)"),
