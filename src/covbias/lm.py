@@ -74,10 +74,6 @@ _META = struct.Struct("<BQ")  # flags, training token count; the discounts follo
 _HAS_COUNT, _HAS_DISCOUNTS = 1, 2
 _SWAP = sys.byteorder == "big"  # file columns are little-endian
 
-# Log-probability of a format-1 row that exists only to carry a context's
-# backoff weight (real event probabilities are always finite and negative).
-_NO_PROB = -math.inf
-
 _Tables = tuple[dict[int, float], ...]
 
 
@@ -367,7 +363,8 @@ class NGramModel:
         repeat, go back or name an id outside the vocabulary, truncation or
         trailing bytes; in format 2 unknown metadata flags or metadata set
         but flagged absent; in format 1 a backoff weight on a full-order row.
-        The order, then the model, must pass _check_order and _check_model.
+        The order, the vocabulary and then the model must pass _check_order,
+        _check_vocabulary and _check_model.
         Format-1 files carry no training metadata, so their models have None.
         """
         with open(path, "rb") as handle:
@@ -392,6 +389,7 @@ class NGramModel:
                         tokens.append(str(raw, "utf-8"))
                     except UnicodeDecodeError as exc:
                         raise reader.fail(f"token {i} is not valid UTF-8") from exc
+                _check_vocabulary(tokens)
                 reader.base = base
                 lp, bo = _empty_tables(order)
                 read = _read_v1 if version == 1 else _read_v2
@@ -538,7 +536,7 @@ def _read_v1(reader: _Reader, order: int, lp: _Tables, bo: _Tables) -> tuple[Non
             problem = f"backoff weight {weights[row]} on a full-order row"
             raise reader.fail(f"{table}, row {row + 1} {_ids(keys[row], k, base)}: {problem}")
         # -inf marks a row that only carries a context's backoff weight
-        lp[k].update(compress(zip(keys, logprobs), map(ne, logprobs, repeat(_NO_PROB))))
+        lp[k].update(compress(zip(keys, logprobs), map(ne, logprobs, repeat(-math.inf))))
         if k < order:
             bo[k].update(compress(zip(keys, weights), weights))
     return None, None
@@ -604,6 +602,13 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be in 1..{_MAX_ORDER}, got {order}")
 
 
+def _check_vocabulary(tokens: Sequence[str]) -> None:
+    if tuple(tokens[:3]) != RESERVED:
+        raise ValueError(f"vocabulary must start with {RESERVED}")
+    if len(set(tokens)) != len(tokens):
+        raise ValueError("duplicate token in vocabulary")
+
+
 def _check_model(
     tokens: Sequence[str],
     lp: _Tables,
@@ -626,10 +631,7 @@ def _check_model(
     Each value check is one C-level pass per table; a failing table is
     searched only to name the n-gram.
     """
-    if tuple(tokens[:3]) != RESERVED:
-        raise ValueError(f"vocabulary must start with {RESERVED}")
-    if len(set(tokens)) != len(tokens):
-        raise ValueError("duplicate token in vocabulary")
+    _check_vocabulary(tokens)
     base, order = len(tokens), len(lp) - 1
     for k in range(1, order + 1):
         events, contexts = lp[k], bo[k]

@@ -395,7 +395,12 @@ _VOCABULARY_FAULTS = {
 _REJECTED_THREE_WAYS = {
     **{case: _REJECTED[case] for case in _TABLE_FAULTS},
     **_VOCABULARY_FAULTS,
-    "too-long n-gram": (2, _VOCAB, [_UNIGRAMS, _BIGRAMS, [((3, 2, 0), _HALF, 0.0)]]),
+}
+# the whole message of some faults, as the constructor raises it
+_PROBLEMS = {
+    "nan logprob": "order-2 events (3, 2): log-probability nan is not finite and <= 0",
+    "nan backoff": "order-1 contexts (3,): backoff weight nan is not finite",
+    "reserved symbols out of place": "vocabulary must start with ('<unk>', '<s>', '</s>')",
 }
 
 
@@ -417,8 +422,25 @@ def test_constructor_and_both_formats_reject_the_same_faults(tmp_path, case):
             NGramModel.load(str(path))
         assert str(loaded.value).startswith(f"{path}: ")
         problems.append(str(loaded.value))
-    if case != "too-long n-gram":  # which is trailing bytes to a file
-        assert len({problem.rsplit(": ", 1)[-1] for problem in problems}) == 1, problems
+    assert len({problem.rsplit(": ", 1)[-1] for problem in problems}) == 1, problems
+    if case in _PROBLEMS:  # a value fault also names the same n-gram every way in
+        assert problems == [_PROBLEMS[case]] + [
+            f"{tmp_path / f'v{version}.lm'}: {_PROBLEMS[case]}" for version in (1, 2)
+        ]
+
+
+def test_constructor_rejects_a_too_long_n_gram():
+    with pytest.raises(ValueError, match=r"n-gram \(3, 2, 0\) does not fit order 2"):
+        _construct(2, _VOCAB, [_UNIGRAMS, _BIGRAMS, [((3, 2, 0), _HALF, 0.0)]])
+
+
+def test_load_checks_the_vocabulary_before_the_tables(tmp_path):
+    """An empty vocabulary is refused before an order-2 row is decoded with V = 0."""
+    path = tmp_path / "m.lm"
+    path.write_bytes(_encode_v2(2, (), [[], [((0, 0), _HALF, 0.0)]]))
+    with pytest.raises(FormatError) as err:
+        NGramModel.load(str(path))
+    assert str(err.value) == f"{path}: vocabulary must start with {(UNK, BOS, EOS)}"
 
 
 @pytest.mark.parametrize("discounts", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)])
@@ -430,16 +452,6 @@ def test_constructor_and_format_2_reject_the_same_discounts(tmp_path, discounts)
     with pytest.raises(FormatError) as loaded:
         NGramModel.load(str(path))
     assert str(loaded.value) == f"{path}: {built.value}"
-
-
-def test_value_faults_name_the_table_and_the_n_gram(tmp_path):
-    path = tmp_path / "m.lm"
-    path.write_bytes(_encode_v2(*_REJECTED["nan logprob"]))
-    with pytest.raises(FormatError) as err:
-        NGramModel.load(str(path))
-    assert str(err.value) == (
-        f"{path}: order-2 events (3, 2): log-probability nan is not finite and <= 0"
-    )
 
 
 # format-1 unigram rows that repeat or go back; the last row is at -5.0
