@@ -35,10 +35,7 @@ the flag is clear. Then for k = 1..order come the order-k events table and,
 for k < order, the order-k contexts table. A table is a u32 row count, a
 column of strictly increasing keys and a column of f64 values
 (log-probabilities or backoff weights). Keys are u64 when V**k <= 2**64 and
-otherwise big-endian, in the fewest bytes that hold V**k - 1. Format 1 is
-read, not written: no metadata, and one table per order whose rows are k u32
-ids, an f64 log-probability (-inf on context-only rows) and an f64 backoff
-weight (0 for none).
+otherwise big-endian, in the fewest bytes that hold V**k - 1.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, count, islice, repeat
-from operator import add, floordiv, ge, mod, mul, ne
+from operator import floordiv, ge, mod
 from types import MappingProxyType
 from typing import BinaryIO, NamedTuple
 
@@ -355,27 +352,25 @@ class NGramModel:
 
     @classmethod
     def load(cls, path: str) -> "NGramModel":
-        """Read a model file of format 2, or of format 1; scoring is reproduced exactly.
+        """Read a model file of the current format; scoring is reproduced exactly.
 
         Every length and count is checked against the bytes left before
         anything is read. FormatError names the file and a framing fault: a
         bad magic or version, a token that is not UTF-8, a table whose keys
-        repeat, go back or name an id outside the vocabulary, truncation or
-        trailing bytes; in format 2 unknown metadata flags or metadata set
-        but flagged absent; in format 1 a backoff weight on a full-order row.
-        The order, the vocabulary and then the model must pass _check_order,
-        _check_vocabulary and _check_model.
-        Format-1 files carry no training metadata, so their models have None.
+        repeat, go back or name an id outside the vocabulary, truncation,
+        trailing bytes, unknown metadata flags or metadata set but flagged
+        absent. The order, the vocabulary and then the model must pass
+        _check_order, _check_vocabulary and _check_model.
         """
         with open(path, "rb") as handle:
             reader = _Reader(handle, path)
             if reader.take(4, "magic") != _MAGIC:
                 raise reader.fail("bad magic, not a model file")
             version, order = _VERSION_ORDER.unpack(reader.take(4, "header"))
-            if version not in (1, MODEL_FORMAT_VERSION):
+            if version != MODEL_FORMAT_VERSION:
                 raise reader.fail(
                     f"format version {version} not supported "
-                    f"(this build reads versions 1 and {MODEL_FORMAT_VERSION})"
+                    f"(this build reads version {MODEL_FORMAT_VERSION})"
                 )
             try:
                 _check_order(order)
@@ -392,8 +387,7 @@ class NGramModel:
                 _check_vocabulary(tokens)
                 reader.base = base
                 lp, bo = _empty_tables(order)
-                read = _read_v1 if version == 1 else _read_v2
-                meta = read(reader, order, lp, bo)
+                meta = _read_v2(reader, order, lp, bo)
                 if reader.left:
                     raise reader.fail("trailing bytes after the last table")
                 _check_model(tokens, lp, bo, *meta)
@@ -459,13 +453,6 @@ class _Reader:
         items.fromfile(self.handle, self.room(n * items.itemsize, what) // items.itemsize)
         return _little(items).tolist()
 
-    def check_increasing(self, k: int, table: str, keys: Sequence[int]) -> None:
-        """No key repeats or comes before the key of the row above it."""
-        row = next(compress(count(1), map(ge, keys, islice(keys, 1, None))), None)
-        if row is not None:
-            gram = _ids(keys[row], k, self.base)
-            raise self.fail(f"{table}, row {row + 1} {gram}: not after the row before it")
-
 
 def _read_v2(
     reader: _Reader, order: int, lp: _Tables, bo: _Tables
@@ -508,38 +495,12 @@ def _read_table(reader: _Reader, k: int, what: str, into: dict[int, float]) -> N
         keys = list(map(int.from_bytes, chain.from_iterable(grams), repeat("big")))
     into.update(zip(keys, reader.column("d", n, table)))
     if len(into) != n or keys != sorted(keys):
-        reader.check_increasing(k, table, keys)
+        row = next(compress(count(1), map(ge, keys, islice(keys, 1, None))))
+        gram = _ids(keys[row], k, reader.base)
+        raise reader.fail(f"{table}, row {row + 1} {gram}: not after the row before it")
     if keys and keys[-1] >= span:
         gram = _ids(keys[-1], k, reader.base)
         raise reader.fail(f"{table}, row {n} {gram}: token id out of range")
-
-
-def _read_v1(reader: _Reader, order: int, lp: _Tables, bo: _Tables) -> tuple[None, None]:
-    """Fill lp and bo from format-1 tables, which carry no metadata."""
-    base = reader.base
-    for k in range(1, order + 1):
-        table = f"order-{k} table"
-        n = reader.count(f"{table} row count")
-        rows = struct.Struct(f"<{k}Idd").iter_unpack(reader.take(n * (4 * k + 16), table))
-        *ids, logprobs, weights = list(zip(*rows)) or [()] * (k + 2)
-        if n and max(map(max, ids)) >= base:  # checked per id: the key could alias
-            row = next(compress(count(1), (max(gram) >= base for gram in zip(*ids))))
-            gram = tuple(column[row - 1] for column in ids)
-            raise reader.fail(f"{table}, row {row} {gram}: token id out of range")
-        keys = ids[0]
-        for column in ids[1:]:
-            keys = map(add, map(mul, keys, repeat(base)), column)
-        keys = list(keys)
-        reader.check_increasing(k, table, keys)
-        if k == order and any(weights):
-            row = next(compress(count(), weights))
-            problem = f"backoff weight {weights[row]} on a full-order row"
-            raise reader.fail(f"{table}, row {row + 1} {_ids(keys[row], k, base)}: {problem}")
-        # -inf marks a row that only carries a context's backoff weight
-        lp[k].update(compress(zip(keys, logprobs), map(ne, logprobs, repeat(-math.inf))))
-        if k < order:
-            bo[k].update(compress(zip(keys, weights), weights))
-    return None, None
 
 
 def _key_width(span: int) -> int:

@@ -8,7 +8,6 @@ independent derivations of the same quantity.
 from __future__ import annotations
 
 import math
-import struct
 from collections import Counter
 
 
@@ -159,25 +158,3 @@ def tuple_word_logprob(order, token_ids, logprobs, backoffs, context, word):
     ids = tuple(token_ids.get(t, 0) for t in kept)
     return tuple_event_logprob(logprobs, backoffs, ids, token_ids.get(word, 0))
 
-
-def encode_v1(model):
-    """Format-1 model file bytes, built from the model's id-tuple views.
-
-    Little-endian: magic "NGLM", u16 version 1, u16 order, u32 vocabulary
-    size, each token as a u32 length and its UTF-8 bytes; then one table per
-    order k: a u32 row count and, in id-tuple order, one row per k-gram or
-    k-id context: k u32 ids, the f64 log-probability (-inf for a context that
-    is no n-gram) and the f64 backoff weight (0.0 for none).
-    """
-    logprobs, backoffs = dict(model.logprobs), dict(model.backoffs)
-    out = bytearray(b"NGLM" + struct.pack("<HHI", 1, model.order, len(model.id_to_token)))
-    for token in model.id_to_token:
-        raw = token.encode("utf-8")
-        out += struct.pack("<I", len(raw)) + raw
-    for k in range(1, model.order + 1):
-        grams = sorted(g for g in logprobs.keys() | backoffs.keys() if len(g) == k)
-        out += struct.pack("<I", len(grams))
-        for gram in grams:
-            logprob = logprobs.get(gram, -math.inf)
-            out += struct.pack(f"<{k}Idd", *gram, logprob, backoffs.get(gram, 0.0))
-    return bytes(out)

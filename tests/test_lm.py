@@ -19,7 +19,7 @@ from covbias import (
 )
 from covbias.cli import main as cli_main
 from covbias.lm import BOS, BOS_ID, EOS, UNK
-from oracles import encode_v1, tuple_sentence_logprob, tuple_word_logprob
+from oracles import tuple_sentence_logprob, tuple_word_logprob
 from synthbed import make_testbed
 
 # Hand-computed reference values, worked from the closed-form estimator
@@ -239,14 +239,28 @@ def test_load_rejects_bad_magic(tmp_path, model_bytes):
         NGramModel.load(str(path))
 
 
-def test_load_rejects_future_version(tmp_path, model_bytes):
+def _assert_perplexity_refuses(tmp_path, capsys, model, problem):
+    """`covbias perplexity` with this model exits 2, writes no output and names the problem."""
+    text, out = tmp_path / "in.txt", tmp_path / "ppl.tsv"
+    text.write_text("a\n", encoding="utf-8")
+    argv = ["perplexity", "--model", str(model), "--input", str(text), "--output", str(out)]
+    assert cli_main(argv) == 2
+    assert not out.exists()
+    assert f"{model}: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [1, MODEL_FORMAT_VERSION + 1])
+def test_load_rejects_other_format_versions(tmp_path, capsys, model_bytes, version):
+    """Only the current format loads: a version-1 model must be retrained."""
     raw = bytearray(model_bytes)
-    raw[4:6] = struct.pack("<H", MODEL_FORMAT_VERSION + 1)
-    path = tmp_path / "future.lm"
+    raw[4:6] = struct.pack("<H", version)
+    path = tmp_path / "other.lm"
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as err:
         NGramModel.load(str(path))
-    assert str(MODEL_FORMAT_VERSION + 1) in str(err.value)
+    problem = f"format version {version} not supported (this build reads version 2)"
+    assert str(err.value) == f"{path}: {problem}"
+    _assert_perplexity_refuses(tmp_path, capsys, path, problem)
 
 
 def test_load_rejects_truncation_and_trailing_bytes(tmp_path, model_bytes):
@@ -294,16 +308,37 @@ def test_trained_models_score_finitely_and_round_trip(tmp_path_factory, corpus, 
 # -- the model-file boundary ---------------------------------------------------
 
 
-def _encode(order, tokens, tables, version=1):
-    """Format-1 bytes built by hand: tables[k-1] lists (gram, logprob, backoff) rows."""
-    out = bytearray(b"NGLM" + struct.pack("<HHI", version, order, len(tokens)))
+def _encode_v2(order, tokens, tables, discounts=None):
+    """Format-2 bytes built by hand: tables[k-1] lists (gram, logprob, backoff) rows.
+
+    Every row is an event, and a row below the top order with a backoff weight
+    is also a context; each table goes in key order. A key column is u64 when
+    V**k <= 2**64 and otherwise big-endian in the fewest bytes that hold V**k - 1.
+    """
+    vocab_size = len(tokens)
+    out = bytearray(b"NGLM" + struct.pack("<HHI", 2, order, vocab_size))
     for token in tokens:
         raw = token if isinstance(token, bytes) else token.encode("utf-8")
         out += struct.pack("<I", len(raw)) + raw
+    out += struct.pack("<BQ", 0 if discounts is None else 2, 0)
+    out += struct.pack(f"<{order}d", *discounts or [0.0] * order)
+
+    def packed(gram):  # the ids as base-V digits, oldest most significant
+        return sum(i * vocab_size**e for e, i in enumerate(reversed(gram)))
+
     for k, rows in enumerate(tables, 1):
-        out += struct.pack("<I", len(rows))
-        for gram, logprob, backoff in rows:
-            out += struct.pack(f"<{k}Idd", *gram, logprob, backoff)
+        span = vocab_size**k
+        events = sorted((packed(gram), logprob) for gram, logprob, _ in rows)
+        contexts = sorted((packed(gram), backoff) for gram, _, backoff in rows if backoff)
+        for table in [events, contexts] if k < order else [events]:
+            keys = [key for key, _ in table]
+            out += struct.pack("<I", len(table))
+            if span <= 2**64:
+                out += struct.pack(f"<{len(keys)}Q", *keys)
+            else:
+                width = ((span - 1).bit_length() + 7) // 8
+                out += b"".join(key.to_bytes(width, "big") for key in keys)
+            out += struct.pack(f"<{len(table)}d", *(value for _, value in table))
     return bytes(out)
 
 
@@ -316,7 +351,7 @@ _BIGRAMS = [((3, 2), _HALF, 0.0)]
 
 def test_hand_encoded_model_loads(tmp_path):
     path = tmp_path / "ok.lm"
-    path.write_bytes(_encode(2, _VOCAB, [_UNIGRAMS, _BIGRAMS]))
+    path.write_bytes(_encode_v2(2, _VOCAB, [_UNIGRAMS, _BIGRAMS]))
     model = NGramModel.load(str(path))
     assert model.logprobs[(3, 2)] == _HALF
     assert dict(model.backoffs) == {(3,): -0.5}
@@ -333,7 +368,6 @@ _REJECTED = {
     "id beyond vocabulary": (2, _VOCAB, [_UNIGRAMS, [((3, 4), _HALF, 0.0)]]),
     "missing unigram": (2, _VOCAB, [_UNIGRAMS[:2], _BIGRAMS]),
     "mass on <s>": (2, _VOCAB, [_UNIGRAMS + [((1,), _THIRD, 0.0)], _BIGRAMS]),
-    "backoff on a full-order row": (2, _VOCAB, [_UNIGRAMS, [((3, 2), _HALF, -0.5)]]),
     "order 0": (0, _VOCAB, []),
     "order 7": (7, _VOCAB, [_UNIGRAMS] + [[]] * 6),
     "reserved symbols missing": (1, (UNK, EOS, BOS, "a"), [_UNIGRAMS]),
@@ -342,31 +376,36 @@ _REJECTED = {
 }
 
 
+# The problem each case is refused with, after the file name. A key names the
+# ids its base-V digits spell, so (3, 4) with V = 4 is read as (4, 0).
+_PROBLEMS = {
+    "nan backoff": "order-1 contexts (3,): backoff weight nan is not finite",
+    "inf backoff": "order-1 contexts (3,): backoff weight inf is not finite",
+    "-inf backoff": "order-1 contexts (3,): backoff weight -inf is not finite",
+    "nan logprob": "order-2 events (3, 2): log-probability nan is not finite and <= 0",
+    "inf logprob": "order-2 events (3, 2): log-probability inf is not finite and <= 0",
+    "positive logprob": "order-2 events (3, 2): log-probability 0.25 is not finite and <= 0",
+    "id beyond vocabulary": "order-2 events table, row 1 (4, 0): token id out of range",
+    "missing unigram": "missing unigram entry for token id 3",
+    "mass on <s>": "<s> must not carry probability mass",
+    "order 0": "order must be in 1..6, got 0",
+    "order 7": "order must be in 1..6, got 7",
+    "reserved symbols missing": "vocabulary must start with ('<unk>', '<s>', '</s>')",
+    "duplicate token": "duplicate token in vocabulary",
+    "token not UTF-8": "token 3 is not valid UTF-8",
+    # the vocabulary faults of the constructor test below
+    "reserved symbols out of place": "vocabulary must start with ('<unk>', '<s>', '</s>')",
+    "repeated token": "duplicate token in vocabulary",
+}
+
+
 @pytest.mark.parametrize("case", sorted(_REJECTED))
 def test_load_rejects_invalid_models(tmp_path, case):
     path = tmp_path / "bad.lm"
-    path.write_bytes(_encode(*_REJECTED[case]))
-    with pytest.raises(FormatError):
+    path.write_bytes(_encode_v2(*_REJECTED[case]))
+    with pytest.raises(FormatError) as err:
         NGramModel.load(str(path))
-
-
-def _encode_v2(order, tokens, tables, discounts=None):
-    """Format-2 bytes of _encode's rows: every row is an event, and a row below the
-    top order with a backoff weight is also a context; u64 keys only."""
-    out = bytearray(_encode(order, tokens, [], version=2))
-    out += struct.pack("<BQ", 0 if discounts is None else 2, 0)
-    out += struct.pack(f"<{order}d", *discounts or [0.0] * order)
-
-    def packed(gram):  # the ids as base-V digits, oldest most significant
-        return sum(i * len(tokens) ** e for e, i in enumerate(reversed(gram)))
-
-    for k, rows in enumerate(tables, 1):
-        events = sorted((packed(gram), logprob) for gram, logprob, _ in rows)
-        contexts = sorted((packed(gram), backoff) for gram, _, backoff in rows if backoff)
-        for table in [events, contexts] if k < order else [events]:
-            out += struct.pack(f"<I{len(table)}Q", len(table), *(key for key, _ in table))
-            out += struct.pack(f"<{len(table)}d", *(value for _, value in table))
-    return bytes(out)
+    assert str(err.value) == f"{path}: {_PROBLEMS[case]}"
 
 
 def _construct(order, tokens, tables, **meta):
@@ -392,41 +431,30 @@ _VOCABULARY_FAULTS = {
     "reserved symbols out of place": (1, (UNK, EOS, BOS, "a"), [_PLAIN_UNIGRAMS]),
     "repeated token": (1, _VOCAB + ("a",), [_PLAIN_UNIGRAMS + [((4,), _THIRD, 0.0)]]),
 }
-_REJECTED_THREE_WAYS = {
+_REJECTED_BOTH_WAYS = {
     **{case: _REJECTED[case] for case in _TABLE_FAULTS},
     **_VOCABULARY_FAULTS,
 }
-# the whole message of some faults, as the constructor raises it
-_PROBLEMS = {
-    "nan logprob": "order-2 events (3, 2): log-probability nan is not finite and <= 0",
-    "nan backoff": "order-1 contexts (3,): backoff weight nan is not finite",
-    "reserved symbols out of place": "vocabulary must start with ('<unk>', '<s>', '</s>')",
-}
 
 
-@pytest.mark.parametrize("case", sorted(_REJECTED_THREE_WAYS))
+@pytest.mark.parametrize("case", sorted(_REJECTED_BOTH_WAYS))
 def test_constructor_and_both_formats_reject_the_same_faults(tmp_path, case):
-    """One definition of a valid model: each way in refuses it, with the same problem text.
+    """One definition of a valid model: the constructor and a format-2 file refuse it alike.
 
-    Rows go in key order, so that no format-1 file fails on row order instead.
+    The problem text is the same both ways in, except that the constructor
+    names an id outside the vocabulary as given and the file the key's digits.
     """
-    order, tokens, tables = _REJECTED_THREE_WAYS[case]
-    tables = [sorted(rows) for rows in tables]
     with pytest.raises(ValueError) as built:
-        _construct(order, tokens, tables)
-    problems = [str(built.value)]
-    for version, encode in [(1, _encode), (2, _encode_v2)]:
-        path = tmp_path / f"v{version}.lm"
-        path.write_bytes(encode(order, tokens, tables))
-        with pytest.raises(FormatError) as loaded:
-            NGramModel.load(str(path))
-        assert str(loaded.value).startswith(f"{path}: ")
-        problems.append(str(loaded.value))
-    assert len({problem.rsplit(": ", 1)[-1] for problem in problems}) == 1, problems
-    if case in _PROBLEMS:  # a value fault also names the same n-gram every way in
-        assert problems == [_PROBLEMS[case]] + [
-            f"{tmp_path / f'v{version}.lm'}: {_PROBLEMS[case]}" for version in (1, 2)
-        ]
+        _construct(*_REJECTED_BOTH_WAYS[case])
+    path = tmp_path / "m.lm"
+    path.write_bytes(_encode_v2(*_REJECTED_BOTH_WAYS[case]))
+    with pytest.raises(FormatError) as loaded:
+        NGramModel.load(str(path))
+    assert str(loaded.value) == f"{path}: {_PROBLEMS[case]}"
+    if case == "id beyond vocabulary":
+        assert str(built.value) == "n-gram (3, 4): token id out of range"
+    else:
+        assert str(built.value) == _PROBLEMS[case]
 
 
 def test_constructor_rejects_a_too_long_n_gram():
@@ -454,30 +482,6 @@ def test_constructor_and_format_2_reject_the_same_discounts(tmp_path, discounts)
     assert str(loaded.value) == f"{path}: {built.value}"
 
 
-# format-1 unigram rows that repeat or go back; the last row is at -5.0
-_UNORDERED = {
-    "out of order": ([0, 3, 2, 3], "row 3 (2,)"),
-    "repeated": ([0, 2, 3, 3], "row 4 (3,)"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_UNORDERED))
-def test_load_rejects_repeated_or_out_of_order_rows(tmp_path, capsys, case):
-    ids, where = _UNORDERED[case]
-    rows = [((i,), _THIRD, 0.0) for i in ids[:-1]] + [((ids[-1],), -5.0, 0.0)]
-    path = tmp_path / "rows.lm"
-    path.write_bytes(_encode(1, _VOCAB, [rows]))
-    with pytest.raises(FormatError) as err:
-        NGramModel.load(str(path))
-    assert str(err.value) == f"{path}: order-1 table, {where}: not after the row before it"
-    text, out = tmp_path / "in.txt", tmp_path / "ppl.tsv"
-    text.write_text("a\n", encoding="utf-8")
-    argv = ["perplexity", "--model", str(path), "--input", str(text), "--output", str(out)]
-    assert cli_main(argv) == 2
-    assert not out.exists()
-    assert f"{where}: not after the row before it" in capsys.readouterr().err
-
-
 def _saved_bytes(model):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.lm")
@@ -486,21 +490,21 @@ def _saved_bytes(model):
             return handle.read()
 
 
-def test_v2_load_rejects_repeated_or_out_of_order_keys(tmp_path):
+def test_v2_load_rejects_repeated_or_out_of_order_keys(tmp_path, capsys):
     raw = _saved_bytes(_model_abba())
     _, _, tables = _v2_layout(raw)
     _, width, pos, n = tables[0]  # order-1 events
     assert (width, struct.unpack_from(f"<{n}Q", raw, pos)) == (8, (0, 2, 3, 4))
     path = tmp_path / "keys.lm"
+    problem = "order-1 events table, row 3 (2,): not after the row before it"
     for keys in [(0, 3, 2, 4), (0, 2, 2, 4)]:
         bad = bytearray(raw)
         struct.pack_into(f"<{n}Q", bad, pos, *keys)
         path.write_bytes(bytes(bad))
         with pytest.raises(FormatError) as err:
             NGramModel.load(str(path))
-        assert str(err.value) == (
-            f"{path}: order-1 events table, row 3 (2,): not after the row before it"
-        )
+        assert str(err.value) == f"{path}: {problem}"
+        _assert_perplexity_refuses(tmp_path, capsys, path, problem)
 
 
 def test_training_metadata_round_trips_in_format_2_only(tmp_path):
@@ -508,12 +512,30 @@ def test_training_metadata_round_trips_in_format_2_only(tmp_path):
     assert (model.train_token_count, model.discounts) == (4, (0.75, 0.75))
     loaded = _assert_round_trips(model, tmp_path)
     assert (loaded.train_token_count, loaded.discounts) == (4, (0.75, 0.75))
-    (tmp_path / "v1.lm").write_bytes(encode_v1(model))
-    old = NGramModel.load(str(tmp_path / "v1.lm"))
-    assert (old.train_token_count, old.discounts) == (None, None)
     # a model built without metadata saves and loads without it
     bare = NGramModel(1, _VOCAB, {(0,): _THIRD, (2,): _THIRD, (3,): _THIRD})
     assert _assert_round_trips(bare, tmp_path).discounts is None
+
+
+@pytest.mark.parametrize(
+    "flags, problem",
+    [
+        (7, "unknown metadata flags 7"),
+        (2, "token count set but flagged absent"),
+        (1, "discounts set but flagged absent"),
+    ],
+    ids=["unknown flag", "count flagged absent", "discounts flagged absent"],
+)
+def test_load_rejects_metadata_flagged_absent(tmp_path, model_bytes, flags, problem):
+    _, meta, _ = _v2_layout(model_bytes)
+    assert model_bytes[meta] == 3  # a trained model has both its token count and discounts
+    raw = bytearray(model_bytes)
+    raw[meta] = flags
+    path = tmp_path / "meta.lm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        NGramModel.load(str(path))
+    assert str(err.value) == f"{path}: {problem}"
 
 
 @pytest.mark.parametrize(
@@ -536,69 +558,6 @@ def _fuzz_model():
     return NGramModel.train(
         [("a", "b", "c"), ("c", "b", "a"), ("a", "c"), ("b",)], order=3, min_count=1
     )
-
-
-def _fuzz_base():
-    model = _fuzz_model()
-    raw = encode_v1(model)
-    # offsets of every 32-bit length or count field in the layout
-    fields = [8]
-    pos = 12
-    for token in model.id_to_token:
-        fields.append(pos)
-        pos += 4 + len(token.encode("utf-8"))
-    for k in range(1, model.order + 1):
-        fields.append(pos)
-        (rows,) = struct.unpack_from("<I", raw, pos)
-        pos += 4 + rows * struct.calcsize(f"<{k}Idd")
-    assert pos == len(raw)
-    return raw, fields
-
-
-_FUZZ_RAW, _FUZZ_FIELDS = _fuzz_base()
-
-
-def _flip(draw):
-    raw = bytearray(_FUZZ_RAW)
-    for _ in range(draw(st.integers(1, 4))):
-        raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
-    return bytes(raw)
-
-
-def _cut(draw):
-    return _FUZZ_RAW[: draw(st.integers(0, len(_FUZZ_RAW) - 1))]
-
-
-def _overwrite_field(draw):
-    raw = bytearray(_FUZZ_RAW)
-    offset = draw(st.sampled_from(_FUZZ_FIELDS))
-    value = draw(
-        st.one_of(
-            st.integers(0, 0xFFFFFFFF),
-            st.sampled_from([0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]),
-        )
-    )
-    struct.pack_into("<I", raw, offset, value)
-    return bytes(raw)
-
-
-@st.composite
-def _mutated_model_bytes(draw):
-    return draw(st.sampled_from([_flip, _cut, _overwrite_field]))(draw)
-
-
-@settings(max_examples=300, deadline=1000)
-@given(raw=_mutated_model_bytes())
-def test_mutated_model_files_load_or_raise_format_error(tmp_path_factory, raw):
-    path = tmp_path_factory.mktemp("fuzz") / "m.lm"
-    path.write_bytes(raw)
-    try:
-        model = NGramModel.load(str(path))
-    except FormatError:
-        return
-    # anything accepted scores without NaN (all weights are finite and <= 0)
-    for sent in [("a", "b", "c"), ("c", "zzz"), ()]:
-        assert not math.isnan(model.logprob(sent).total_logprob)
 
 
 def _v2_layout(raw):
@@ -760,20 +719,13 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, corpus, order, min_c
     model = _train_or_none(corpus, order, min_count)
     if model is None:
         return
-    root = tmp_path_factory.mktemp("rt")
-    _assert_round_trips(model, root)
-    # the format-1 file of the same model loads to the same tables, without metadata
-    (root / "v1.lm").write_bytes(encode_v1(model))
-    old = NGramModel.load(str(root / "v1.lm"))
-    assert (old.train_token_count, old.discounts) == (None, None)
-    assert _bits(old.logprobs) == _bits(model.logprobs)
-    assert _bits(old.backoffs) == _bits(model.backoffs)
+    _assert_round_trips(model, tmp_path_factory.mktemp("rt"))
 
 
 def test_score_pairs_exits_2_on_a_nan_backoff_model(tmp_path, capsys):
     good, bad = tmp_path / "good.lm", tmp_path / "nan.lm"
-    good.write_bytes(_encode(2, _VOCAB, [_UNIGRAMS, _BIGRAMS]))
-    bad.write_bytes(_encode(*_REJECTED["nan backoff"]))
+    good.write_bytes(_encode_v2(2, _VOCAB, [_UNIGRAMS, _BIGRAMS]))
+    bad.write_bytes(_encode_v2(*_REJECTED["nan backoff"]))
     (tmp_path / "p.src").write_text("a a\n", encoding="utf-8")
     (tmp_path / "p.tgt").write_text("a\n", encoding="utf-8")
     argv = [
@@ -789,7 +741,7 @@ def test_score_pairs_exits_2_on_a_nan_backoff_model(tmp_path, capsys):
     assert "nan.lm" in capsys.readouterr().err
 
 
-# -- the packed tables against the tuple-keyed oracle and the v1 bytes ---------
+# -- the packed tables against the tuple-keyed oracle -------------------------
 
 
 def _oracle_args(model):
@@ -826,8 +778,8 @@ def test_scoring_matches_the_tuple_oracle_bit_for_bit(corpus, order, min_count, 
             assert _bits_of(model.logprob_word(context, word)) == _bits_of(expected)
 
 
-# ids above 65,535 need more than 16 bits in every id of a format-1 row, and
-# with V = 70,003 the order-4 keys need more than 64 bits (V**4 > 2**64)
+# ids above 65,535 need more than 16 bits, and with V = 70,003 the order-4
+# keys need more than 64 bits (V**4 > 2**64), so that key column is 9 bytes wide
 _WIDE_VOCAB = (UNK, BOS, EOS) + tuple(f"w{i}" for i in range(3, 70_003))
 _WIDE = len(_WIDE_VOCAB) - 1  # the largest id, 70,002
 _WIDE_UNIGRAM = math.log(1 / (len(_WIDE_VOCAB) - 1))
@@ -852,7 +804,9 @@ _WIDE_TABLES = [
 
 def test_ids_wider_than_16_bits_load_score_and_save(tmp_path):
     assert len(_WIDE_VOCAB) ** 3 <= 2**64 < len(_WIDE_VOCAB) ** 4
-    raw = _encode(4, _WIDE_VOCAB, _WIDE_TABLES)
+    raw = _encode_v2(4, _WIDE_VOCAB, _WIDE_TABLES)
+    _, _, tables = _v2_layout(raw)
+    assert [width for _, width, _, _ in tables] == [8] * 6 + [9]  # order-4 keys: 9 bytes
     path = tmp_path / "wide.lm"
     path.write_bytes(raw)
     model = NGramModel.load(str(path))
@@ -872,9 +826,8 @@ def test_ids_wider_than_16_bits_load_score_and_save(tmp_path):
         _WIDE_UNIGRAM + _HALF + math.log(0.75)
     )
     assert model.logprob_word(("w65536", f"w{_WIDE}", "w65537"), f"w{_WIDE}") == _THIRD
-    assert encode_v1(model) == raw
-    # format 2 stores the order-4 keys in 9 bytes each, and reads them back
-    _assert_round_trips(model, tmp_path)
+    model.save(str(path))
+    assert path.read_bytes() == raw
 
 
 def _assert_round_trips(model, root):
@@ -911,11 +864,6 @@ def test_order_6_keys_wider_than_64_bits_train_score_and_save(tmp_path):
         assert (_bits_of(got.total_logprob), got.token_count) == (_bits_of(total), events)
         expected = tuple_word_logprob(*args, sent[:-1], sent[-1])
         assert _bits_of(loaded.logprob_word(sent[:-1], sent[-1])) == _bits_of(expected)
-    # the same tables read from format 1
-    (tmp_path / "v1.lm").write_bytes(encode_v1(model))
-    old = NGramModel.load(str(tmp_path / "v1.lm"))
-    assert _bits(old.logprobs) == _bits(model.logprobs)
-    assert _bits(old.backoffs) == _bits(model.backoffs)
 
 
 def test_constructor_rejects_an_empty_context_backoff():
@@ -925,51 +873,17 @@ def test_constructor_rejects_an_empty_context_backoff():
             NGramModel(order, _VOCAB, unigrams, {(): -0.5})
 
 
-def _file_rows(raw):
-    """Row count of every table of a v1 model file."""
-    (order,) = struct.unpack_from("<H", raw, 6)
-    (vocab_size,) = struct.unpack_from("<I", raw, 8)
-    pos = 12
-    for _ in range(vocab_size):
-        pos += 4 + struct.unpack_from("<I", raw, pos)[0]
-    rows = 0
-    for k in range(1, order + 1):
-        (n,) = struct.unpack_from("<I", raw, pos)
-        rows += n
-        pos += 4 + n * struct.calcsize(f"<{k}Idd")
-    assert pos == len(raw)
-    return rows
-
-
 def _golden_model(order, min_count):
     bed = make_testbed(seed=7, n_mono=400, n_heldout=0, n_pairs_each=0)
     return bed, NGramModel.train(bed.src_mono, order=order, min_count=min_count)
 
 
-# Digests of the format-1 files this training run wrote before the tables were
-# packed, now rebuilt by the format-1 encoder of tests/oracles.py; a format-1
-# file still loads to the tables and scores of the format-2 file.
-@pytest.mark.parametrize(
-    "order, min_count, digest",
-    [
-        (4, 2, "47a7b93515ba27bc8afdef91ef4662b7638734f4911ccab0908ed087d50e1e07"),
-        (6, 1, "353e643268967b58416aa71ba5c7a92d9fc9f16a414d1c29879a0f1b89fa2fde"),
-    ],
-)
-def test_trained_model_file_bytes_are_unchanged(tmp_path, order, min_count, digest):
-    bed, model = _golden_model(order, min_count)
-    raw = encode_v1(model)
-    assert hashlib.sha256(raw).hexdigest() == digest
-    # what bench/tracer.py counts as the rows of a model
-    assert len(model.logprobs.keys() | {c for c in model.backoffs if c}) == _file_rows(raw)
-    (tmp_path / "v1.lm").write_bytes(raw)
-    model.save(str(tmp_path / "v2.lm"))
-    old, new = (NGramModel.load(str(tmp_path / name)) for name in ("v1.lm", "v2.lm"))
-    assert _bits(old.logprobs) == _bits(new.logprobs)
-    assert _bits(old.backoffs) == _bits(new.backoffs)
-    for sent in bed.src_mono[:100] + [("zzz", "a", UNK)]:
-        old_total, new_total = old.logprob(sent).total_logprob, new.logprob(sent).total_logprob
-        assert _bits_of(old_total) == _bits_of(new_total)
+# What bench/tracer.py counts as the rows of a model (its lm.rows): every
+# n-gram and every non-empty context, for the training runs below.
+@pytest.mark.parametrize("order, min_count, rows", [(4, 2, 6_980), (6, 1, 12_236)])
+def test_trained_model_rows_are_unchanged(order, min_count, rows):
+    _, model = _golden_model(order, min_count)
+    assert len(model.logprobs.keys() | {c for c in model.backoffs if c}) == rows
 
 
 # Digests of the format-2 files of the same training runs; a change here
