@@ -490,21 +490,44 @@ def _saved_bytes(model):
             return handle.read()
 
 
-def test_v2_load_rejects_repeated_or_out_of_order_keys(tmp_path, capsys):
+def test_v2_load_rejects_repeated_or_out_of_order_keys(tmp_path):
     raw = _saved_bytes(_model_abba())
     _, _, tables = _v2_layout(raw)
     _, width, pos, n = tables[0]  # order-1 events
     assert (width, struct.unpack_from(f"<{n}Q", raw, pos)) == (8, (0, 2, 3, 4))
     path = tmp_path / "keys.lm"
-    problem = "order-1 events table, row 3 (2,): not after the row before it"
     for keys in [(0, 3, 2, 4), (0, 2, 2, 4)]:
         bad = bytearray(raw)
         struct.pack_into(f"<{n}Q", bad, pos, *keys)
         path.write_bytes(bytes(bad))
         with pytest.raises(FormatError) as err:
             NGramModel.load(str(path))
-        assert str(err.value) == f"{path}: {problem}"
-        _assert_perplexity_refuses(tmp_path, capsys, path, problem)
+        assert str(err.value) == (
+            f"{path}: order-1 events table, row 3 (2,): not after the row before it"
+        )
+
+
+# order-1 event keys that repeat or go back, in place of the saved (0, 2, 3, 4)
+_UNORDERED = {
+    "out of order": ((0, 3, 2, 4), "row 3 (2,)"),
+    "repeated": ((0, 2, 3, 3), "row 4 (3,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNORDERED))
+def test_load_rejects_repeated_or_out_of_order_rows(tmp_path, capsys, case):
+    keys, where = _UNORDERED[case]
+    raw = bytearray(_saved_bytes(_model_abba()))
+    _, _, tables = _v2_layout(raw)
+    _, _, pos, n = tables[0]  # order-1 events
+    struct.pack_into(f"<{n}Q", raw, pos, *keys)
+    path = tmp_path / "rows.lm"
+    path.write_bytes(bytes(raw))
+    problem = f"order-1 events table, {where}: not after the row before it"
+    with pytest.raises(FormatError) as err:
+        NGramModel.load(str(path))
+    assert str(err.value) == f"{path}: {problem}"
+    _assert_perplexity_refuses(tmp_path, capsys, path, problem)
 
 
 def test_training_metadata_round_trips_in_format_2_only(tmp_path):
