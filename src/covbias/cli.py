@@ -24,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .abstraction import AbstractionRule, FluencyReport, abstract_corpus, fluency_report
@@ -128,14 +128,25 @@ def _abstraction_rule(args: argparse.Namespace) -> AbstractionRule:
     )
 
 
-def _parse_line_no(row: dict[str, str], path: str) -> int:
-    try:
-        value = int(row["line_no"])
-    except ValueError:
-        raise DataError(f"{path}: bad line_no {row['line_no']!r}") from None
-    if value < 1:
-        raise DataError(f"{path}: line_no must be >= 1, got {value}")
-    return value
+def _keyed_rows(path: str, column: str) -> Iterator[tuple[int, int, dict[str, str]]]:
+    """(file line, line_no, row) per row of a report keyed by line_no.
+
+    A line_no is an integer >= 1 that appears only once in the file.
+    """
+    seen: set[int] = set()
+    for file_line, row in enumerate(read_tsv(path, ["line_no", column]), 2):
+        try:
+            line_no = int(row["line_no"])
+        except ValueError:
+            raise DataError(f"{path}: bad line_no {row['line_no']!r}") from None
+        if line_no < 1:
+            raise DataError(f"{path}: line_no must be >= 1, got {line_no}")
+        if line_no in seen:
+            raise DataError(
+                f"{path}: line {file_line}: line_no {line_no} is repeated", line_no=file_line
+            )
+        seen.add(line_no)
+        yield file_line, line_no, row
 
 
 def _parse_score(row: dict[str, str], path: str, column: str = "score") -> float:
@@ -147,6 +158,34 @@ def _parse_score(row: dict[str, str], path: str, column: str = "score") -> float
     if not math.isfinite(value):
         raise DataError(f"{path}: {column} value {raw!r} is not finite")
     return value
+
+
+def _read_scores(path: str) -> list[tuple[int, float]]:
+    """(line_no, score) per row of a scored-records report, in file order.
+
+    A line's label is label_for(score): a label column that says otherwise
+    is a DataError naming the line.
+    """
+    scored = []
+    for file_line, line_no, row in _keyed_rows(path, "score"):
+        score = _parse_score(row, path)
+        code = label_for(score).code
+        if row.get("label", code) != code:
+            raise DataError(
+                f"{path}: line {file_line}: label {row['label']!r} disagrees with"
+                f" score {row['score']}, which is labelled {code}",
+                line_no=file_line,
+            )
+        scored.append((line_no, score))
+    return scored
+
+
+def _read_groups(path: str) -> dict[str, set[int]]:
+    """{group: line numbers} of a line-groups report, groups in file order."""
+    groups: dict[str, set[int]] = {}
+    for _, line_no, row in _keyed_rows(path, "group"):
+        groups.setdefault(row["group"], set()).add(line_no)
+    return groups
 
 
 def _labelled_scores(scored: Iterable[tuple[int, float]], path: str | None = None) -> str:
@@ -205,32 +244,14 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_scores(path: str) -> list[tuple[int, float]]:
-    """(line_no, score) per row of a TSV; a line_no may appear only once."""
-    scored: dict[int, float] = {}
-    for file_line, row in enumerate(read_tsv(path, ["line_no", "score"]), 2):
-        line_no = _parse_line_no(row, path)
-        score = _parse_score(row, path)
-        if line_no in scored:
-            raise DataError(
-                f"{path}: line {file_line}: line_no {line_no} is repeated", line_no=file_line
-            )
-        scored[line_no] = score
-    return list(scored.items())
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     scored = [(line_no, score + args.offset_c) for line_no, score in _read_scores(args.scores)]
     _write_report(_labelled_scores(scored, args.scores), args.output)
     return 0
 
 
-def _read_records(path: str) -> list[ScoreRecord]:
-    return [ScoreRecord(n, score, label_for(score)) for n, score in _read_scores(path)]
-
-
 def _cmd_select(args: argparse.Namespace) -> int:
-    records = _read_records(args.records)
+    records = [ScoreRecord(n, score, label_for(score)) for n, score in _read_scores(args.records)]
     most_source, most_target = select_extremes(
         records, SelectionSpec(ratio_percent=args.ratio)
     )
@@ -240,20 +261,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_partition(path: str) -> tuple[set[int], set[int]]:
-    groups: dict[str, set[int]] = {}
-    for row in read_tsv(path, ["line_no", "group"]):
-        groups.setdefault(row["group"], set()).add(_parse_line_no(row, path))
-    if len(groups) != 2:
-        raise DataError(
-            f"{path}: expected exactly 2 group values, found {len(groups)}"
-        )
-    first, second = sorted(groups)
-    return groups[first], groups[second]
-
-
 def _cmd_jsdiv(args: argparse.Namespace) -> int:
-    partition_a, partition_b = _read_partition(args.split)
+    groups = _read_groups(args.split)
+    if len(groups) != 2:
+        raise DataError(f"{args.split}: expected exactly 2 group values, found {len(groups)}")
+    partition_a, partition_b = (groups[name] for name in sorted(groups))
     examples = read_parallel(
         args.source,
         args.target,
@@ -336,38 +348,16 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_labels(path: str) -> list[OriginLabel]:
-    rows = read_tsv(path, ["line_no", "label"])
-    labels = []
-    for expected, row in enumerate(rows, 1):
-        line_no = _parse_line_no(row, path)
-        if line_no != expected:
-            raise DataError(
-                f"{path}: expected line_no {expected} in order, got {line_no}"
-            )
-        labels.append(OriginLabel.from_code(row["label"]))
-    return labels
-
-
 def _cmd_tag(args: argparse.Namespace) -> int:
-    labels = _read_labels(args.records)
+    labels = []
+    for expected, (line_no, score) in enumerate(_read_scores(args.records), 1):
+        if line_no != expected:
+            raise DataError(f"{args.records}: expected line_no {expected} in order, got {line_no}")
+        labels.append(label_for(score))
     examples = read_parallel(args.source, args.target)
     tagged = bias_tag(examples, labels, TagPolicy(args.tag_token))
     write_parallel(tagged, args.out_source, args.out_target)
     return 0
-
-
-def _read_selection(path: str) -> set[int]:
-    selection = set()
-    for row in read_tsv(path, ["line_no", "group"]):
-        line_no = _parse_line_no(row, path)
-        if row["group"] == "most_source":
-            selection.add(line_no)
-        elif row["group"] != "most_target":
-            raise DataError(
-                f"{path}: group must be most_source or most_target, got {row['group']!r}"
-            )
-    return selection
 
 
 def _cmd_split_finetune(args: argparse.Namespace) -> int:
@@ -375,10 +365,17 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
         raise UsageError("pass exactly one of --records or --selection")
     examples = list(read_parallel(args.source, args.target))
     if args.records:
-        selection: object = _read_records(args.records)
+        scored = _read_scores(args.records)
+        lines = {n for n, score in scored if label_for(score) is OriginLabel.SOURCE_ORIGINAL}
     else:
-        selection = _read_selection(args.selection)
-    pretrain, finetune, manifest = finetune_split(examples, selection)
+        groups = _read_groups(args.selection)
+        foreign = [name for name in groups if name not in ("most_source", "most_target")]
+        if foreign:
+            raise DataError(
+                f"{args.selection}: group must be most_source or most_target, got {foreign[0]!r}"
+            )
+        lines = groups.get("most_source", set())
+    pretrain, finetune, manifest = finetune_split(examples, lines)
     write_parallel(pretrain, args.out_pretrain_source, args.out_pretrain_target)
     write_parallel(finetune, args.out_finetune_source, args.out_finetune_target)
     _write_report(manifest_to_tsv(manifest), args.manifest)

@@ -18,7 +18,6 @@ from itertools import zip_longest
 from typing import NamedTuple
 
 from .corpus import OriginLabel, ParallelExample
-from .detect import ScoreRecord
 from .errors import DataError, LengthMismatch, TagCollision
 from .fileio import format_tsv
 
@@ -116,32 +115,16 @@ def detag(
             yield example
 
 
-def _selected_lines(
-    selection: Iterable[ScoreRecord] | set[int] | frozenset[int],
-) -> set[int]:
-    if isinstance(selection, (set, frozenset)):
-        lines = set(selection)
-        if any(not isinstance(x, int) or x < 1 for x in lines):
-            raise DataError("selection line numbers must be positive integers")
-        return lines
-    return {
-        record.line_no
-        for record in selection
-        if record.label is OriginLabel.SOURCE_ORIGINAL
-    }
-
-
 def finetune_split(
-    examples: Sequence[ParallelExample],
-    selection: Iterable[ScoreRecord] | set[int] | frozenset[int],
+    examples: Sequence[ParallelExample], lines: set[int] | frozenset[int]
 ) -> tuple[list[ParallelExample], list[ParallelExample], list[ManifestEntry]]:
     """(full corpus for stage one, selected subset for stage two, manifest).
 
-    selection is either a set of 1-based line numbers or an iterable of
-    ScoreRecords, of which the source-original ones are kept. Both output
-    corpora preserve the input order.
+    lines holds the 1-based line numbers of the subset, such as those of the
+    source-original pairs. Both output corpora preserve the input order.
     """
-    lines = _selected_lines(selection)
+    if any(not isinstance(x, int) or x < 1 for x in lines):
+        raise DataError("selection line numbers must be positive integers")
     if lines and max(lines) > len(examples):
         raise LengthMismatch(
             f"selection names line {max(lines)} but the corpus has {len(examples)} lines"

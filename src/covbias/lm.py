@@ -53,7 +53,7 @@ from types import MappingProxyType
 from typing import BinaryIO, NamedTuple
 
 from .corpus import Sentence
-from .errors import DegenerateVocabulary, EmptyCorpus, FormatError
+from .errors import DataError, DegenerateVocabulary, EmptyCorpus, FormatError
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -629,4 +629,10 @@ def perplexity(model: NGramModel, corpus: Iterable[Sentence]) -> float:
         events += score.token_count
     if events == 0:
         raise EmptyCorpus("cannot compute perplexity over an empty corpus")
-    return math.exp(-total / events)
+    mean = -total / events
+    if mean > math.log(sys.float_info.max):
+        raise DataError(
+            f"perplexity overflows: exp of {mean}, the mean negative log-probability"
+            " per event, is beyond the float range"
+        )
+    return math.exp(mean)

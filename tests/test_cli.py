@@ -442,23 +442,69 @@ def test_select_groups_extremes(corpus, capsys):
     ]
 
 
-_REPEATED_LINE_NO = "line_no\tscore\tlabel\n1\t5\tS\n1\t-5\tT\n2\t1\tS\n3\t-1\tT\n"
+def _reading_report(corpus, command, table):
+    """argv of a run that reads the report table, and every file the run would write."""
+    pairs = ["--source", str(corpus / "src.txt"), "--target", str(corpus / "tgt.txt")]
+    outs = [str(corpus / f"out{i}") for i in range(5)]
+    split = ["--out-pretrain-source", outs[0], "--out-pretrain-target", outs[1]]
+    split += ["--out-finetune-source", outs[2], "--out-finetune-target", outs[3]]
+    split += ["--manifest", outs[4]]
+    output = ["--output", outs[0]]
+    argv = {
+        "classify": ["classify", "--scores", table, *output],
+        "select": ["select", "--records", table, "--ratio", "50", *output],
+        "tag": [
+            "tag", *pairs, "--records", table, "--out-source", outs[0], "--out-target", outs[1]
+        ],
+        "split-finetune-records": ["split-finetune", *pairs, "--records", table, *split],
+        "jsdiv-split": ["jsdiv", *pairs, "--side", "source", "--split", table, *output],
+        "split-finetune-selection": ["split-finetune", *pairs, "--selection", table, *split],
+    }
+    return argv[command], outs
+
+
+_REPEATED_RECORD = "line_no\tscore\tlabel\n1\t5\tS\n1\t-5\tT\n2\t1\tS\n3\t-1\tT\n"
+_REPEATED_GROUP = (
+    "line_no\tgroup\n1\tmost_source\n1\tmost_target\n2\tmost_source\n3\tmost_target\n"
+)
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["select", "--records", "{table}", "--ratio", "50"], ["classify", "--scores", "{table}"]],
-    ids=["select", "classify"],
+    "command, rows",
+    [
+        pytest.param("select", _REPEATED_RECORD, id="select"),
+        pytest.param("classify", _REPEATED_RECORD, id="classify"),
+        pytest.param("tag", _REPEATED_RECORD, id="tag"),
+        pytest.param("split-finetune-records", _REPEATED_RECORD, id="split-finetune-records"),
+        pytest.param("jsdiv-split", _REPEATED_GROUP, id="jsdiv-split"),
+        pytest.param("split-finetune-selection", _REPEATED_GROUP, id="split-finetune-selection"),
+    ],
 )
-def test_a_repeated_line_no_is_a_data_error(corpus, capsys, argv):
-    table = corpus / "records.tsv"
-    table.write_text(_REPEATED_LINE_NO, encoding="utf-8")
-    out = corpus / "out.tsv"
-    argv = [str(table) if a == "{table}" else a for a in argv]
-    assert main(argv + ["--output", str(out)]) == 2
-    assert not out.exists()
+def test_a_repeated_line_no_is_a_data_error(corpus, capsys, command, rows):
+    table = corpus / "report.tsv"
+    table.write_text(rows, encoding="utf-8")
+    argv, outs = _reading_report(corpus, command, str(table))
+    assert main(argv) == 2
+    assert not any(os.path.exists(out) for out in outs)
     assert capsys.readouterr().err == (
         f"covbias: error: {table}: line 3: line_no 1 is repeated\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["classify", "select", "tag", "split-finetune-records"])
+def test_a_label_that_disagrees_with_its_score_is_a_data_error(corpus, capsys, command):
+    """A label is label_for(score) to every reader: 5.0 is source-original."""
+    table = corpus / "records.tsv"
+    table.write_text(
+        "line_no\tscore\tlabel\n1\t5.0\tT\n2\t-1.0\tT\n3\t1.0\tS\n4\t-2.0\tT\n",
+        encoding="utf-8",
+    )
+    argv, outs = _reading_report(corpus, command, str(table))
+    assert main(argv) == 2
+    assert not any(os.path.exists(out) for out in outs)
+    assert capsys.readouterr().err == (
+        f"covbias: error: {table}: line 2: label 'T' disagrees with score 5.0,"
+        " which is labelled S\n"
     )
 
 
@@ -785,6 +831,23 @@ def test_split_finetune_via_selection(corpus):
         "3\tpretrain\t3",
         "4\tpretrain\t4",
     ]
+    assert manifest[5:] == ["1\tfinetune\t1", "2\tfinetune\t3"]
+
+
+def test_split_finetune_via_records_keeps_the_positive_scores(corpus):
+    """The fine-tune set is exactly the rows with a score > 0; a score of 0 is target-original."""
+    records = corpus / "records.tsv"
+    records.write_text(
+        "line_no\tscore\tlabel\n1\t2.0\tS\n2\t-1.0\tT\n3\t0.5\tS\n4\t0.0\tT\n",
+        encoding="utf-8",
+    )
+    argv, outs = _reading_report(corpus, "split-finetune-records", str(records))
+    assert main(argv) == 0
+    assert Path(outs[2]).read_text(encoding="utf-8").splitlines() == [
+        "der hund läuft",
+        "die katze läuft",
+    ]
+    manifest = Path(outs[4]).read_text(encoding="utf-8").splitlines()
     assert manifest[5:] == ["1\tfinetune\t1", "2\tfinetune\t3"]
 
 

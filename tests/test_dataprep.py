@@ -9,7 +9,6 @@ from covbias import (
     ManifestEntry,
     OriginLabel,
     ParallelExample,
-    ScoreRecord,
     TagCollision,
     TagPolicy,
     bias_tag,
@@ -143,16 +142,6 @@ def test_finetune_split_keeps_everything_and_the_selection():
         ManifestEntry(1, "finetune", 1),
         ManifestEntry(2, "finetune", 3),
     ]
-
-
-def test_finetune_split_accepts_score_records():
-    records = [
-        ScoreRecord(1, 2.0, S),
-        ScoreRecord(2, -1.0, T),
-        ScoreRecord(3, 0.5, S),
-    ]
-    _, finetune, _ = finetune_split(_examples(), records)
-    assert finetune == [_examples()[0], _examples()[2]]
 
 
 def test_finetune_split_validates_the_selection():

@@ -90,6 +90,29 @@ def test_hand_built_uniform_model_scores_uniformly():
     assert math.isclose(perplexity(model, [("a",), ("q", "a")]), 3.0, rel_tol=0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("command", ["perplexity", "fluency"])
+def test_a_perplexity_beyond_the_float_range_is_a_data_error(tmp_path, capsys, command):
+    """exp(1000) overflows a float: exit 2, no output and no traceback."""
+    model = tmp_path / "steep.lm"
+    NGramModel(1, (UNK, BOS, EOS, "a"), {(0,): -1000.0, (2,): -1000.0, (3,): -1000.0}).save(
+        str(model)
+    )
+    text, pos, out = tmp_path / "in.txt", tmp_path / "in.pos", tmp_path / "out.tsv"
+    text.write_text("a\n", encoding="utf-8")
+    pos.write_text("NOUN\n", encoding="utf-8")
+    models = {
+        "perplexity": ["--model", str(model)],
+        "fluency": ["--pos", str(pos), "--plain-lm", str(model), "--abstracted-lm", str(model)],
+    }
+    argv = [command, "--input", str(text), *models[command], "--output", str(out)]
+    assert cli_main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "covbias: error: perplexity overflows: exp of 1000.0, the mean negative"
+        " log-probability per event, is beyond the float range\n"
+    )
+
+
 def _context_mass(model, context):
     predictable = [t for t in model.id_to_token if t != BOS]
     return math.fsum(math.exp(model.logprob_word(context, w)) for w in predictable)
