@@ -166,14 +166,14 @@ def _read_scores(path: str) -> list[tuple[int, float]]:
     A line's label is label_for(score): a label column that says otherwise
     is a DataError naming the line.
     """
+    by_code = {label.code: label for label in OriginLabel}
     scored = []
     for file_line, line_no, row in _keyed_rows(path, "score"):
         score = _parse_score(row, path)
-        code = label_for(score).code
-        if row.get("label", code) != code:
+        if "label" in row and by_code.get(row["label"]) is not label_for(score):
             raise DataError(
                 f"{path}: line {file_line}: label {row['label']!r} disagrees with"
-                f" score {row['score']}, which is labelled {code}",
+                f" score {row['score']}, which is labelled {label_for(score).code}",
                 line_no=file_line,
             )
         scored.append((line_no, score))
