@@ -620,7 +620,7 @@ def _check_model(
 
 
 def perplexity(model: NGramModel, corpus: Iterable[Sentence]) -> float:
-    """exp of the mean negative log-probability per scored event."""
+    """exp of the mean negative log-probability per scored event; DataError if it overflows."""
     total = 0.0
     events = 0
     for sentence in corpus:
