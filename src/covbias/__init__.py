@@ -31,7 +31,6 @@ from .dataprep import (
     DEFAULT_ORIGIN_TAG,
     DEFAULT_SYNTHETIC_TAG,
     ManifestEntry,
-    TagPolicy,
     bias_tag,
     detag,
     finetune_split,
@@ -40,13 +39,10 @@ from .dataprep import (
 )
 from .detect import (
     DetectionEval,
-    DetectorConfig,
     ScoreRecord,
-    SelectionSpec,
     classify,
     evaluate_detection,
     label_for,
-    raw_score_pair,
     score_pair,
     select_extremes,
     tune_offset,
@@ -96,7 +92,6 @@ __all__ = [
     "DEFAULT_SYNTHETIC_TAG",
     "DegenerateVocabulary",
     "DetectionEval",
-    "DetectorConfig",
     "DivergenceReport",
     "EmptyCorpus",
     "EmptyInput",
@@ -117,11 +112,9 @@ __all__ = [
     "PosAlignmentError",
     "PosAnnotation",
     "ScoreRecord",
-    "SelectionSpec",
     "Sentence",
     "SingleClassInput",
     "TagCollision",
-    "TagPolicy",
     "VocabDistribution",
     "WordClassMap",
     "abstract_corpus",
@@ -140,7 +133,6 @@ __all__ = [
     "merge_augment",
     "perplexity",
     "random_split",
-    "raw_score_pair",
     "read_mono",
     "read_parallel",
     "score_pair",

@@ -32,21 +32,12 @@ from .corpus import OriginLabel, read_mono, read_parallel, read_tagged, write_pa
 from .dataprep import (
     DEFAULT_ORIGIN_TAG,
     DEFAULT_SYNTHETIC_TAG,
-    TagPolicy,
     bias_tag,
     finetune_split,
     manifest_to_tsv,
     merge_augment,
 )
-from .detect import (
-    DetectorConfig,
-    ScoreRecord,
-    SelectionSpec,
-    label_for,
-    score_pair,
-    select_extremes,
-    tune_offset,
-)
+from .detect import ScoreRecord, label_for, score_pair, select_extremes, tune_offset
 from .divergence import WordClassMap, divergence_report, random_split
 from .errors import DataError
 from .fileio import atomic_write, fmt_float, format_tsv, read_section_file, read_tsv
@@ -219,24 +210,24 @@ def _cmd_perplexity(args: argparse.Namespace) -> int:
 
 
 def _cmd_score_pairs(args: argparse.Namespace) -> int:
-    config = DetectorConfig(
-        source_lm=NGramModel.load(args.source_model),
-        target_lm=NGramModel.load(args.target_model),
-        offset_c=args.offset_c,
-        length_normalize=args.length_normalize,
-    )
+    source_lm = NGramModel.load(args.source_model)
+    target_lm = NGramModel.load(args.target_model)
     examples = read_parallel(args.source, args.target)
-    scored = enumerate((score_pair(config, ex) for ex in examples), 1)
-    _write_report(_labelled_scores(scored), args.output)
+    normalize, offset_c = args.length_normalize, args.offset_c
+    scores = (score_pair(source_lm, target_lm, ex, normalize) + offset_c for ex in examples)
+    _write_report(_labelled_scores(enumerate(scores, 1)), args.output)
     return 0
 
 
 def _cmd_tune_offset(args: argparse.Namespace) -> int:
     path = args.input
-    scored = [
-        (_parse_score(row, path), OriginLabel.from_code(row["gold"]))
-        for row in read_tsv(path, ["score", "gold"])
-    ]
+    scored = []
+    for file_line, row in enumerate(read_tsv(path, ["score", "gold"]), 2):
+        score = _parse_score(row, path)
+        try:
+            scored.append((score, OriginLabel.from_code(row["gold"])))
+        except DataError as exc:
+            raise DataError(f"{path}: line {file_line}: {exc}", line_no=file_line) from None
     c, macro_f1 = tune_offset(scored)
     _write_report(
         format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output
@@ -251,10 +242,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    records = [ScoreRecord(n, score, label_for(score)) for n, score in _read_scores(args.records)]
-    most_source, most_target = select_extremes(
-        records, SelectionSpec(ratio_percent=args.ratio)
-    )
+    records = [ScoreRecord(n, score) for n, score in _read_scores(args.records)]
+    most_source, most_target = select_extremes(records, args.ratio)
+    if not most_source:
+        raise DataError(
+            f"{args.records}: --ratio {args.ratio} of {len(records)} records selects no line"
+        )
     rows = [(str(n), "most_source") for n in sorted(most_source)]
     rows += [(str(n), "most_target") for n in sorted(most_target)]
     _write_report(format_tsv(["line_no", "group"], rows), args.output)
@@ -355,7 +348,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
             raise DataError(f"{args.records}: expected line_no {expected} in order, got {line_no}")
         labels.append(label_for(score))
     examples = read_parallel(args.source, args.target)
-    tagged = bias_tag(examples, labels, TagPolicy(args.tag_token))
+    tagged = bias_tag(examples, labels, args.tag_token)
     write_parallel(tagged, args.out_source, args.out_target)
     return 0
 
@@ -385,8 +378,7 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
 def _cmd_merge_augment(args: argparse.Namespace) -> int:
     authentic = list(read_parallel(args.authentic_source, args.authentic_target))
     synthetic = list(read_parallel(args.synthetic_source, args.synthetic_target))
-    policy = TagPolicy(args.tag_token) if args.tag_token is not None else None
-    merged, manifest = merge_augment(authentic, synthetic, policy, args.seed)
+    merged, manifest = merge_augment(authentic, synthetic, args.tag_token, args.seed)
     write_parallel(merged, args.out_source, args.out_target)
     _write_report(manifest_to_tsv(manifest), args.manifest)
     return 0

@@ -5,15 +5,15 @@ pair, so a downstream system can condition on origin. finetune_split carves
 out the source-original subset for a second training stage while keeping the
 full corpus for the first. merge_augment concatenates an authentic corpus
 with a synthetic one, optionally marking synthetic source sides and shuffling
-reproducibly. Every file-producing operation has a manifest describing where
-each output line came from.
+reproducibly. A tag token must be non-empty and free of whitespace. Every
+file-producing operation has a manifest describing where each output line
+came from.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -39,13 +39,9 @@ def _prepend_marker(example: ParallelExample, token: str) -> ParallelExample:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TagPolicy:
-    tag_token: str = DEFAULT_ORIGIN_TAG
-
-    def __post_init__(self) -> None:
-        if not self.tag_token or any(ch.isspace() for ch in self.tag_token):
-            raise ValueError("tag token must be non-empty and whitespace-free")
+def _check_tag_token(token: str) -> None:
+    if not token or any(ch.isspace() for ch in token):
+        raise ValueError("tag token must be non-empty and whitespace-free")
 
 
 class ManifestEntry(NamedTuple):
@@ -74,14 +70,21 @@ def _check_collision(
 def bias_tag(
     examples: Iterable[ParallelExample],
     labels: Iterable[OriginLabel],
-    policy: TagPolicy | None = None,
+    tag_token: str = DEFAULT_ORIGIN_TAG,
 ) -> Iterator[ParallelExample]:
     """Prepend the tag token to the source side of target-original pairs.
 
     Labels align 1:1 with examples; a corpus that already contains the tag
-    token anywhere raises TagCollision so detagging stays unambiguous.
+    token anywhere raises TagCollision so detagging stays unambiguous. A bad
+    tag token raises ValueError at the call, before any line is read.
     """
-    policy = policy or TagPolicy()
+    _check_tag_token(tag_token)
+    return _tag_lines(examples, labels, tag_token)
+
+
+def _tag_lines(
+    examples: Iterable[ParallelExample], labels: Iterable[OriginLabel], tag_token: str
+) -> Iterator[ParallelExample]:
     missing = object()
     pairs = zip_longest(examples, labels, fillvalue=missing)
     for line_no, (example, label) in enumerate(pairs, 1):
@@ -90,20 +93,20 @@ def bias_tag(
             raise LengthMismatch(
                 f"{short} ended at line {line_no} but {other} continue", line_no=line_no
             )
-        _check_collision(example, policy.tag_token, line_no)
+        _check_collision(example, tag_token, line_no)
         if label is OriginLabel.TARGET_ORIGINAL:
-            yield _prepend_marker(example, policy.tag_token)
+            yield _prepend_marker(example, tag_token)
         else:
             yield example
 
 
 def detag(
-    examples: Iterable[ParallelExample], policy: TagPolicy | None = None
+    examples: Iterable[ParallelExample], tag_token: str = DEFAULT_ORIGIN_TAG
 ) -> Iterator[ParallelExample]:
     """Strip one leading tag token from each tagged source side (inverse of bias_tag)."""
-    policy = policy or TagPolicy()
+    _check_tag_token(tag_token)
     for example in examples:
-        if example.source and example.source[0] == policy.tag_token:
+        if example.source and example.source[0] == tag_token:
             pos = example.source_pos
             yield ParallelExample(
                 example.source[1:],
@@ -143,25 +146,27 @@ def finetune_split(
 def merge_augment(
     authentic: Sequence[ParallelExample],
     synthetic: Sequence[ParallelExample],
-    policy: TagPolicy | None = None,
+    tag_token: str | None = None,
     shuffle_seed: int | None = None,
 ) -> tuple[list[ParallelExample], list[ManifestEntry]]:
     """Concatenate corpora, optionally tagging synthetic source sides.
 
-    With a policy, every synthetic source side gets the tag token prepended
+    With a tag_token, every synthetic source side gets it prepended
     (collisions anywhere in either corpus are errors). With a seed, the
     merged order is a reproducible shuffle; otherwise authentic lines come
     first. The manifest partitions the output exactly.
     """
+    if tag_token is not None:
+        _check_tag_token(tag_token)
     merged_src: list[tuple[ParallelExample, str, int]] = []
     for line_no, example in enumerate(authentic, 1):
-        if policy is not None:
-            _check_collision(example, policy.tag_token, line_no)
+        if tag_token is not None:
+            _check_collision(example, tag_token, line_no)
         merged_src.append((example, "authentic", line_no))
     for line_no, example in enumerate(synthetic, 1):
-        if policy is not None:
-            _check_collision(example, policy.tag_token, line_no)
-            example = _prepend_marker(example, policy.tag_token)
+        if tag_token is not None:
+            _check_collision(example, tag_token, line_no)
+            example = _prepend_marker(example, tag_token)
         merged_src.append((example, "synthetic", line_no))
     order = list(range(len(merged_src)))
     if shuffle_seed is not None:

@@ -5,7 +5,8 @@ log-probability of the source sentence and the target-language model's
 log-probability of the target sentence, plus a constant offset c. Positive
 scores mean source-original; zero and negative mean target-original. The
 offset is tuned on labeled data by maximizing macro-F1 over decision
-thresholds.
+thresholds. score_pair gives the difference without c; classify adds c and
+yields ScoreRecords, whose label is derived from the score, never stored.
 """
 
 from __future__ import annotations
@@ -22,30 +23,19 @@ from .lm import NGramModel
 
 
 @dataclass(frozen=True, slots=True)
-class DetectorConfig:
-    source_lm: NGramModel
-    target_lm: NGramModel
-    offset_c: float = 0.0
-    length_normalize: bool = False
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.offset_c):
-            raise ValueError("offset_c must be finite")
-
-
-@dataclass(frozen=True, slots=True)
 class ScoreRecord:
+    """A scored line; its label is always label_for(score)."""
+
     line_no: int
     score: float
-    label: OriginLabel
 
     def __post_init__(self) -> None:
         if math.isnan(self.score):
             raise ValueError(f"line {self.line_no}: score is NaN, which has no rank")
-        if self.label is not label_for(self.score):
-            raise ValueError(
-                f"label {self.label} inconsistent with score {self.score!r}"
-            )
+
+    @property
+    def label(self) -> OriginLabel:
+        return label_for(self.score)
 
 
 def label_for(score: float) -> OriginLabel:
@@ -53,7 +43,7 @@ def label_for(score: float) -> OriginLabel:
     return OriginLabel.SOURCE_ORIGINAL if score > 0 else OriginLabel.TARGET_ORIGINAL
 
 
-def raw_score_pair(
+def score_pair(
     source_lm: NGramModel,
     target_lm: NGramModel,
     example: ParallelExample,
@@ -67,22 +57,20 @@ def raw_score_pair(
     return s.total_logprob - t.total_logprob
 
 
-def score_pair(config: DetectorConfig, example: ParallelExample) -> float:
-    return (
-        raw_score_pair(
-            config.source_lm, config.target_lm, example, config.length_normalize
-        )
-        + config.offset_c
-    )
-
-
 def classify(
-    config: DetectorConfig, examples: Iterable[ParallelExample]
+    source_lm: NGramModel,
+    target_lm: NGramModel,
+    examples: Iterable[ParallelExample],
+    offset_c: float = 0.0,
+    length_normalize: bool = False,
 ) -> Iterator[ScoreRecord]:
-    """Score and label examples in order, 1-based line numbers."""
-    for line_no, example in enumerate(examples, 1):
-        score = score_pair(config, example)
-        yield ScoreRecord(line_no, score, label_for(score))
+    """Score examples in order, offset_c added, with 1-based line numbers."""
+    if not math.isfinite(offset_c):
+        raise ValueError("offset_c must be finite")
+    return (
+        ScoreRecord(n, score_pair(source_lm, target_lm, ex, length_normalize) + offset_c)
+        for n, ex in enumerate(examples, 1)
+    )
 
 
 def tune_offset(
@@ -164,44 +152,28 @@ def evaluate_detection(
         else:
             fp[record.label] += 1
             fn[truth] += 1
-    f1_s = _f1(
-        tp[OriginLabel.SOURCE_ORIGINAL],
-        fp[OriginLabel.SOURCE_ORIGINAL],
-        fn[OriginLabel.SOURCE_ORIGINAL],
-    )
-    f1_t = _f1(
-        tp[OriginLabel.TARGET_ORIGINAL],
-        fp[OriginLabel.TARGET_ORIGINAL],
-        fn[OriginLabel.TARGET_ORIGINAL],
+    f1_s, f1_t = (
+        _f1(tp[label], fp[label], fn[label])
+        for label in (OriginLabel.SOURCE_ORIGINAL, OriginLabel.TARGET_ORIGINAL)
     )
     return DetectionEval((f1_s + f1_t) / 2.0, (f1_s, f1_t), correct / len(records))
 
 
-@dataclass(frozen=True, slots=True)
-class SelectionSpec:
-    """Take the R% most extreme records from each end of the score ranking."""
-
-    ratio_percent: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.ratio_percent <= 50:
-            raise ValueError(
-                f"ratio_percent must be in (0, 50], got {self.ratio_percent}"
-            )
-
-
 def select_extremes(
-    records: Sequence[ScoreRecord], spec: SelectionSpec
+    records: Sequence[ScoreRecord], ratio_percent: float
 ) -> tuple[set[int], set[int]]:
     """(most_source line numbers, most_target line numbers).
 
     Records are ranked once, descending by score with ties broken by smaller
     line number first; most_source is the head of that ranking, most_target
-    the tail, each floor(R * N / 100) lines, so the sets never overlap.
+    the tail, each floor(R * N / 100) lines for R = ratio_percent in (0, 50],
+    so the sets never overlap.
     """
+    if not 0 < ratio_percent <= 50:
+        raise ValueError(f"ratio_percent must be in (0, 50], got {ratio_percent}")
     if not records:
         raise EmptyInput("cannot select from zero records")
-    k = math.floor(spec.ratio_percent * len(records) / 100)
+    k = math.floor(ratio_percent * len(records) / 100)
     ranking = sorted(records, key=lambda r: (-r.score, r.line_no))
     most_source = {r.line_no for r in ranking[:k]}
     most_target = {r.line_no for r in ranking[len(ranking) - k :]} if k else set()

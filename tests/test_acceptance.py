@@ -107,12 +107,10 @@ def _detection(bed_dir, bed_models):
     records_path = root / "eval_records.tsv"
     _run(["classify", "--scores", eval_raw, "--offset-c", repr(c), "--output", records_path])
 
-    records = [
-        ScoreRecord(
-            int(row["line_no"]), float(row["score"]), OriginLabel.from_code(row["label"])
-        )
-        for row in read_tsv(str(records_path), ["line_no", "score", "label"])
-    ]
+    rows = read_tsv(str(records_path), ["line_no", "score", "label"])
+    records = [ScoreRecord(int(row["line_no"]), float(row["score"])) for row in rows]
+    # the label column is the one a record derives from its score
+    assert [row["label"] for row in rows] == [record.label.code for record in records]
     _detection_state.update(
         offset=c,
         records=records,

@@ -413,6 +413,17 @@ def test_tune_offset_single_class_is_a_data_error(corpus):
     assert main(["tune-offset", "--input", str(table)]) == 2
 
 
+def test_tune_offset_names_the_line_of_a_bad_gold_code(corpus, capsys):
+    table = corpus / "t.tsv"
+    table.write_text("score\tgold\n-1.0\tT\n2.0\tX\n", encoding="utf-8")
+    out = corpus / "c.tsv"
+    assert main(["tune-offset", "--input", str(table), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"covbias: error: {table}: line 3: unknown origin label 'X', expected S or T\n"
+    )
+
+
 def test_classify_applies_the_offset(corpus, capsys):
     scores = corpus / "scores.tsv"
     scores.write_text("line_no\tscore\n1\t-1.0\n2\t2.0\n", encoding="utf-8")
@@ -505,6 +516,21 @@ def test_a_label_that_disagrees_with_its_score_is_a_data_error(corpus, capsys, c
     assert capsys.readouterr().err == (
         f"covbias: error: {table}: line 2: label 'T' disagrees with score 5.0,"
         " which is labelled S\n"
+    )
+
+
+@pytest.mark.parametrize("ratio, rows", [("10", 2), ("50", 1), ("0.5", 199)])
+def test_select_refuses_to_select_no_line(corpus, capsys, ratio, rows):
+    """floor(ratio * rows / 100) = 0 would write a header-only selection."""
+    records = corpus / "records.tsv"
+    body = "".join(f"{n}\t{n - 1.5}\n" for n in range(1, rows + 1))
+    records.write_text("line_no\tscore\n" + body, encoding="utf-8")
+    out = corpus / "split.tsv"
+    argv = ["select", "--records", str(records), "--ratio", ratio, "--output", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"covbias: error: {records}: --ratio {float(ratio)} of {rows} records selects no line\n"
     )
 
 
@@ -1183,11 +1209,13 @@ def test_an_output_may_overwrite_an_input(corpus, monkeypatch):
     assert (corpus / "tgt.txt").read_bytes() == expected
 
 
-@pytest.mark.parametrize("how", ["flag", "config"])
-def test_an_empty_tag_token_is_a_usage_error(corpus, monkeypatch, how):
+@pytest.mark.parametrize("how", ["flag", "config", "space"])
+def test_an_empty_tag_token_is_a_usage_error(corpus, monkeypatch, capsys, how):
     monkeypatch.chdir(corpus)
     if how == "flag":
         extra = ["--tag-token", ""]
+    elif how == "space":
+        extra = ["--tag-token", "a b"]
     else:
         (corpus / "run.cfg").write_text("tag_token =\n", encoding="utf-8")
         extra = ["--config", "run.cfg"]
@@ -1199,6 +1227,7 @@ def test_an_empty_tag_token_is_a_usage_error(corpus, monkeypatch, how):
             "--out-source", "t.src", "--out-target", "t.tgt"]
     assert main(argv + extra) == 1
     assert sorted(os.listdir(corpus)) == before
+    assert capsys.readouterr().err == "covbias: tag token must be non-empty and whitespace-free\n" * 2
 
 
 _SECTION_FAULTS = {

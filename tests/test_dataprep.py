@@ -10,7 +10,6 @@ from covbias import (
     OriginLabel,
     ParallelExample,
     TagCollision,
-    TagPolicy,
     bias_tag,
     detag,
     finetune_split,
@@ -56,13 +55,19 @@ def test_tag_keeps_pos_annotations_aligned():
     assert tagged.target_pos == ("INTJ", "NOUN")
 
 
-def test_custom_tag_policy():
-    policy = TagPolicy("<ORIG=T>")
-    (tagged,) = bias_tag([_examples()[1]], [T], policy)
+def test_custom_tag_token():
+    (tagged,) = bias_tag([_examples()[1]], [T], "<ORIG=T>")
     assert tagged.source[0] == "<ORIG=T>"
+    assert list(detag([tagged], "<ORIG=T>")) == [_examples()[1]]
+    message = "^tag token must be non-empty and whitespace-free$"
     for bad in ("", "a b", "a\tb"):
-        with pytest.raises(ValueError):
-            TagPolicy(bad)
+        # bias_tag refuses it when called, before it reads a line
+        with pytest.raises(ValueError, match=message):
+            bias_tag(_examples(), [S, T, S], bad)
+        with pytest.raises(ValueError, match=message):
+            list(detag(_examples(), bad))
+        with pytest.raises(ValueError, match=message):
+            merge_augment(_examples(), _examples(), tag_token=bad)
 
 
 def test_tag_collision_reports_the_line():
@@ -168,7 +173,7 @@ def test_merge_without_options_concatenates():
 
 def test_merge_tags_synthetic_sources_only():
     authentic, synthetic = _examples()[:1], _examples()[1:2]
-    merged, _ = merge_augment(authentic, synthetic, policy=TagPolicy("<BT>"))
+    merged, _ = merge_augment(authentic, synthetic, tag_token="<BT>")
     assert merged[0] == authentic[0]
     assert merged[1].source == ("<BT>", "hallo")
     assert merged[1].target == ("hello",)
@@ -177,10 +182,10 @@ def test_merge_tags_synthetic_sources_only():
 def test_merge_collision_checks_both_corpora():
     poisoned = ParallelExample(("<BT>",), ("x",))
     with pytest.raises(TagCollision):
-        merge_augment([poisoned], _examples(), policy=TagPolicy("<BT>"))
+        merge_augment([poisoned], _examples(), tag_token="<BT>")
     with pytest.raises(TagCollision):
-        merge_augment(_examples(), [poisoned], policy=TagPolicy("<BT>"))
-    # without a policy nothing is tagged, so nothing can collide
+        merge_augment(_examples(), [poisoned], tag_token="<BT>")
+    # without a tag token nothing is tagged, so nothing can collide
     merged, _ = merge_augment([poisoned], [poisoned])
     assert merged == [poisoned, poisoned]
 

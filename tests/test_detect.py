@@ -4,19 +4,16 @@ import random
 import pytest
 
 from covbias import (
-    DetectorConfig,
     EmptyInput,
     LengthMismatch,
     NGramModel,
     OriginLabel,
     ParallelExample,
     ScoreRecord,
-    SelectionSpec,
     SingleClassInput,
     classify,
     evaluate_detection,
     label_for,
-    raw_score_pair,
     score_pair,
     select_extremes,
     tune_offset,
@@ -47,9 +44,9 @@ def test_raw_score_is_the_logprob_difference(uniform_pair):
     example = ParallelExample(("a", "a"), ("b",))
     s = src_lm.logprob(example.source)
     t = tgt_lm.logprob(example.target)
-    got = raw_score_pair(src_lm, tgt_lm, example)
+    got = score_pair(src_lm, tgt_lm, example)
     assert got == s.total_logprob - t.total_logprob
-    normalized = raw_score_pair(src_lm, tgt_lm, example, length_normalize=True)
+    normalized = score_pair(src_lm, tgt_lm, example, length_normalize=True)
     assert normalized == s.total_logprob / 3 - t.total_logprob / 2
 
 
@@ -57,9 +54,8 @@ def test_offset_is_added_after_normalization(uniform_pair):
     src_lm, tgt_lm = uniform_pair
     example = ParallelExample(("a",), ("b", "c"))
     for normalize in (False, True):
-        config = DetectorConfig(src_lm, tgt_lm, offset_c=1.25, length_normalize=normalize)
-        raw = raw_score_pair(src_lm, tgt_lm, example, normalize)
-        assert score_pair(config, example) == raw + 1.25
+        (record,) = classify(src_lm, tgt_lm, [example], 1.25, length_normalize=normalize)
+        assert record.score == score_pair(src_lm, tgt_lm, example, normalize) + 1.25
 
 
 def test_swapping_models_and_sides_negates_the_score(uniform_pair):
@@ -67,8 +63,8 @@ def test_swapping_models_and_sides_negates_the_score(uniform_pair):
     example = ParallelExample(("a", "b"), ("c",))
     flipped = ParallelExample(("c",), ("a", "b"))
     for normalize in (False, True):
-        forward = raw_score_pair(src_lm, tgt_lm, example, normalize)
-        backward = raw_score_pair(tgt_lm, src_lm, flipped, normalize)
+        forward = score_pair(src_lm, tgt_lm, example, normalize)
+        backward = score_pair(tgt_lm, src_lm, flipped, normalize)
         assert forward == -backward
 
 
@@ -79,21 +75,23 @@ def test_label_boundary_zero_is_target_original():
     assert label_for(-1.0) is T
 
 
-def test_score_record_rejects_inconsistent_label():
-    ScoreRecord(1, 0.0, T)
-    ScoreRecord(1, 0.5, S)
-    with pytest.raises(ValueError):
+def test_score_record_label_follows_score():
+    assert ScoreRecord(1, 0.0).label is T
+    assert ScoreRecord(1, -0.0).label is T
+    assert ScoreRecord(1, 0.5).label is S
+    assert ScoreRecord(1, 2.0).label is S
+    # a label that disagrees with the score can no longer be given
+    with pytest.raises(TypeError):
         ScoreRecord(1, 0.0, S)
-    with pytest.raises(ValueError):
-        ScoreRecord(1, 2.0, T)
 
 
-def test_detector_config_rejects_non_finite_offset(uniform_pair):
+def test_classify_rejects_non_finite_offset(uniform_pair):
     src_lm, tgt_lm = uniform_pair
-    with pytest.raises(ValueError):
-        DetectorConfig(src_lm, tgt_lm, offset_c=math.inf)
-    with pytest.raises(ValueError):
-        DetectorConfig(src_lm, tgt_lm, offset_c=math.nan)
+    examples = [ParallelExample(("a",), ("b",))]
+    for offset_c in (math.inf, math.nan):
+        # refused when called, before any pair is scored
+        with pytest.raises(ValueError, match="^offset_c must be finite$"):
+            classify(src_lm, tgt_lm, examples, offset_c)
 
 
 def test_classify_numbers_lines_from_one(uniform_pair):
@@ -102,12 +100,12 @@ def test_classify_numbers_lines_from_one(uniform_pair):
         ParallelExample(("a",), ("b", "c", "b")),  # short source: positive score
         ParallelExample(("a", "a", "a"), ("b",)),  # long source: negative score
     ]
-    records = list(classify(DetectorConfig(src_lm, tgt_lm), examples))
+    records = list(classify(src_lm, tgt_lm, examples))
     assert [r.line_no for r in records] == [1, 2]
     assert records[0].label is S
     assert records[1].label is T
     for record, example in zip(records, examples):
-        assert record.score == raw_score_pair(src_lm, tgt_lm, example)
+        assert record.score == score_pair(src_lm, tgt_lm, example)
 
 
 def test_tune_offset_separable_case():
@@ -168,7 +166,7 @@ def test_tuned_offset_is_grid_optimal_and_honest():
 
 
 def test_evaluate_detection_counts_and_degenerate_macro():
-    records = [ScoreRecord(1, 1.0, S), ScoreRecord(2, 2.0, S)]
+    records = [ScoreRecord(1, 1.0), ScoreRecord(2, 2.0)]
     result = evaluate_detection(records, [S, T])
     assert result.per_class_f1 == (2 / 3, 0.0)
     assert result.macro_f1 == 1 / 3
@@ -176,13 +174,13 @@ def test_evaluate_detection_counts_and_degenerate_macro():
 
 
 def test_evaluate_detection_perfect_case():
-    records = [ScoreRecord(1, 1.0, S), ScoreRecord(2, -1.0, T)]
+    records = [ScoreRecord(1, 1.0), ScoreRecord(2, -1.0)]
     result = evaluate_detection(records, [S, T])
     assert result == ((1.0 + 1.0) / 2, (1.0, 1.0), 1.0)
 
 
 def test_evaluate_detection_rejects_bad_shapes():
-    records = [ScoreRecord(1, 1.0, S)]
+    records = [ScoreRecord(1, 1.0)]
     with pytest.raises(LengthMismatch):
         evaluate_detection(records, [S, T])
     with pytest.raises(EmptyInput):
@@ -190,19 +188,19 @@ def test_evaluate_detection_rejects_bad_shapes():
 
 
 def _records(scores):
-    return [ScoreRecord(i, s, label_for(s)) for i, s in enumerate(scores, 1)]
+    return [ScoreRecord(i, s) for i, s in enumerate(scores, 1)]
 
 
 def test_select_extremes_takes_both_ends():
     records = _records([5.0, 4.0, -1.0, -2.0])
-    most_source, most_target = select_extremes(records, SelectionSpec(50))
+    most_source, most_target = select_extremes(records, 50)
     assert most_source == {1, 2}
     assert most_target == {3, 4}
 
 
 def test_select_extremes_floors_the_count():
     records = _records([5.0, 4.0, 3.0, -1.0, -2.0])
-    most_source, most_target = select_extremes(records, SelectionSpec(50))
+    most_source, most_target = select_extremes(records, 50)
     assert len(most_source) == len(most_target) == 2
     assert most_source == {1, 2}
     assert most_target == {4, 5}
@@ -210,7 +208,7 @@ def test_select_extremes_floors_the_count():
 
 def test_select_extremes_breaks_score_ties_by_line_number():
     records = _records([3.0, 1.0, 1.0, 1.0])
-    most_source, most_target = select_extremes(records, SelectionSpec(25))
+    most_source, most_target = select_extremes(records, 25)
     assert most_source == {1}
     assert most_target == {4}
 
@@ -220,11 +218,11 @@ def test_select_extremes_never_overlaps_and_ignores_input_order():
     scores = [rng.randrange(-4, 5) / 2 for _ in range(13)]
     records = _records(scores)
     for ratio in (10, 25, 50):
-        expected = select_extremes(records, SelectionSpec(ratio))
+        expected = select_extremes(records, ratio)
         assert not (expected[0] & expected[1])
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert select_extremes(shuffled, SelectionSpec(ratio)) == expected
+        assert select_extremes(shuffled, ratio) == expected
 
 
 @pytest.mark.parametrize("nan_line", [1, 2])
@@ -236,29 +234,30 @@ def test_nan_scores_are_rejected_before_ranking(nan_line):
     with pytest.raises(ValueError, match="NaN"):
         _records(scores)
     with pytest.raises(ValueError, match="NaN"):
-        ScoreRecord(nan_line, math.nan, T)
+        ScoreRecord(nan_line, math.nan)
 
 
 @pytest.mark.parametrize(
     "scores", [[math.inf, 1.0, 2.0, -math.inf], [1.0, -math.inf, math.inf, 2.0]]
 )
 def test_select_extremes_ranks_infinite_scores_at_the_ends(scores):
-    most_source, most_target = select_extremes(_records(scores), SelectionSpec(25))
+    most_source, most_target = select_extremes(_records(scores), 25)
     assert most_source == {scores.index(math.inf) + 1}
     assert most_target == {scores.index(-math.inf) + 1}
 
 
 def test_select_extremes_small_inputs_yield_empty_sets():
-    most_source, most_target = select_extremes(_records([1.0]), SelectionSpec(50))
+    most_source, most_target = select_extremes(_records([1.0]), 50)
     assert most_source == set()
     assert most_target == set()
 
 
-def test_selection_spec_bounds():
-    SelectionSpec(50)
-    SelectionSpec(0.5)
+def test_select_extremes_ratio_bounds():
+    records = _records([1.0, -1.0])
+    assert select_extremes(records, 50) == ({1}, {2})
+    assert select_extremes(records, 0.5) == (set(), set())
     for bad in (0, -1, 50.01, 100):
-        with pytest.raises(ValueError):
-            SelectionSpec(bad)
+        with pytest.raises(ValueError, match=rf"^ratio_percent must be in \(0, 50\], got {bad}$"):
+            select_extremes(records, bad)
     with pytest.raises(EmptyInput):
-        select_extremes([], SelectionSpec(10))
+        select_extremes([], 10)

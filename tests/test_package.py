@@ -1,5 +1,5 @@
-"""The package's public surface: __all__, the names README documents and the
-functions the benchmark tracer wraps by name."""
+"""The package's public surface: __all__, the names README documents, README's
+library example and the functions the benchmark tracer wraps by name."""
 
 import ast
 import importlib
@@ -8,14 +8,21 @@ import types
 from pathlib import Path
 
 import covbias
+from covbias import NGramModel, OriginLabel, write_parallel
+
+from synthbed import make_testbed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def _library_section() -> str:
+def _library_section(code: bool = False) -> str:
+    """README "Library" prose, or with code=True the text of its one code block."""
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    if code:
+        (block,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+        return block
     return re.sub(r"```.*?```", "", section, flags=re.S)
 
 
@@ -49,6 +56,23 @@ def test_readme_library_names_resolve():
             owners = [covbias, *modules.values()]
             assert any(hasattr(owner, name) for owner in owners), name
     assert listed >= 15
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # The example's free names and the files it opens are bound to a small
+    # testbed in a temporary directory, so a stale call in README fails here.
+    bed = make_testbed(seed=5, n_mono=400, n_heldout=20, n_pairs_each=20)
+    monkeypatch.chdir(tmp_path)
+    NGramModel.train(bed.tgt_mono, order=3, min_count=2).save("tgt.lm")
+    write_parallel(bed.pairs, "all.src", "all.tgt")
+    namespace = {"src_sentences": bed.src_mono, "held_out_sentences": bed.src_heldout}
+    exec(compile(_library_section(code=True), str(README), "exec"), namespace)
+    records = namespace["records"]
+    assert [r.line_no for r in records] == list(range(1, len(bed.pairs) + 1))
+    assert len(namespace["most_source"]) == len(namespace["most_target"]) == 4
+    tagged = [ex.source[0] == "<TORIG>" for ex in namespace["tagged"]]
+    assert tagged == [r.label is OriginLabel.TARGET_ORIGINAL for r in records]
+    assert namespace["ppl"] > 1
 
 
 def test_all_names_exactly_the_public_attributes():
