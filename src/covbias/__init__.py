@@ -56,23 +56,7 @@ from .divergence import (
     js,
     random_split,
 )
-from .errors import (
-    CovbiasError,
-    DataError,
-    DegenerateVocabulary,
-    EmptyCorpus,
-    EmptyInput,
-    EmptyLine,
-    EmptySelection,
-    FormatError,
-    InvalidFraction,
-    LengthMismatch,
-    LineCountMismatch,
-    MissingPosAnnotations,
-    PosAlignmentError,
-    SingleClassInput,
-    TagCollision,
-)
+from .errors import DataError, FormatError
 from .fmeasure import (
     AdequacyReport,
     BucketStats,
@@ -86,35 +70,22 @@ __all__ = [
     "AbstractionRule",
     "AdequacyReport",
     "BucketStats",
-    "CovbiasError",
     "DataError",
     "DEFAULT_ORIGIN_TAG",
     "DEFAULT_SYNTHETIC_TAG",
-    "DegenerateVocabulary",
     "DetectionEval",
     "DivergenceReport",
-    "EmptyCorpus",
-    "EmptyInput",
-    "EmptyLine",
-    "EmptySelection",
     "FluencyReport",
     "FormatError",
-    "InvalidFraction",
-    "LengthMismatch",
-    "LineCountMismatch",
     "LmScore",
     "ManifestEntry",
-    "MissingPosAnnotations",
     "MODEL_FORMAT_VERSION",
     "NGramModel",
     "OriginLabel",
     "ParallelExample",
-    "PosAlignmentError",
     "PosAnnotation",
     "ScoreRecord",
     "Sentence",
-    "SingleClassInput",
-    "TagCollision",
     "VocabDistribution",
     "WordClassMap",
     "abstract_corpus",

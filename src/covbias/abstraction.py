@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .corpus import PosAnnotation, Sentence, read_tagged, write_mono
 from .divergence import WordClassMap
-from .errors import PosAlignmentError
+from .errors import DataError
 from .fileio import fmt_float, format_tsv
 from .lm import NGramModel, perplexity
 
@@ -43,7 +43,7 @@ def abstract_sentence(
 ) -> Sentence:
     """Length-preserving substitution of content words by rendered tags."""
     if len(sentence) != len(pos):
-        raise PosAlignmentError(
+        raise DataError(
             f"{len(pos)} tags for {len(sentence)} tokens"
         )
     return tuple(

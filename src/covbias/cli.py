@@ -119,6 +119,11 @@ def _abstraction_rule(args: argparse.Namespace) -> AbstractionRule:
     )
 
 
+def _row_fault(path: str, file_line: int, message: str) -> DataError:
+    """The DataError for a fault in one row of a report, naming its file line."""
+    return DataError(f"{path}: line {file_line}: {message}", line_no=file_line)
+
+
 def _keyed_rows(path: str, column: str) -> Iterator[tuple[int, int, dict[str, str]]]:
     """(file line, line_no, row) per row of a report keyed by line_no.
 
@@ -129,25 +134,23 @@ def _keyed_rows(path: str, column: str) -> Iterator[tuple[int, int, dict[str, st
         try:
             line_no = int(row["line_no"])
         except ValueError:
-            raise DataError(f"{path}: bad line_no {row['line_no']!r}") from None
+            raise _row_fault(path, file_line, f"bad line_no {row['line_no']!r}") from None
         if line_no < 1:
-            raise DataError(f"{path}: line_no must be >= 1, got {line_no}")
+            raise _row_fault(path, file_line, f"line_no must be >= 1, got {line_no}")
         if line_no in seen:
-            raise DataError(
-                f"{path}: line {file_line}: line_no {line_no} is repeated", line_no=file_line
-            )
+            raise _row_fault(path, file_line, f"line_no {line_no} is repeated")
         seen.add(line_no)
         yield file_line, line_no, row
 
 
-def _parse_score(row: dict[str, str], path: str, column: str = "score") -> float:
+def _parse_score(row: dict[str, str], path: str, file_line: int, column: str = "score") -> float:
     raw = row[column]
     try:
         value = float(raw)
     except ValueError:
-        raise DataError(f"{path}: bad {column} value {raw!r}") from None
+        raise _row_fault(path, file_line, f"bad {column} value {raw!r}") from None
     if not math.isfinite(value):
-        raise DataError(f"{path}: {column} value {raw!r} is not finite")
+        raise _row_fault(path, file_line, f"{column} value {raw!r} is not finite")
     return value
 
 
@@ -160,21 +163,28 @@ def _read_scores(path: str) -> list[tuple[int, float]]:
     by_code = {label.code: label for label in OriginLabel}
     scored = []
     for file_line, line_no, row in _keyed_rows(path, "score"):
-        score = _parse_score(row, path)
+        score = _parse_score(row, path, file_line)
         if "label" in row and by_code.get(row["label"]) is not label_for(score):
-            raise DataError(
-                f"{path}: line {file_line}: label {row['label']!r} disagrees with"
+            raise _row_fault(
+                path,
+                file_line,
+                f"label {row['label']!r} disagrees with"
                 f" score {row['score']}, which is labelled {label_for(score).code}",
-                line_no=file_line,
             )
         scored.append((line_no, score))
     return scored
 
 
-def _read_groups(path: str) -> dict[str, set[int]]:
-    """{group: line numbers} of a line-groups report, groups in file order."""
+def _read_groups(path: str, allowed: tuple[str, ...] = ()) -> dict[str, set[int]]:
+    """{group: line numbers} of a line-groups report, groups in file order.
+
+    With allowed, a group not in it is a DataError naming the line.
+    """
     groups: dict[str, set[int]] = {}
-    for _, line_no, row in _keyed_rows(path, "group"):
+    for file_line, line_no, row in _keyed_rows(path, "group"):
+        if allowed and row["group"] not in allowed:
+            message = f"group must be {' or '.join(allowed)}, got {row['group']!r}"
+            raise _row_fault(path, file_line, message)
         groups.setdefault(row["group"], set()).add(line_no)
     return groups
 
@@ -223,11 +233,11 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
     path = args.input
     scored = []
     for file_line, row in enumerate(read_tsv(path, ["score", "gold"]), 2):
-        score = _parse_score(row, path)
+        score = _parse_score(row, path, file_line)
         try:
             scored.append((score, OriginLabel.from_code(row["gold"])))
         except DataError as exc:
-            raise DataError(f"{path}: line {file_line}: {exc}", line_no=file_line) from None
+            raise _row_fault(path, file_line, str(exc)) from None
     c, macro_f1 = tune_offset(scored)
     _write_report(
         format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output
@@ -310,15 +320,15 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
 
 def _read_fluency_baseline(path: str) -> FluencyReport:
     by_level = {}
-    for row in read_tsv(path, ["level", "ppl"]):
+    for file_line, row in enumerate(read_tsv(path, ["level", "ppl"]), 2):
         level = row["level"]
         if level not in ("plain", "abstracted"):
-            raise DataError(f"{path}: level must be plain or abstracted, got {level!r}")
+            raise _row_fault(path, file_line, f"level must be plain or abstracted, got {level!r}")
         if level in by_level:
-            raise DataError(f"{path}: level {level!r} is given more than once")
-        ppl = _parse_score(row, path, column="ppl")
+            raise _row_fault(path, file_line, f"level {level!r} is given more than once")
+        ppl = _parse_score(row, path, file_line, column="ppl")
         if ppl < 1:  # every event log-probability is <= 0
-            raise DataError(f"{path}: ppl value {row['ppl']!r} is below 1")
+            raise _row_fault(path, file_line, f"ppl value {row['ppl']!r} is below 1")
         by_level[level] = ppl
     missing = {"plain", "abstracted"} - set(by_level)
     if missing:
@@ -344,8 +354,9 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
 def _cmd_tag(args: argparse.Namespace) -> int:
     labels = []
     for expected, (line_no, score) in enumerate(_read_scores(args.records), 1):
-        if line_no != expected:
-            raise DataError(f"{args.records}: expected line_no {expected} in order, got {line_no}")
+        if line_no != expected:  # row k is file line k + 1, after the header
+            message = f"expected line_no {expected} in order, got {line_no}"
+            raise _row_fault(args.records, expected + 1, message)
         labels.append(label_for(score))
     examples = read_parallel(args.source, args.target)
     tagged = bias_tag(examples, labels, args.tag_token)
@@ -361,13 +372,11 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
         scored = _read_scores(args.records)
         lines = {n for n, score in scored if label_for(score) is OriginLabel.SOURCE_ORIGINAL}
     else:
-        groups = _read_groups(args.selection)
-        foreign = [name for name in groups if name not in ("most_source", "most_target")]
-        if foreign:
-            raise DataError(
-                f"{args.selection}: group must be most_source or most_target, got {foreign[0]!r}"
-            )
+        groups = _read_groups(args.selection, ("most_source", "most_target"))
         lines = groups.get("most_source", set())
+    if not lines:
+        source = args.records or args.selection
+        raise DataError(f"{source}: no source-original line to fine-tune on")
     pretrain, finetune, manifest = finetune_split(examples, lines)
     write_parallel(pretrain, args.out_pretrain_source, args.out_pretrain_target)
     write_parallel(finetune, args.out_finetune_source, args.out_finetune_target)

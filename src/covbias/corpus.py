@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import zip_longest
 from typing import NoReturn
 
-from .errors import DataError, EmptyLine, LineCountMismatch, PosAlignmentError
+from .errors import DataError
 from .fileio import atomic_write
 
 Sentence = tuple[str, ...]
@@ -53,17 +53,17 @@ class ParallelExample:
 
     def __post_init__(self) -> None:
         if self.source_pos is not None and len(self.source_pos) != len(self.source):
-            raise PosAlignmentError(
+            raise DataError(
                 f"source has {len(self.source)} tokens but {len(self.source_pos)} tags"
             )
         if self.target_pos is not None and len(self.target_pos) != len(self.target):
-            raise PosAlignmentError(
+            raise DataError(
                 f"target has {len(self.target)} tokens but {len(self.target_pos)} tags"
             )
 
 
 def _empty_line(path: str, line_no: int) -> NoReturn:
-    raise EmptyLine(path, line_no)
+    raise DataError(f"{path}: line {line_no} is empty", line_no)
 
 
 def read_mono(path: str) -> Iterator[Sentence]:
@@ -76,7 +76,7 @@ def read_mono(path: str) -> Iterator[Sentence]:
 def _read_tags(raw: str, tokens: Sentence, path: str, line_no: int) -> PosAnnotation:
     tags = tuple(raw.split()) or _empty_line(path, line_no)
     if len(tags) != len(tokens):
-        raise PosAlignmentError(
+        raise DataError(
             f"{path}: line {line_no} has {len(tags)} tags for {len(tokens)} tokens",
             line_no=line_no,
         )
@@ -89,14 +89,14 @@ _END = object()
 def _read_lines(paths: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Walk files in lock-step, yielding (line_no, one raw line per file).
 
-    The first file, in argument order, to run out raises LineCountMismatch
+    The first file, in argument order, to run out raises DataError
     naming that file and the first line it lacks.
     """
     with ExitStack() as stack:
         handles = [stack.enter_context(open(p, "r", encoding="utf-8")) for p in paths]
         for line_no, raws in enumerate(zip_longest(*handles, fillvalue=_END), 1):
             if _END in raws:
-                raise LineCountMismatch(
+                raise DataError(
                     f"{paths[raws.index(_END)]} ended at line {line_no} "
                     "but other input(s) continue",
                     line_no=line_no,

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from typing import NamedTuple
 
 from .corpus import OriginLabel, ParallelExample
-from .errors import DataError, LengthMismatch, TagCollision
+from .errors import DataError
 from .fileio import format_tsv
 
 DEFAULT_ORIGIN_TAG = "<TORIG>"
@@ -61,7 +61,7 @@ def _check_collision(
     example: ParallelExample, token: str, line_no: int
 ) -> None:
     if token in example.source or token in example.target:
-        raise TagCollision(
+        raise DataError(
             f"line {line_no}: corpus already contains the tag token {token!r}",
             line_no=line_no,
         )
@@ -75,7 +75,7 @@ def bias_tag(
     """Prepend the tag token to the source side of target-original pairs.
 
     Labels align 1:1 with examples; a corpus that already contains the tag
-    token anywhere raises TagCollision so detagging stays unambiguous. A bad
+    token anywhere raises DataError so detagging stays unambiguous. A bad
     tag token raises ValueError at the call, before any line is read.
     """
     _check_tag_token(tag_token)
@@ -90,7 +90,7 @@ def _tag_lines(
     for line_no, (example, label) in enumerate(pairs, 1):
         if example is missing or label is missing:
             short, other = ("examples", "labels") if example is missing else ("labels", "examples")
-            raise LengthMismatch(
+            raise DataError(
                 f"{short} ended at line {line_no} but {other} continue", line_no=line_no
             )
         _check_collision(example, tag_token, line_no)
@@ -129,7 +129,7 @@ def finetune_split(
     if any(not isinstance(x, int) or x < 1 for x in lines):
         raise DataError("selection line numbers must be positive integers")
     if lines and max(lines) > len(examples):
-        raise LengthMismatch(
+        raise DataError(
             f"selection names line {max(lines)} but the corpus has {len(examples)} lines"
         )
     pretrain = list(examples)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import OriginLabel, ParallelExample
-from .errors import EmptyInput, LengthMismatch, SingleClassInput
+from .errors import DataError
 from .lm import NGramModel
 
 
@@ -85,10 +85,10 @@ def tune_offset(
     Returns (c, macro_f1 at c).
     """
     if not scored:
-        raise EmptyInput("cannot tune an offset on zero scored pairs")
+        raise DataError("cannot tune an offset on zero scored pairs")
     golds = {label for _, label in scored}
     if len(golds) < 2:
-        raise SingleClassInput(
+        raise DataError(
             "offset tuning needs both source-original and target-original gold labels"
         )
     pairs = sorted(scored, key=lambda sl: sl[0])
@@ -136,11 +136,11 @@ def evaluate_detection(
     records: Sequence[ScoreRecord], gold: Sequence[OriginLabel]
 ) -> DetectionEval:
     if len(records) != len(gold):
-        raise LengthMismatch(
+        raise DataError(
             f"{len(records)} records but {len(gold)} gold labels"
         )
     if not records:
-        raise EmptyInput("cannot evaluate zero records")
+        raise DataError("cannot evaluate zero records")
     tp = {OriginLabel.SOURCE_ORIGINAL: 0, OriginLabel.TARGET_ORIGINAL: 0}
     fp = dict(tp)
     fn = dict(tp)
@@ -172,7 +172,7 @@ def select_extremes(
     if not 0 < ratio_percent <= 50:
         raise ValueError(f"ratio_percent must be in (0, 50], got {ratio_percent}")
     if not records:
-        raise EmptyInput("cannot select from zero records")
+        raise DataError("cannot select from zero records")
     k = math.floor(ratio_percent * len(records) / 100)
     ranking = sorted(records, key=lambda r: (-r.score, r.line_no))
     most_source = {r.line_no for r in ranking[:k]}

@@ -17,12 +17,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .corpus import ParallelExample
-from .errors import (
-    DataError,
-    EmptySelection,
-    InvalidFraction,
-    MissingPosAnnotations,
-)
+from .errors import DataError
 from .fileio import fmt_float, format_tsv, read_section_file
 
 JS_SCALE = 1e5
@@ -72,7 +67,7 @@ class VocabDistribution:
         if any(c < 0 for c in counts.values()):
             raise ValueError("negative token count")
         if not positive:
-            raise EmptySelection("distribution over zero tokens")
+            raise DataError("distribution over zero tokens")
         return cls(positive, sum(positive.values()))
 
 
@@ -86,7 +81,7 @@ def _side_tokens(
     else:
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
     if need_pos and pos is None:
-        raise MissingPosAnnotations(
+        raise DataError(
             f"line {line_no}: {side} side has no POS annotations", line_no=line_no
         )
     return tokens, pos
@@ -121,7 +116,7 @@ def build_distribution(
     """Token distribution over one side, filtered by word class.
 
     word_class is "all", "content", or "function"; the last two need POS
-    annotations on the chosen side and raise MissingPosAnnotations at the
+    annotations on the chosen side and raise DataError at the
     first example without them.
     """
     if word_class not in WORD_CLASSES:
@@ -133,7 +128,7 @@ def build_distribution(
         tokens, pos = _side_tokens(example, side, line_no, need_pos)
         _count_words(counts, tokens, pos if need_pos else None, classes)
     if not counts[word_class]:
-        raise EmptySelection(f"no {word_class} tokens in the {side}-side selection")
+        raise DataError(f"no {word_class} tokens in the {side}-side selection")
     return VocabDistribution.from_counts(counts[word_class])
 
 
@@ -228,9 +223,9 @@ def random_split(
     with the given seed.
     """
     if not 0 < fraction < 1:
-        raise InvalidFraction(f"fraction must be in (0, 1), got {fraction}")
+        raise DataError(f"fraction must be in (0, 1), got {fraction}")
     if n_lines < 1:
-        raise EmptySelection("cannot split zero lines")
+        raise DataError("cannot split zero lines")
     k = math.floor(fraction * n_lines)
     line_numbers = list(range(1, n_lines + 1))
     random.Random(seed).shuffle(line_numbers)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import PosAnnotation, Sentence
-from .errors import LengthMismatch, PosAlignmentError
+from .errors import DataError
 from .fileio import fmt_float, format_tsv
 
 DEFAULT_BUCKETS: dict[str, frozenset[str]] = {
@@ -94,12 +94,12 @@ def word_fmeasure(
     if buckets is None:
         buckets = DEFAULT_BUCKETS
     if len(hyp) != len(ref):
-        raise LengthMismatch(f"{len(hyp)} hypothesis lines but {len(ref)} reference lines")
+        raise DataError(f"{len(hyp)} hypothesis lines but {len(ref)} reference lines")
     if len(ref_pos) != len(ref):
-        raise LengthMismatch(f"{len(ref_pos)} POS lines but {len(ref)} reference lines")
+        raise DataError(f"{len(ref_pos)} POS lines but {len(ref)} reference lines")
     for line_no, (tokens, tags) in enumerate(zip(ref, ref_pos), 1):
         if len(tokens) != len(tags):
-            raise PosAlignmentError(
+            raise DataError(
                 f"line {line_no}: {len(tags)} tags for {len(tokens)} reference tokens",
                 line_no=line_no,
             )

@@ -53,7 +53,7 @@ from types import MappingProxyType
 from typing import BinaryIO, NamedTuple
 
 from .corpus import Sentence
-from .errors import DataError, DegenerateVocabulary, EmptyCorpus, FormatError
+from .errors import DataError, FormatError
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -189,7 +189,7 @@ class NGramModel:
             sentences.append(tuple(sentence))
             freqs.update(sentences[-1])
         if not sentences:
-            raise EmptyCorpus("cannot train on an empty corpus")
+            raise DataError("cannot train on an empty corpus")
 
         reserved = set(RESERVED)
         surviving = sorted(
@@ -199,7 +199,7 @@ class NGramModel:
         any_masked = any(t not in kept for t in freqs)
         effective_types = len(surviving) + (1 if any_masked else 0)
         if effective_types < 2:
-            raise DegenerateVocabulary(
+            raise DataError(
                 f"only {effective_types} token type(s) remain after masking "
                 f"(min_count={min_count}); need at least 2"
             )
@@ -628,7 +628,7 @@ def perplexity(model: NGramModel, corpus: Iterable[Sentence]) -> float:
         total += score.total_logprob
         events += score.token_count
     if events == 0:
-        raise EmptyCorpus("cannot compute perplexity over an empty corpus")
+        raise DataError("cannot compute perplexity over an empty corpus")
     mean = -total / events
     if mean > math.log(sys.float_info.max):
         raise DataError(

@@ -1,13 +1,13 @@
 import math
+import re
 
 import pytest
 
 from covbias import (
     AbstractionRule,
+    DataError,
     FluencyReport,
-    LineCountMismatch,
     NGramModel,
-    PosAlignmentError,
     WordClassMap,
     abstract_corpus,
     abstract_sentence,
@@ -55,7 +55,7 @@ def test_rule_rejects_whitespace_in_affixes():
 
 
 def test_misaligned_sentence_is_rejected():
-    with pytest.raises(PosAlignmentError):
+    with pytest.raises(DataError, match="^1 tags for 2 tokens$"):
         abstract_sentence(("a", "b"), ("DET",), AbstractionRule.default())
 
 
@@ -76,13 +76,15 @@ def test_abstract_corpus_line_count_mismatch_both_directions(tmp_path):
     out = tmp_path / "out.txt"
     text.write_text("a b\nc d\n", encoding="utf-8")
     pos.write_text("DET NOUN\n", encoding="utf-8")
-    with pytest.raises(LineCountMismatch) as err:
+    message = rf"^{re.escape(str(pos))} ended at line 2 but other input\(s\) continue$"
+    with pytest.raises(DataError, match=message) as err:
         abstract_corpus(str(text), str(pos), str(out), AbstractionRule.default())
     assert err.value.line_no == 2
     assert not out.exists()
 
     pos.write_text("DET NOUN\nDET NOUN\nDET NOUN\n", encoding="utf-8")
-    with pytest.raises(LineCountMismatch) as err:
+    message = rf"^{re.escape(str(text))} ended at line 3 but other input\(s\) continue$"
+    with pytest.raises(DataError, match=message) as err:
         abstract_corpus(str(text), str(pos), str(out), AbstractionRule.default())
     assert err.value.line_no == 3
 
@@ -93,7 +95,8 @@ def test_abstract_corpus_reports_misaligned_line(tmp_path):
     out = tmp_path / "out.txt"
     text.write_text("a b\nc d\n", encoding="utf-8")
     pos.write_text("DET NOUN\nDET\n", encoding="utf-8")
-    with pytest.raises(PosAlignmentError) as err:
+    message = rf"^{re.escape(str(pos))}: line 2 has 1 tags for 2 tokens$"
+    with pytest.raises(DataError, match=message) as err:
         abstract_corpus(str(text), str(pos), str(out), AbstractionRule.default())
     assert err.value.line_no == 2
     assert not out.exists()
@@ -147,7 +150,7 @@ def test_fluency_report_diffs_are_relative_to_the_baseline():
 
 def test_fluency_report_shape_validation():
     plain_lm, abstracted_lm, rule = _tiny_lms()
-    with pytest.raises(PosAlignmentError):
+    with pytest.raises(DataError, match="^1 tags for 2 tokens$"):
         fluency_report(
             [(("a", "b"), ("DET",))],
             plain_lm=plain_lm,

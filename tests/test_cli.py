@@ -470,7 +470,16 @@ def _reading_report(corpus, command, table):
         "split-finetune-records": ["split-finetune", *pairs, "--records", table, *split],
         "jsdiv-split": ["jsdiv", *pairs, "--side", "source", "--split", table, *output],
         "split-finetune-selection": ["split-finetune", *pairs, "--selection", table, *split],
+        "tune-offset": ["tune-offset", "--input", table, *output],
     }
+    if command == "fluency":
+        pos = corpus / "src.pos"
+        pos.write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
+        model = str(_train(corpus, "plain.lm", "src.txt"))
+        return [
+            "fluency", "--input", str(corpus / "src.txt"), "--pos", str(pos), "--plain-lm", model,
+            "--abstracted-lm", model, "--baseline", table, *output,
+        ], outs
     return argv[command], outs
 
 
@@ -516,6 +525,80 @@ def test_a_label_that_disagrees_with_its_score_is_a_data_error(corpus, capsys, c
     assert capsys.readouterr().err == (
         f"covbias: error: {table}: line 2: label 'T' disagrees with score 5.0,"
         " which is labelled S\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, rows, line, fault",
+    [
+        ("classify", "line_no\tscore\n1\t1.0\nx\t2.0\n", 3, "bad line_no 'x'"),
+        ("select", "line_no\tscore\n0\t1.0\n", 2, "line_no must be >= 1, got 0"),
+        ("jsdiv-split", "line_no\tgroup\n1\ta\n-1\tb\n", 3, "line_no must be >= 1, got -1"),
+        ("classify", "line_no\tscore\n1\tabc\n", 2, "bad score value 'abc'"),
+        (
+            "split-finetune-records",
+            "line_no\tscore\n1\t1.0\n2\tnan\n",
+            3,
+            "score value 'nan' is not finite",
+        ),
+        ("tune-offset", "score\tgold\n-1\tT\nabc\tS\n", 3, "bad score value 'abc'"),
+        ("tune-offset", "score\tgold\n-1\tT\ninf\tS\n", 3, "score value 'inf' is not finite"),
+        ("tag", "line_no\tscore\n2\t1.0\n1\t-1.0\n", 2, "expected line_no 1 in order, got 2"),
+        (
+            "split-finetune-selection",
+            "line_no\tgroup\n1\tmost_source\n2\ta\n",
+            3,
+            "group must be most_source or most_target, got 'a'",
+        ),
+        (
+            "fluency",
+            "level\tppl\nplain\t3\nbogus\t7\n",
+            3,
+            "level must be plain or abstracted, got 'bogus'",
+        ),
+        ("fluency", "level\tppl\nplain\t3\nplain\t4\n", 3, "level 'plain' is given more than once"),
+        ("fluency", "level\tppl\nplain\t3\nabstracted\t0.5\n", 3, "ppl value '0.5' is below 1"),
+        ("fluency", "level\tppl\nplain\tabc\n", 2, "bad ppl value 'abc'"),
+        ("fluency", "level\tppl\nplain\t-inf\n", 2, "ppl value '-inf' is not finite"),
+    ],
+    ids=[
+        "bad-line_no", "line_no-0", "line_no-negative", "bad-score", "nan-score",
+        "tune-offset-bad-score", "tune-offset-inf-score", "tag-out-of-order",
+        "foreign-group", "bad-level", "repeated-level", "ppl-below-1", "bad-ppl", "inf-ppl",
+    ],
+)
+def test_a_report_row_fault_names_the_file_and_the_line(
+    corpus, capsys, command, rows, line, fault
+):
+    table = corpus / "report.tsv"
+    table.write_text(rows, encoding="utf-8")
+    argv, outs = _reading_report(corpus, command, str(table))
+    assert main(argv) == 2
+    assert not any(os.path.exists(out) for out in outs)
+    assert capsys.readouterr().err == f"covbias: error: {table}: line {line}: {fault}\n"
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(cli.DataError) as err:
+        cli._COMMANDS[args.command][1](args)
+    assert err.value.line_no == line
+
+
+@pytest.mark.parametrize(
+    "command, rows",
+    [
+        ("split-finetune-selection", "line_no\tgroup\n"),
+        ("split-finetune-selection", "line_no\tgroup\n2\tmost_target\n4\tmost_target\n"),
+        ("split-finetune-records", "line_no\tscore\n1\t-1.0\n2\t0.0\n"),
+    ],
+    ids=["header-only", "most_target-only", "no-positive-score"],
+)
+def test_split_finetune_refuses_to_fine_tune_on_no_line(corpus, capsys, command, rows):
+    table = corpus / "report.tsv"
+    table.write_text(rows, encoding="utf-8")
+    argv, outs = _reading_report(corpus, command, str(table))
+    assert main(argv) == 2
+    assert not any(os.path.exists(out) for out in outs)
+    assert capsys.readouterr().err == (
+        f"covbias: error: {table}: no source-original line to fine-tune on\n"
     )
 
 

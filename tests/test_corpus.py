@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -6,11 +7,8 @@ from hypothesis import strategies as st
 
 from covbias import (
     DataError,
-    EmptyLine,
-    LineCountMismatch,
     OriginLabel,
     ParallelExample,
-    PosAlignmentError,
     read_mono,
     read_parallel,
     write_mono,
@@ -36,7 +34,7 @@ def test_read_mono_empty_file_is_empty_stream(tmp_path):
 def test_blank_line_reports_its_line_number(tmp_path):
     path = tmp_path / "mono.txt"
     path.write_text("a b\n\nc\n", encoding="utf-8")
-    with pytest.raises(EmptyLine) as err:
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 2 is empty$") as err:
         list(read_mono(str(path)))
     assert err.value.line_no == 2
 
@@ -44,7 +42,7 @@ def test_blank_line_reports_its_line_number(tmp_path):
 def test_whitespace_only_line_is_empty(tmp_path):
     path = tmp_path / "mono.txt"
     path.write_text("a\n   \t \n", encoding="utf-8")
-    with pytest.raises(EmptyLine) as err:
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 2 is empty$") as err:
         list(read_mono(str(path)))
     assert err.value.line_no == 2
 
@@ -65,10 +63,10 @@ def test_read_parallel_line_count_mismatch_names_line(tmp_path):
     tgt = tmp_path / "t.txt"
     src.write_text("a\nb\nc\n", encoding="utf-8")
     tgt.write_text("x\ny\n", encoding="utf-8")
-    with pytest.raises(LineCountMismatch) as err:
+    message = rf"^{re.escape(str(tgt))} ended at line 3 but other input\(s\) continue$"
+    with pytest.raises(DataError, match=message) as err:
         list(read_parallel(str(src), str(tgt)))
     assert err.value.line_no == 3
-    assert "t.txt" in str(err.value)
 
 
 def test_read_parallel_with_pos(tmp_path):
@@ -96,7 +94,8 @@ def test_pos_misalignment_names_line(tmp_path):
     src.write_text("a b\nc d\n", encoding="utf-8")
     tgt.write_text("x\ny\n", encoding="utf-8")
     spos.write_text("NOUN VERB\nNOUN\n", encoding="utf-8")
-    with pytest.raises(PosAlignmentError) as err:
+    message = rf"^{re.escape(str(spos))}: line 2 has 1 tags for 2 tokens$"
+    with pytest.raises(DataError, match=message) as err:
         list(read_parallel(str(src), str(tgt), str(spos)))
     assert err.value.line_no == 2
 
@@ -105,7 +104,7 @@ def test_example_is_immutable_and_validated():
     example = ParallelExample(("a",), ("x",))
     with pytest.raises(AttributeError):
         example.source = ("b",)
-    with pytest.raises(PosAlignmentError):
+    with pytest.raises(DataError, match="^source has 2 tokens but 1 tags$"):
         ParallelExample(("a", "b"), ("x",), source_pos=("NOUN",))
 
 
@@ -236,18 +235,18 @@ def test_line_count_mismatch_names_the_first_file_to_run_out(
     tmp_path, lengths, short, line_no
 ):
     paths = _write_inputs(tmp_path, lengths)
-    with pytest.raises(LineCountMismatch) as err:
-        list(read_parallel(*paths))
     named = paths[[kind for kind, _ in lengths].index(short)]
-    assert str(err.value) == f"{named} ended at line {line_no} but other input(s) continue"
+    message = rf"^{re.escape(named)} ended at line {line_no} but other input\(s\) continue$"
+    with pytest.raises(DataError, match=message) as err:
+        list(read_parallel(*paths))
     assert err.value.line_no == line_no
 
 
 def test_line_count_mismatch_with_only_a_target_pos_file(tmp_path):
     src, tgt, tpos = _write_inputs(tmp_path, [("src", 2), ("tgt", 2), ("tpos", 1)])
-    with pytest.raises(LineCountMismatch) as err:
+    message = rf"^{re.escape(tpos)} ended at line 2 but other input\(s\) continue$"
+    with pytest.raises(DataError, match=message) as err:
         list(read_parallel(src, tgt, None, tpos))
-    assert str(err.value).startswith(f"{tpos} ended at line 2 ")
     assert err.value.line_no == 2
 
 
@@ -257,14 +256,14 @@ def test_whitespace_only_line_names_its_file_and_line(tmp_path, blank):
     kind = ["src", "tgt", "spos", "tpos"][blank]
     with open(paths[blank], "w", encoding="utf-8") as handle:
         handle.write(_LINE[kind] + " \t\u3000\xa0\n" + _LINE[kind])
-    with pytest.raises(EmptyLine) as err:
+    message = rf"^{re.escape(paths[blank])}: line 2 is empty$"
+    with pytest.raises(DataError, match=message) as err:
         list(read_parallel(*paths))
-    assert (err.value.path, err.value.line_no) == (paths[blank], 2)
-    assert str(err.value) == f"{paths[blank]}: line 2 is empty"
+    assert err.value.line_no == 2
     if blank < 2:
-        with pytest.raises(EmptyLine) as err:
+        with pytest.raises(DataError, match=message) as err:
             list(read_mono(paths[blank]))
-        assert (err.value.path, err.value.line_no) == (paths[blank], 2)
+        assert err.value.line_no == 2
 
 
 def test_last_line_without_newline_reads_the_same(tmp_path):

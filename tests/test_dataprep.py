@@ -5,11 +5,9 @@ import pytest
 
 from covbias import (
     DataError,
-    LengthMismatch,
     ManifestEntry,
     OriginLabel,
     ParallelExample,
-    TagCollision,
     bias_tag,
     detag,
     finetune_split,
@@ -75,23 +73,23 @@ def test_tag_collision_reports_the_line():
         ParallelExample(("ok",), ("ok",)),
         ParallelExample((DEFAULT_ORIGIN_TAG, "x"), ("y",)),
     ]
-    with pytest.raises(TagCollision) as err:
+    message = f"^line 2: corpus already contains the tag token '{DEFAULT_ORIGIN_TAG}'$"
+    with pytest.raises(DataError, match=message) as err:
         list(bias_tag(examples, [S, S]))
     assert err.value.line_no == 2
     # a collision on the target side is just as ambiguous
-    with pytest.raises(TagCollision):
+    message = f"^line 1: corpus already contains the tag token '{DEFAULT_ORIGIN_TAG}'$"
+    with pytest.raises(DataError, match=message):
         list(bias_tag([ParallelExample(("x",), (DEFAULT_ORIGIN_TAG,))], [S]))
 
 
 def test_tag_label_length_mismatch_both_directions():
     # the shorter input is named with the first line it lacks
-    with pytest.raises(LengthMismatch) as err:
+    with pytest.raises(DataError, match="^labels ended at line 3 but examples continue$") as err:
         list(bias_tag(_examples(), [S, T]))
-    assert str(err.value) == "labels ended at line 3 but examples continue"
     assert err.value.line_no == 3
-    with pytest.raises(LengthMismatch) as err:
+    with pytest.raises(DataError, match="^examples ended at line 4 but labels continue$") as err:
         list(bias_tag(_examples(), [S, T, S, T]))
-    assert str(err.value) == "examples ended at line 4 but labels continue"
     assert err.value.line_no == 4
 
 
@@ -150,7 +148,7 @@ def test_finetune_split_keeps_everything_and_the_selection():
 
 
 def test_finetune_split_validates_the_selection():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="^selection names line 4 but the corpus has 3 lines$"):
         finetune_split(_examples(), {4})
     with pytest.raises(DataError):
         finetune_split(_examples(), {0})
@@ -181,9 +179,10 @@ def test_merge_tags_synthetic_sources_only():
 
 def test_merge_collision_checks_both_corpora():
     poisoned = ParallelExample(("<BT>",), ("x",))
-    with pytest.raises(TagCollision):
+    message = "^line 1: corpus already contains the tag token '<BT>'$"
+    with pytest.raises(DataError, match=message):
         merge_augment([poisoned], _examples(), tag_token="<BT>")
-    with pytest.raises(TagCollision):
+    with pytest.raises(DataError, match=message):
         merge_augment(_examples(), [poisoned], tag_token="<BT>")
     # without a tag token nothing is tagged, so nothing can collide
     merged, _ = merge_augment([poisoned], [poisoned])

@@ -4,13 +4,11 @@ import random
 import pytest
 
 from covbias import (
-    EmptyInput,
-    LengthMismatch,
+    DataError,
     NGramModel,
     OriginLabel,
     ParallelExample,
     ScoreRecord,
-    SingleClassInput,
     classify,
     evaluate_detection,
     label_for,
@@ -141,9 +139,10 @@ def test_tune_offset_is_order_invariant():
 
 
 def test_tune_offset_rejects_degenerate_inputs():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^cannot tune an offset on zero scored pairs$"):
         tune_offset([])
-    with pytest.raises(SingleClassInput):
+    both = "^offset tuning needs both source-original and target-original gold labels$"
+    with pytest.raises(DataError, match=both):
         tune_offset([(1.0, S), (2.0, S)])
 
 
@@ -181,9 +180,9 @@ def test_evaluate_detection_perfect_case():
 
 def test_evaluate_detection_rejects_bad_shapes():
     records = [ScoreRecord(1, 1.0)]
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="^1 records but 2 gold labels$"):
         evaluate_detection(records, [S, T])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^cannot evaluate zero records$"):
         evaluate_detection([], [])
 
 
@@ -259,5 +258,5 @@ def test_select_extremes_ratio_bounds():
     for bad in (0, -1, 50.01, 100):
         with pytest.raises(ValueError, match=rf"^ratio_percent must be in \(0, 50\], got {bad}$"):
             select_extremes(records, bad)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^cannot select from zero records$"):
         select_extremes([], 10)

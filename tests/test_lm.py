@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from covbias import (
     MODEL_FORMAT_VERSION,
-    DegenerateVocabulary,
-    EmptyCorpus,
+    DataError,
     FormatError,
     NGramModel,
     perplexity,
@@ -182,17 +181,18 @@ def test_rarer_cutoff_never_hurts_training_fit():
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match="^cannot train on an empty corpus$"):
         NGramModel.train([], order=2, min_count=1)
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match="^cannot compute perplexity over an empty corpus$"):
         perplexity(_model_aab(), [])
 
 
 def test_degenerate_vocabulary_rejected():
-    with pytest.raises(DegenerateVocabulary):
+    message = r"^only 1 token type\(s\) remain after masking \(min_count={}\); need at least 2$"
+    with pytest.raises(DataError, match=message.format(1)):
         NGramModel.train([("a", "a", "a")], order=1, min_count=1)
     # masking everything leaves <unk> as the lone effective type: still fails
-    with pytest.raises(DegenerateVocabulary):
+    with pytest.raises(DataError, match=message.format(5)):
         NGramModel.train([("a", "a", "a")], order=1, min_count=5)
     # one surviving type plus masked material is two effective types: trains
     NGramModel.train([("a", "a", "b")], order=1, min_count=2)
@@ -316,7 +316,9 @@ _sent = st.lists(_word, min_size=1, max_size=6).map(tuple)
 def test_trained_models_score_finitely_and_round_trip(tmp_path_factory, corpus, order):
     try:
         model = NGramModel.train(corpus, order=order, min_count=1)
-    except DegenerateVocabulary:
+    except DataError as exc:
+        if "token type(s) remain after masking" not in str(exc):
+            raise
         return
     path = tmp_path_factory.mktemp("hm") / "m.lm"
     model.save(str(path))
@@ -734,7 +736,9 @@ _corpora = st.lists(
 def _train_or_none(corpus, order, min_count):
     try:
         return NGramModel.train(corpus, order=order, min_count=min_count)
-    except DegenerateVocabulary:
+    except DataError as exc:
+        if "token type(s) remain after masking" not in str(exc):
+            raise
         return None
 
 

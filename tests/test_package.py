@@ -1,7 +1,9 @@
 """The package's public surface: __all__, the names README documents, README's
-library example and the functions the benchmark tracer wraps by name."""
+library example, its exception classes and the functions the benchmark tracer
+wraps by name."""
 
 import ast
+import builtins
 import importlib
 import re
 import types
@@ -13,6 +15,7 @@ from covbias import NGramModel, OriginLabel, write_parallel
 from synthbed import make_testbed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src" / "covbias"
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -106,3 +109,33 @@ def test_traced_layer_functions_resolve():
             assert hasattr(obj, part), f"covbias.{module_name}.{dotted}"
             obj = getattr(obj, part)
         assert callable(obj), f"covbias.{module_name}.{dotted}"
+
+
+def test_the_only_exception_classes_are_data_format_and_usage_errors():
+    # every data fault is a DataError (exit 2), a model-file fault its
+    # subclass FormatError, and a bad command line cli.UsageError (exit 1);
+    # a class counts as an exception when a base is a builtin exception or an
+    # exception class found here, so an indirect subclass is caught as well
+    classes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+                classes[f"{path.stem}.{node.name}"] = (node.name, bases)
+
+    def is_builtin_exception(name):
+        value = getattr(builtins, name or "", None)
+        return isinstance(value, type) and issubclass(value, BaseException)
+
+    found: set[str] = set()
+    while True:
+        names = {classes[key][0] for key in found}
+        grown = {
+            key
+            for key, (_, bases) in classes.items()
+            if any(is_builtin_exception(b) or b in names for b in bases)
+        }
+        if grown == found:
+            break
+        found = grown
+    assert found == {"errors.DataError", "errors.FormatError", "cli.UsageError"}
