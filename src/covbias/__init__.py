@@ -10,106 +10,58 @@ fluency-only comparison, origin tagging, fine-tuning splits, and synthetic
 data merging.
 """
 
-from .abstraction import (
-    AbstractionRule,
-    FluencyReport,
-    abstract_corpus,
-    abstract_sentence,
-    fluency_report,
-)
-from .corpus import (
-    OriginLabel,
-    ParallelExample,
-    PosAnnotation,
-    Sentence,
-    read_mono,
-    read_parallel,
-    write_mono,
-    write_parallel,
-)
-from .dataprep import (
-    DEFAULT_ORIGIN_TAG,
-    DEFAULT_SYNTHETIC_TAG,
-    ManifestEntry,
-    bias_tag,
-    detag,
-    finetune_split,
-    manifest_to_tsv,
-    merge_augment,
-)
-from .detect import (
-    DetectionEval,
-    ScoreRecord,
-    classify,
-    evaluate_detection,
-    label_for,
-    score_pair,
-    select_extremes,
-    tune_offset,
-)
-from .divergence import (
-    DivergenceReport,
-    VocabDistribution,
-    WordClassMap,
-    build_distribution,
-    divergence_report,
-    js,
-    random_split,
-)
-from .errors import DataError, FormatError
-from .fmeasure import (
-    AdequacyReport,
-    BucketStats,
-    word_fmeasure,
-)
-from .lm import MODEL_FORMAT_VERSION, LmScore, NGramModel, perplexity
+import importlib
 
 __version__ = "0.1.0"
+# the model file layout that covbias.lm reads and writes
+MODEL_FORMAT_VERSION = 2
+# the tokens that covbias.dataprep tags with unless given another
+DEFAULT_ORIGIN_TAG = "<TORIG>"
+DEFAULT_SYNTHETIC_TAG = "<BT>"
 
-__all__ = [
-    "AbstractionRule",
-    "AdequacyReport",
-    "BucketStats",
-    "DataError",
-    "DEFAULT_ORIGIN_TAG",
-    "DEFAULT_SYNTHETIC_TAG",
-    "DetectionEval",
-    "DivergenceReport",
-    "FluencyReport",
-    "FormatError",
-    "LmScore",
-    "ManifestEntry",
-    "MODEL_FORMAT_VERSION",
-    "NGramModel",
-    "OriginLabel",
-    "ParallelExample",
-    "PosAnnotation",
-    "ScoreRecord",
-    "Sentence",
-    "VocabDistribution",
-    "WordClassMap",
-    "abstract_corpus",
-    "abstract_sentence",
-    "bias_tag",
-    "build_distribution",
-    "classify",
-    "detag",
-    "divergence_report",
-    "evaluate_detection",
-    "finetune_split",
-    "fluency_report",
-    "js",
-    "label_for",
-    "manifest_to_tsv",
-    "merge_augment",
-    "perplexity",
-    "random_split",
-    "read_mono",
-    "read_parallel",
-    "score_pair",
-    "select_extremes",
-    "tune_offset",
-    "word_fmeasure",
-    "write_mono",
-    "write_parallel",
-]
+# The other public names, by the submodule that defines them. Each submodule
+# is imported on the first access to one of its names (PEP 562), so a CLI
+# run loads only the layers its subcommand uses.
+_EXPORTS = {
+    "abstraction": (
+        "AbstractionRule", "FluencyReport", "abstract_corpus", "abstract_sentence",
+        "fluency_report",
+    ),
+    "corpus": (
+        "OriginLabel", "ParallelExample", "PosAnnotation", "Sentence", "read_mono",
+        "read_parallel", "write_mono", "write_parallel",
+    ),
+    "dataprep": (
+        "ManifestEntry", "bias_tag", "detag", "finetune_split", "manifest_to_tsv",
+        "merge_augment",
+    ),
+    "detect": (
+        "DetectionEval", "ScoreRecord", "classify", "evaluate_detection", "label_for",
+        "score_pair", "select_extremes", "tune_offset",
+    ),
+    "divergence": (
+        "DivergenceReport", "VocabDistribution", "WordClassMap", "build_distribution",
+        "divergence_report", "js", "random_split",
+    ),
+    "errors": ("DataError", "FormatError"),
+    "fmeasure": ("AdequacyReport", "BucketStats", "word_fmeasure"),
+    "lm": ("LmScore", "NGramModel", "perplexity"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "fileio"}
+
+__all__ = sorted([*_HOME, "DEFAULT_ORIGIN_TAG", "DEFAULT_SYNTHETIC_TAG", "MODEL_FORMAT_VERSION"])
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    globals()[name] = value = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

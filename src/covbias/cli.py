@@ -25,24 +25,18 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .abstraction import AbstractionRule, FluencyReport, abstract_corpus, fluency_report
-from .corpus import OriginLabel, read_mono, read_parallel, read_tagged, write_parallel
-from .dataprep import (
-    DEFAULT_ORIGIN_TAG,
-    DEFAULT_SYNTHETIC_TAG,
-    bias_tag,
-    finetune_split,
-    manifest_to_tsv,
-    merge_augment,
-)
-from .detect import ScoreRecord, label_for, score_pair, select_extremes, tune_offset
-from .divergence import WordClassMap, divergence_report, random_split
+# Layer modules are imported inside the functions that use them, so a run
+# loads only what its subcommand needs; the import reads the module attribute
+# at call time, so a rebound one (such as a tracing wrapper) is what is called.
+from . import DEFAULT_ORIGIN_TAG, DEFAULT_SYNTHETIC_TAG, MODEL_FORMAT_VERSION, __version__
 from .errors import DataError
 from .fileio import atomic_write, fmt_float, format_tsv, read_section_file, read_tsv
-from .fmeasure import DEFAULT_BUCKETS, word_fmeasure
-from .lm import MODEL_FORMAT_VERSION, NGramModel, perplexity
+
+if TYPE_CHECKING:
+    from .abstraction import AbstractionRule, FluencyReport
+    from .divergence import WordClassMap
 
 VERSION_LINE = f"covbias {__version__} (model format {MODEL_FORMAT_VERSION})"
 
@@ -108,10 +102,14 @@ def _write_report(text: str, output: str | None) -> None:
 
 
 def _word_classes(path: str | None) -> WordClassMap:
+    from .divergence import WordClassMap
+
     return WordClassMap.from_file(path) if path else WordClassMap.default()
 
 
 def _abstraction_rule(args: argparse.Namespace) -> AbstractionRule:
+    from .abstraction import AbstractionRule
+
     return AbstractionRule(
         classes=_word_classes(args.word_classes),
         tag_prefix=args.tag_prefix,
@@ -160,6 +158,9 @@ def _read_scores(path: str) -> list[tuple[int, float]]:
     A line's label is label_for(score): a label column that says otherwise
     is a DataError naming the line.
     """
+    from .corpus import OriginLabel
+    from .detect import label_for
+
     by_code = {label.code: label for label in OriginLabel}
     scored = []
     for file_line, line_no, row in _keyed_rows(path, "score"):
@@ -191,6 +192,8 @@ def _read_groups(path: str, allowed: tuple[str, ...] = ()) -> dict[str, set[int]
 
 def _labelled_scores(scored: Iterable[tuple[int, float]], path: str | None = None) -> str:
     """The line_no/score/label report; a score that is not finite is a DataError."""
+    from .detect import label_for
+
     where = f"{path}: " if path else ""
     rows = []
     for line_no, score in scored:
@@ -207,12 +210,18 @@ def _labelled_scores(scored: Iterable[tuple[int, float]], path: str | None = Non
 
 
 def _cmd_train_lm(args: argparse.Namespace) -> int:
+    from .corpus import read_mono
+    from .lm import NGramModel
+
     model = NGramModel.train(read_mono(args.input), order=args.order, min_count=args.min_count)
     model.save(args.output)
     return 0
 
 
 def _cmd_perplexity(args: argparse.Namespace) -> int:
+    from .corpus import read_mono
+    from .lm import NGramModel, perplexity
+
     model = NGramModel.load(args.model)
     value = perplexity(model, read_mono(args.input))
     _write_report(format_tsv(["metric", "value"], [("perplexity", fmt_float(value))]), args.output)
@@ -220,6 +229,10 @@ def _cmd_perplexity(args: argparse.Namespace) -> int:
 
 
 def _cmd_score_pairs(args: argparse.Namespace) -> int:
+    from .corpus import read_parallel
+    from .detect import score_pair
+    from .lm import NGramModel
+
     source_lm = NGramModel.load(args.source_model)
     target_lm = NGramModel.load(args.target_model)
     examples = read_parallel(args.source, args.target)
@@ -230,6 +243,9 @@ def _cmd_score_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune_offset(args: argparse.Namespace) -> int:
+    from .corpus import OriginLabel
+    from .detect import tune_offset
+
     path = args.input
     scored = []
     for file_line, row in enumerate(read_tsv(path, ["score", "gold"]), 2):
@@ -252,6 +268,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from .detect import ScoreRecord, select_extremes
+
     records = [ScoreRecord(n, score) for n, score in _read_scores(args.records)]
     most_source, most_target = select_extremes(records, args.ratio)
     if not most_source:
@@ -265,6 +283,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_jsdiv(args: argparse.Namespace) -> int:
+    from .corpus import read_parallel
+    from .divergence import divergence_report
+
     groups = _read_groups(args.split)
     if len(groups) != 2:
         raise DataError(f"{args.split}: expected exactly 2 group values, found {len(groups)}")
@@ -283,11 +304,15 @@ def _cmd_jsdiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_random_split(args: argparse.Namespace) -> int:
+    from .divergence import random_split
+
     count, fraction = args.count, args.fraction
     if not 0 < fraction < 1:
         raise UsageError(f"--fraction must be in (0, 1), got {fraction}")
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
+    if math.floor(fraction * count) == 0:  # group a gets floor(fraction * count) lines
+        raise UsageError(f"--fraction {fraction} of --count {count} puts no line in group a")
     part_a, part_b = random_split(count, fraction, args.seed)
     rows = [
         (str(n), "a" if n in part_a else "b") for n in range(1, count + 1)
@@ -297,6 +322,9 @@ def _cmd_random_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmeasure(args: argparse.Namespace) -> int:
+    from .corpus import read_parallel
+    from .fmeasure import DEFAULT_BUCKETS, word_fmeasure
+
     examples = list(read_parallel(args.hyp, args.ref, None, args.ref_pos))
     if args.buckets:
         sections = read_section_file(args.buckets)
@@ -314,11 +342,15 @@ def _cmd_fmeasure(args: argparse.Namespace) -> int:
 
 
 def _cmd_abstract(args: argparse.Namespace) -> int:
+    from .abstraction import abstract_corpus
+
     abstract_corpus(args.input, args.pos, args.output, _abstraction_rule(args))
     return 0
 
 
 def _read_fluency_baseline(path: str) -> FluencyReport:
+    from .abstraction import FluencyReport
+
     by_level = {}
     for file_line, row in enumerate(read_tsv(path, ["level", "ppl"]), 2):
         level = row["level"]
@@ -337,6 +369,10 @@ def _read_fluency_baseline(path: str) -> FluencyReport:
 
 
 def _cmd_fluency(args: argparse.Namespace) -> int:
+    from .abstraction import fluency_report
+    from .corpus import read_tagged
+    from .lm import NGramModel
+
     tagged = list(read_tagged(args.input, args.pos))
     rule = _abstraction_rule(args)
     baseline = _read_fluency_baseline(args.baseline) if args.baseline else None
@@ -352,6 +388,10 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
+    from .corpus import read_parallel, write_parallel
+    from .dataprep import bias_tag
+    from .detect import label_for
+
     labels = []
     for expected, (line_no, score) in enumerate(_read_scores(args.records), 1):
         if line_no != expected:  # row k is file line k + 1, after the header
@@ -365,6 +405,10 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_split_finetune(args: argparse.Namespace) -> int:
+    from .corpus import OriginLabel, read_parallel, write_parallel
+    from .dataprep import finetune_split, manifest_to_tsv
+    from .detect import label_for
+
     if bool(args.records) == bool(args.selection):
         raise UsageError("pass exactly one of --records or --selection")
     examples = list(read_parallel(args.source, args.target))
@@ -385,6 +429,9 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge_augment(args: argparse.Namespace) -> int:
+    from .corpus import read_parallel, write_parallel
+    from .dataprep import manifest_to_tsv, merge_augment
+
     authentic = list(read_parallel(args.authentic_source, args.authentic_target))
     synthetic = list(read_parallel(args.synthetic_source, args.synthetic_target))
     merged, manifest = merge_augment(authentic, synthetic, args.tag_token, args.seed)

@@ -10,9 +10,9 @@ that is empty or contains whitespace (the characters str.isspace() accepts).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
-from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
 from typing import NoReturn
@@ -42,24 +42,23 @@ class OriginLabel(Enum):
             raise DataError(f"unknown origin label {code!r}, expected S or T") from None
 
 
-@dataclass(frozen=True, slots=True)
-class ParallelExample:
+class ParallelExample(namedtuple("ParallelExample", "source target source_pos target_pos")):
     """One aligned sentence pair, with optional annotations."""
 
-    source: Sentence
-    target: Sentence
-    source_pos: PosAnnotation | None = None
-    target_pos: PosAnnotation | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.source_pos is not None and len(self.source_pos) != len(self.source):
-            raise DataError(
-                f"source has {len(self.source)} tokens but {len(self.source_pos)} tags"
-            )
-        if self.target_pos is not None and len(self.target_pos) != len(self.target):
-            raise DataError(
-                f"target has {len(self.target)} tokens but {len(self.target_pos)} tags"
-            )
+    def __new__(
+        cls,
+        source: Sentence,
+        target: Sentence,
+        source_pos: PosAnnotation | None = None,
+        target_pos: PosAnnotation | None = None,
+    ) -> ParallelExample:
+        if source_pos is not None and len(source_pos) != len(source):
+            raise DataError(f"source has {len(source)} tokens but {len(source_pos)} tags")
+        if target_pos is not None and len(target_pos) != len(target):
+            raise DataError(f"target has {len(target)} tokens but {len(target_pos)} tags")
+        return tuple.__new__(cls, (source, target, source_pos, target_pos))
 
 
 def _empty_line(path: str, line_no: int) -> NoReturn:

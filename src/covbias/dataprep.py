@@ -17,12 +17,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import zip_longest
 from typing import NamedTuple
 
+from . import DEFAULT_ORIGIN_TAG, DEFAULT_SYNTHETIC_TAG  # defined at the root for the CLI
 from .corpus import OriginLabel, ParallelExample
 from .errors import DataError
 from .fileio import format_tsv
-
-DEFAULT_ORIGIN_TAG = "<TORIG>"
-DEFAULT_SYNTHETIC_TAG = "<BT>"
 
 # POS tag given to a prepended marker token when the example carries
 # annotations, so the one-tag-per-token invariant survives tagging.

@@ -13,25 +13,26 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import OriginLabel, ParallelExample
 from .errors import DataError
-from .lm import NGramModel
+
+if TYPE_CHECKING:
+    from .lm import NGramModel
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreRecord:
-    """A scored line; its label is always label_for(score)."""
+class ScoreRecord(namedtuple("ScoreRecord", "line_no score")):
+    """A scored line (line_no, score); its label is always label_for(score)."""
 
-    line_no: int
-    score: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.score):
-            raise ValueError(f"line {self.line_no}: score is NaN, which has no rank")
+    def __new__(cls, line_no: int, score: float) -> ScoreRecord:
+        if math.isnan(score):
+            raise ValueError(f"line {line_no}: score is NaN, which has no rank")
+        return tuple.__new__(cls, (line_no, score))
 
     @property
     def label(self) -> OriginLabel:

@@ -50,10 +50,13 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, count, islice, repeat
 from operator import floordiv, ge, mod
 from types import MappingProxyType
-from typing import BinaryIO, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
-from .corpus import Sentence
+from . import MODEL_FORMAT_VERSION
 from .errors import DataError, FormatError
+
+if TYPE_CHECKING:
+    from .corpus import Sentence
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -61,7 +64,6 @@ EOS = "</s>"
 RESERVED = (UNK, BOS, EOS)
 UNK_ID, BOS_ID, EOS_ID = 0, 1, 2
 
-MODEL_FORMAT_VERSION = 2
 _MAGIC = b"NGLM"
 _MAX_ORDER = 6
 _FALLBACK_DISCOUNT = 0.75
@@ -378,12 +380,19 @@ class NGramModel:
                 if base > reader.left // 4:  # each token has a 4-byte length
                     raise reader.fail("truncated while reading the vocabulary")
                 tokens = []
+                read, unpack, left = reader.handle.read, _U32.unpack, reader.left
                 for i in range(base):
-                    raw = reader.take(reader.count(f"token {i} length"), f"token {i}")
+                    if left < 4:
+                        raise reader.fail(f"truncated while reading token {i} length")
+                    (size,) = unpack(read(4))
+                    left -= 4 + size
+                    if left < 0:
+                        raise reader.fail(f"truncated while reading token {i}")
                     try:
-                        tokens.append(str(raw, "utf-8"))
+                        tokens.append(str(read(size), "utf-8"))
                     except UnicodeDecodeError as exc:
                         raise reader.fail(f"token {i} is not valid UTF-8") from exc
+                reader.left = left
                 _check_vocabulary(tokens)
                 reader.base = base
                 lp, bo = _empty_tables(order)

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import covbias
-from covbias import cli
+from covbias import cli, dataprep, lm
 from covbias import (
     NGramModel,
     OriginLabel,
@@ -92,7 +93,28 @@ def test_every_subcommand_prints_its_help(capsys, command):
 def test_version_line(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == VERSION_LINE
-    assert "covbias" in VERSION_LINE
+    assert VERSION_LINE == f"covbias {covbias.__version__} (model format {lm.MODEL_FORMAT_VERSION})"
+
+
+def test_tag_token_defaults_are_the_dataprep_constants(capsys):
+    args = cli._build_parser().parse_args(
+        ["tag", "--source", "s", "--target", "t", "--records", "r", "--out-source", "a",
+         "--out-target", "b"]
+    )
+    assert args.tag_token == dataprep.DEFAULT_ORIGIN_TAG
+    assert main(["merge-augment", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"tag synthetic source sides (e.g. {dataprep.DEFAULT_SYNTHETIC_TAG})" in help_text
+
+
+def test_each_shared_constant_is_assigned_once_in_the_package():
+    names = {"MODEL_FORMAT_VERSION", "DEFAULT_ORIGIN_TAG", "DEFAULT_SYNTHETIC_TAG", "__version__"}
+    assigned = []
+    for path in sorted(Path(covbias.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                assigned += [t.id for t in node.targets if getattr(t, "id", None) in names]
+    assert sorted(assigned) == sorted(names)
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -638,6 +660,20 @@ def test_random_split_report_matches_library(corpus, capsys):
 def test_random_split_validates_fraction_and_count(corpus):
     assert main(["random-split", "--count", "10", "--fraction", "1.5", "--seed", "1"]) == 1
     assert main(["random-split", "--count", "0", "--fraction", "0.5", "--seed", "1"]) == 1
+
+
+def test_random_split_that_puts_no_line_in_group_a_is_a_usage_error(tmp_path, capsys):
+    # floor(0.1 * 2) = 0: every line would land in group b, a split jsdiv refuses
+    output = tmp_path / "split.tsv"
+    argv = ["random-split", "--count", "2", "--fraction", "0.1", "--seed", "1"]
+    assert main(argv + ["--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert "--fraction 0.1" in err and "--count 2" in err
+    assert not output.exists()
+    # floor(0.1 * 10) = 1 line in group a is enough
+    assert main(["random-split", "--count", "10", "--fraction", "0.1", "--seed", "1"]) == 0
+    groups = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert groups.count("a") == 1 and groups.count("b") == 9
 
 
 def test_jsdiv_report(corpus, capsys):

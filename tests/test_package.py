@@ -1,16 +1,19 @@
 """The package's public surface: __all__, the names README documents, README's
 library example, its exception classes and the functions the benchmark tracer
-wraps by name."""
+wraps by name; and what importing the package and running the CLI load."""
 
 import ast
 import builtins
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import covbias
-from covbias import NGramModel, OriginLabel, write_parallel
+from covbias import NGramModel, OriginLabel, write_mono, write_parallel
 
 from synthbed import make_testbed
 
@@ -139,3 +142,107 @@ def test_the_only_exception_classes_are_data_format_and_usage_errors():
             break
         found = grown
     assert found == {"errors.DataError", "errors.FormatError", "cli.UsageError"}
+
+
+# -- what a fresh interpreter loads ----------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+_ENV = dict(os.environ, PYTHONPATH=str(SRC.parent))
+
+
+def _run_fresh(script: str, *argv: str) -> str:
+    """stdout of script run with argv in a new interpreter that imports covbias from src."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=_ENV, cwd=ROOT, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def test_namespace_in_a_fresh_interpreter():
+    # __all__ names resolve on first use to their home modules' objects, as do
+    # submodules never imported before; dir() lists every name before any is
+    # resolved; unknown names and a submodule's unexported names stay errors
+    script = """
+import importlib, sys, types
+import covbias
+assert "covbias.lm" not in sys.modules
+assert set(covbias.__all__) <= set(dir(covbias))
+for name in ("abstraction", "cli", "corpus", "dataprep", "detect", "divergence",
+             "errors", "fileio", "fmeasure", "lm"):
+    assert isinstance(getattr(covbias, name), types.ModuleType), name
+for name in covbias.__all__:
+    value = getattr(covbias, name)
+    homes = [m for m in vars(covbias).values()
+             if isinstance(m, types.ModuleType) and m.__name__.startswith("covbias.")
+             and hasattr(m, name)]
+    assert homes, name
+    assert all(getattr(m, name) is value for m in homes), name
+for name in ("no_such_name", "MARKER_POS_TAG"):
+    assert not hasattr(covbias, name), name
+    try:
+        getattr(covbias, name)
+    except AttributeError as exc:
+        assert repr(name) in str(exc)
+    else:
+        raise AssertionError(name)
+"""
+    _run_fresh(script)
+    star = "ns = {}; exec('from covbias import *', ns); import covbias; "
+    star += "assert set(covbias.__all__) <= set(ns), set(covbias.__all__) - set(ns)"
+    _run_fresh(star)
+
+
+def test_this_file_passes_alone_in_a_fresh_interpreter():
+    # every other test here, with no other test file imported first
+    script = "import sys, pytest; sys.exit(pytest.main(sys.argv[1:]))"
+    plugins = ["-p", "no:cacheprovider", "-p", "no:hypothesispytest"]
+    _run_fresh(script, "-q", *plugins, "-k", "not fresh_interpreter", __file__)
+
+
+_LOADED = """
+import sys
+before = set(sys.modules)
+from covbias.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(set(sys.modules) - before)
+print()
+print(code, *loaded)
+"""
+
+# layers that the LM and scoring subcommands never use
+_UNUSED_BY_SCORING = {
+    "covbias.abstraction", "covbias.dataprep", "covbias.divergence", "covbias.fmeasure",
+    "dataclasses",
+}
+
+
+def _modules_loaded_by(*argv: str) -> set[str]:
+    code, *loaded = _run_fresh(_LOADED, *argv).splitlines()[-1].split()
+    assert code == "0", argv
+    return set(loaded)
+
+
+def test_scoring_subcommands_load_only_the_layers_they_use_in_a_fresh_interpreter(tmp_path):
+    bed = make_testbed(seed=3, n_mono=200, n_heldout=10, n_pairs_each=10)
+    paths = {name: str(tmp_path / name) for name in ("mono", "src", "tgt", "m.lm", "out")}
+    write_mono(bed.src_mono, paths["mono"])
+    write_parallel(bed.pairs, paths["src"], paths["tgt"])
+    runs = {
+        "train-lm": ["--input", paths["mono"], "--output", paths["m.lm"], "--order", "3"],
+        "perplexity": ["--model", paths["m.lm"], "--input", paths["mono"],
+                       "--output", paths["out"]],
+        "score-pairs": ["--source-model", paths["m.lm"], "--target-model", paths["m.lm"],
+                        "--source", paths["src"], "--target", paths["tgt"],
+                        "--output", paths["out"]],
+    }
+    for command, argv in runs.items():
+        loaded = _modules_loaded_by(command, *argv)
+        assert {"covbias.lm", "covbias.corpus"} <= loaded, command
+        assert not loaded & _UNUSED_BY_SCORING, (command, loaded & _UNUSED_BY_SCORING)
+    version = _modules_loaded_by("--version")
+    assert {m for m in version if m.startswith("covbias")} == {
+        "covbias", "covbias.cli", "covbias.errors", "covbias.fileio"
+    }
+    assert "dataclasses" not in version
