@@ -24,8 +24,7 @@ DEFAULT_SYNTHETIC_TAG = "<BT>"
 # run loads only the layers its subcommand uses.
 _EXPORTS = {
     "abstraction": (
-        "AbstractionRule", "FluencyReport", "abstract_corpus", "abstract_sentence",
-        "fluency_report",
+        "FluencyReport", "abstract_corpus", "abstract_sentence", "fluency_report",
     ),
     "corpus": (
         "OriginLabel", "ParallelExample", "PosAnnotation", "Sentence", "read_mono",
@@ -40,8 +39,8 @@ _EXPORTS = {
         "score_pair", "select_extremes", "tune_offset",
     ),
     "divergence": (
-        "DivergenceReport", "VocabDistribution", "WordClassMap", "build_distribution",
-        "divergence_report", "js", "random_split",
+        "DEFAULT_CONTENT_TAGS", "DivergenceReport", "build_distribution",
+        "divergence_report", "js", "random_split", "read_word_classes",
     ),
     "errors": ("DataError", "FormatError"),
     "fmeasure": ("AdequacyReport", "BucketStats", "word_fmeasure"),

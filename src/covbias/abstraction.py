@@ -9,59 +9,63 @@ abstraction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from .corpus import PosAnnotation, Sentence, read_tagged, write_mono
-from .divergence import WordClassMap
 from .errors import DataError
 from .fileio import fmt_float, format_tsv
 from .lm import NGramModel, perplexity
 
 
-@dataclass(frozen=True, slots=True)
-class AbstractionRule:
-    classes: WordClassMap
-    tag_prefix: str = ""
-    tag_suffix: str = ""
+def _abstractor(
+    content_tags: frozenset[str], tag_prefix: str, tag_suffix: str
+) -> Callable[[Sentence, PosAnnotation], Sentence]:
+    """Check an abstraction's settings once; return the function applying them."""
+    if not content_tags:
+        raise ValueError("content tag set must not be empty")
+    for part in (tag_prefix, tag_suffix):
+        if any(ch.isspace() for ch in part):
+            raise ValueError("tag prefix/suffix must not contain whitespace")
 
-    def __post_init__(self) -> None:
-        for part in (self.tag_prefix, self.tag_suffix):
-            if any(ch.isspace() for ch in part):
-                raise ValueError("tag prefix/suffix must not contain whitespace")
+    def abstract(sentence: Sentence, pos: PosAnnotation) -> Sentence:
+        if len(sentence) != len(pos):
+            raise DataError(f"{len(pos)} tags for {len(sentence)} tokens")
+        return tuple(
+            f"{tag_prefix}{tag}{tag_suffix}" if tag in content_tags else token
+            for token, tag in zip(sentence, pos)
+        )
 
-    @classmethod
-    def default(cls) -> "AbstractionRule":
-        return cls(WordClassMap.default())
-
-    def render(self, tag: str) -> str:
-        return f"{self.tag_prefix}{tag}{self.tag_suffix}"
+    return abstract
 
 
 def abstract_sentence(
-    sentence: Sentence, pos: PosAnnotation, rule: AbstractionRule
+    sentence: Sentence,
+    pos: PosAnnotation,
+    content_tags: frozenset[str],
+    tag_prefix: str = "",
+    tag_suffix: str = "",
 ) -> Sentence:
-    """Length-preserving substitution of content words by rendered tags."""
-    if len(sentence) != len(pos):
-        raise DataError(
-            f"{len(pos)} tags for {len(sentence)} tokens"
-        )
-    return tuple(
-        rule.render(tag) if rule.classes.is_content(tag) else token
-        for token, tag in zip(sentence, pos)
-    )
+    """Length-preserving substitution of each content word (a token whose tag
+    is in content_tags) by its tag, rendered as tag_prefix + tag + tag_suffix."""
+    return _abstractor(content_tags, tag_prefix, tag_suffix)(sentence, pos)
 
 
 def abstract_corpus(
-    input_path: str, pos_path: str, output_path: str, rule: AbstractionRule
+    input_path: str,
+    pos_path: str,
+    output_path: str,
+    content_tags: frozenset[str],
+    tag_prefix: str = "",
+    tag_suffix: str = "",
 ) -> int:
     """Abstract a corpus file line by line (atomic write); returns line count."""
+    abstract = _abstractor(content_tags, tag_prefix, tag_suffix)
     tagged = read_tagged(input_path, pos_path)
-    return write_mono((abstract_sentence(s, pos, rule) for s, pos in tagged), output_path)
+    return write_mono((abstract(s, pos) for s, pos in tagged), output_path)
 
 
-@dataclass(frozen=True, slots=True)
-class FluencyReport:
+class FluencyReport(NamedTuple):
     """Perplexities of system output, plain and abstracted.
 
     diff_* fields are signed relative changes against a baseline report
@@ -95,15 +99,18 @@ def fluency_report(
     *,
     plain_lm: NGramModel,
     abstracted_lm: NGramModel,
-    rule: AbstractionRule,
+    content_tags: frozenset[str],
+    tag_prefix: str = "",
+    tag_suffix: str = "",
     baseline: FluencyReport | None = None,
 ) -> FluencyReport:
     """Score outputs with a plain LM and their abstraction with an abstracted LM.
 
     tagged holds one (sentence, tags) pair per output line, as read_tagged
-    yields them.
+    yields them; they are abstracted as abstract_sentence does.
     """
-    abstracted = [abstract_sentence(sentence, pos, rule) for sentence, pos in tagged]
+    abstract = _abstractor(content_tags, tag_prefix, tag_suffix)
+    abstracted = [abstract(sentence, pos) for sentence, pos in tagged]
     ppl_plain = perplexity(plain_lm, (sentence for sentence, _ in tagged))
     ppl_abstracted = perplexity(abstracted_lm, abstracted)
     diff_plain = diff_abstracted = None

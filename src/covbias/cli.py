@@ -35,8 +35,7 @@ from .errors import DataError
 from .fileio import atomic_write, fmt_float, format_tsv, read_section_file, read_tsv
 
 if TYPE_CHECKING:
-    from .abstraction import AbstractionRule, FluencyReport
-    from .divergence import WordClassMap
+    from .abstraction import FluencyReport
 
 VERSION_LINE = f"covbias {__version__} (model format {MODEL_FORMAT_VERSION})"
 
@@ -101,20 +100,10 @@ def _write_report(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _word_classes(path: str | None) -> WordClassMap:
-    from .divergence import WordClassMap
+def _content_tags(path: str | None) -> frozenset[str]:
+    from .divergence import DEFAULT_CONTENT_TAGS, read_word_classes
 
-    return WordClassMap.from_file(path) if path else WordClassMap.default()
-
-
-def _abstraction_rule(args: argparse.Namespace) -> AbstractionRule:
-    from .abstraction import AbstractionRule
-
-    return AbstractionRule(
-        classes=_word_classes(args.word_classes),
-        tag_prefix=args.tag_prefix,
-        tag_suffix=args.tag_suffix,
-    )
+    return read_word_classes(path) if path else DEFAULT_CONTENT_TAGS
 
 
 def _row_fault(path: str, file_line: int, message: str) -> DataError:
@@ -297,7 +286,7 @@ def _cmd_jsdiv(args: argparse.Namespace) -> int:
         args.target_pos if args.target_pos and args.side == "target" else None,
     )
     report = divergence_report(
-        examples, partition_a, partition_b, args.side, _word_classes(args.word_classes)
+        examples, partition_a, partition_b, args.side, _content_tags(args.word_classes)
     )
     _write_report(report.to_tsv(), args.output)
     return 0
@@ -344,7 +333,10 @@ def _cmd_fmeasure(args: argparse.Namespace) -> int:
 def _cmd_abstract(args: argparse.Namespace) -> int:
     from .abstraction import abstract_corpus
 
-    abstract_corpus(args.input, args.pos, args.output, _abstraction_rule(args))
+    abstract_corpus(
+        args.input, args.pos, args.output,
+        _content_tags(args.word_classes), args.tag_prefix, args.tag_suffix,
+    )
     return 0
 
 
@@ -369,18 +361,23 @@ def _read_fluency_baseline(path: str) -> FluencyReport:
 
 
 def _cmd_fluency(args: argparse.Namespace) -> int:
-    from .abstraction import fluency_report
+    from .abstraction import _abstractor, fluency_report
     from .corpus import read_tagged
     from .lm import NGramModel
 
     tagged = list(read_tagged(args.input, args.pos))
-    rule = _abstraction_rule(args)
+    content_tags = _content_tags(args.word_classes)
+    # a bad --tag-prefix/--tag-suffix is a usage fault (exit 1) whatever the
+    # baseline and the models hold, so it is refused before they are read
+    _abstractor(content_tags, args.tag_prefix, args.tag_suffix)
     baseline = _read_fluency_baseline(args.baseline) if args.baseline else None
     report = fluency_report(
         tagged,
         plain_lm=NGramModel.load(args.plain_lm),
         abstracted_lm=NGramModel.load(args.abstracted_lm),
-        rule=rule,
+        content_tags=content_tags,
+        tag_prefix=args.tag_prefix,
+        tag_suffix=args.tag_suffix,
         baseline=baseline,
     )
     _write_report(report.to_tsv(), args.output)

@@ -1,12 +1,12 @@
 """Vocabulary distributions and their Jensen-Shannon divergence.
 
-Distributions are unsmoothed relative frequencies over one side of a corpus,
-optionally restricted to content words (by POS tag) or function words (the
-complement). Divergences are in natural log units, so js() is bounded by
-ln 2; the jsdiv report (DivergenceReport.to_tsv) also gives each value
-multiplied by JS_SCALE = 1e5, convenient for comparing very close
-distributions. Summation uses math.fsum over a sorted token order, which
-makes js exactly symmetric and exactly zero on identical inputs.
+A distribution is a {token: count} map over one side of a corpus, read as
+unsmoothed relative frequencies, optionally restricted to content words (by
+POS tag) or function words (the complement). Divergences are in natural log
+units, so js() is bounded by ln 2; the jsdiv report (DivergenceReport.to_tsv)
+also gives each value multiplied by JS_SCALE = 1e5, convenient for comparing
+very close distributions. Summation uses math.fsum over a sorted token order,
+which makes js exactly symmetric and exactly zero on identical inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import ParallelExample
 from .errors import DataError
@@ -22,53 +22,21 @@ from .fileio import fmt_float, format_tsv, read_section_file
 
 JS_SCALE = 1e5
 WORD_CLASSES = ("all", "content", "function")
+# POS tags that count as content words unless given others; the rest are function words
+DEFAULT_CONTENT_TAGS = frozenset({"NOUN", "VERB", "ADJ"})
 
 
-@dataclass(frozen=True, slots=True)
-class WordClassMap:
-    """Which POS tags count as content words; everything else is function."""
-
-    content_tags: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not self.content_tags:
-            raise ValueError("content tag set must not be empty")
-
-    @classmethod
-    def default(cls) -> "WordClassMap":
-        return cls(frozenset({"NOUN", "VERB", "ADJ"}))
-
-    @classmethod
-    def from_file(cls, path: str) -> "WordClassMap":
-        sections = read_section_file(path)
-        if "content" not in sections:
-            raise DataError(f"{path}: missing [content] section")
-        unknown = set(sections) - {"content"}
-        if unknown:
-            raise DataError(
-                f"{path}: unexpected section(s) {', '.join(sorted(unknown))}"
-            )
-        return cls(frozenset(sections["content"]))
-
-    def is_content(self, tag: str) -> bool:
-        return tag in self.content_tags
-
-
-@dataclass(frozen=True, slots=True)
-class VocabDistribution:
-    """Relative token frequencies; counts hold only positive entries."""
-
-    counts: Mapping[str, int]
-    total: int
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[str, int]) -> "VocabDistribution":
-        positive = {t: c for t, c in counts.items() if c > 0}
-        if any(c < 0 for c in counts.values()):
-            raise ValueError("negative token count")
-        if not positive:
-            raise DataError("distribution over zero tokens")
-        return cls(positive, sum(positive.values()))
+def read_word_classes(path: str) -> frozenset[str]:
+    """The content tags of a word-class file: one [content] section, nothing else."""
+    sections = read_section_file(path)
+    if "content" not in sections:
+        raise DataError(f"{path}: missing [content] section")
+    unknown = set(sections) - {"content"}
+    if unknown:
+        raise DataError(
+            f"{path}: unexpected section(s) {', '.join(sorted(unknown))}"
+        )
+    return frozenset(sections["content"])
 
 
 def _side_tokens(
@@ -91,7 +59,7 @@ def _count_words(
     counts: Mapping[str, dict[str, int]],
     tokens: Sequence[str],
     pos: Sequence[str] | None,
-    classes: WordClassMap,
+    content_tags: frozenset[str],
 ) -> None:
     """Add one side's tokens to counts["all"] and, when it is tagged, each
     token to counts["content"] or counts["function"] by its tag."""
@@ -103,7 +71,7 @@ def _count_words(
     content_counts, function_counts = counts["content"], counts["function"]
     for token, tag in zip(tokens, pos):
         all_counts[token] = all_counts.get(token, 0) + 1
-        bucket = content_counts if classes.is_content(tag) else function_counts
+        bucket = content_counts if tag in content_tags else function_counts
         bucket[token] = bucket.get(token, 0) + 1
 
 
@@ -111,35 +79,49 @@ def build_distribution(
     examples: Iterable[ParallelExample],
     side: str,
     word_class: str = "all",
-    classes: WordClassMap | None = None,
-) -> VocabDistribution:
-    """Token distribution over one side, filtered by word class.
+    content_tags: frozenset[str] = DEFAULT_CONTENT_TAGS,
+) -> dict[str, int]:
+    """Token counts over one side, filtered by word class.
 
     word_class is "all", "content", or "function"; the last two need POS
     annotations on the chosen side and raise DataError at the
-    first example without them.
+    first example without them. A content word is one whose tag is in
+    content_tags.
     """
     if word_class not in WORD_CLASSES:
         raise ValueError(f"word_class must be one of {WORD_CLASSES}, got {word_class!r}")
-    classes = classes or WordClassMap.default()
     counts: dict[str, dict[str, int]] = {name: {} for name in WORD_CLASSES}
     need_pos = word_class != "all"
     for line_no, example in enumerate(examples, 1):
         tokens, pos = _side_tokens(example, side, line_no, need_pos)
-        _count_words(counts, tokens, pos if need_pos else None, classes)
+        _count_words(counts, tokens, pos if need_pos else None, content_tags)
     if not counts[word_class]:
         raise DataError(f"no {word_class} tokens in the {side}-side selection")
-    return VocabDistribution.from_counts(counts[word_class])
+    return counts[word_class]
 
 
-def js(p: VocabDistribution, q: VocabDistribution) -> float:
-    """Jensen-Shannon divergence in nats: always finite, in [0, ln 2]."""
-    tokens = sorted(set(p.counts) | set(q.counts))
+def _total(counts: Mapping[str, int]) -> int:
+    if any(c < 0 for c in counts.values()):
+        raise ValueError("negative token count")
+    total = sum(counts.values())
+    if not total:
+        raise DataError("distribution over zero tokens")
+    return total
+
+
+def js(p: Mapping[str, int], q: Mapping[str, int]) -> float:
+    """Jensen-Shannon divergence in nats between two {token: count} maps.
+
+    Always finite, in [0, ln 2]. Zero counts are as if absent; a negative
+    count is a ValueError, and a map with no positive count a DataError.
+    """
+    total_p, total_q = _total(p), _total(q)
+    tokens = sorted(set(p) | set(q))
     terms_p = []
     terms_q = []
     for token in tokens:
-        pi = p.counts.get(token, 0) / p.total
-        qi = q.counts.get(token, 0) / q.total
+        pi = p.get(token, 0) / total_p
+        qi = q.get(token, 0) / total_q
         mi = 0.5 * (pi + qi)
         if pi:
             terms_p.append(pi * math.log(pi / mi))
@@ -148,8 +130,7 @@ def js(p: VocabDistribution, q: VocabDistribution) -> float:
     return 0.5 * (math.fsum(terms_p) + math.fsum(terms_q))
 
 
-@dataclass(frozen=True, slots=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Per-word-class JS divergence between two line partitions."""
 
     js_all: float
@@ -157,10 +138,10 @@ class DivergenceReport:
     js_function: float
 
     def to_tsv(self) -> str:
-        rows = []
-        for word_class in WORD_CLASSES:
-            nats = getattr(self, f"js_{word_class}")
-            rows.append((word_class, fmt_float(nats), fmt_float(nats * JS_SCALE)))
+        rows = [
+            (word_class, fmt_float(nats), fmt_float(nats * JS_SCALE))
+            for word_class, nats in zip(WORD_CLASSES, self)
+        ]
         return format_tsv(("class", "js_nats", "js_x1e5"), rows)
 
 
@@ -169,7 +150,7 @@ def divergence_report(
     partition_a: set[int],
     partition_b: set[int],
     side: str,
-    classes: WordClassMap | None = None,
+    content_tags: frozenset[str] = DEFAULT_CONTENT_TAGS,
 ) -> DivergenceReport:
     """JS between the two partitions' token distributions on one side.
 
@@ -182,7 +163,6 @@ def divergence_report(
         raise DataError(
             f"partitions overlap on {len(overlap)} line(s), e.g. {min(overlap)}"
         )
-    classes = classes or WordClassMap.default()
     sides = {"a": partition_a, "b": partition_b}
     counts = {group: {name: {} for name in WORD_CLASSES} for group in sides}
     seen = {"a": 0, "b": 0}
@@ -197,20 +177,15 @@ def divergence_report(
             continue
         seen[group] += 1
         tokens, pos = _side_tokens(example, side, line_no, need_pos=True)
-        _count_words(counts[group], tokens, pos, classes)
+        _count_words(counts[group], tokens, pos, content_tags)
     for group, wanted in sides.items():
         if seen[group] != len(wanted):
             raise DataError(
                 f"partition {group} names {len(wanted)} lines but only "
                 f"{seen[group]} were found in the {last_line}-line stream"
             )
-    values = {}
-    for word_class in WORD_CLASSES:
-        dist_a = VocabDistribution.from_counts(counts["a"][word_class])
-        dist_b = VocabDistribution.from_counts(counts["b"][word_class])
-        values[word_class] = js(dist_a, dist_b)
     return DivergenceReport(
-        js_all=values["all"], js_content=values["content"], js_function=values["function"]
+        *(js(counts["a"][word_class], counts["b"][word_class]) for word_class in WORD_CLASSES)
     )
 
 

@@ -72,15 +72,18 @@ def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 def read_tsv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
     """Read a headered TSV, returning one dict per row.
 
-    Extra columns are kept; missing required columns raise DataError with the
-    file named. Rows with the wrong field count raise DataError with the
-    1-based line number.
+    Extra columns are kept; a column named twice in the header and missing
+    required columns raise DataError with the file named. Rows with the wrong
+    field count raise DataError with the 1-based line number.
     """
     with open(path, "r", encoding="utf-8") as handle:
         header_line = handle.readline()
         if not header_line:
             raise DataError(f"{path}: empty TSV, expected a header row")
         header = header_line.rstrip("\n").split("\t")
+        for index, col in enumerate(header):
+            if col in header[:index]:
+                raise DataError(f"{path}: the header names column {col!r} twice")
         missing = [col for col in required if col not in header]
         if missing:
             raise DataError(f"{path}: missing required column(s) {', '.join(missing)}")
@@ -100,8 +103,8 @@ def read_section_file(path: str) -> dict[str, list[str]]:
 
     Blank lines and lines starting with # are ignored. A DataError names the
     file and the line of a token with whitespace, a token before any section
-    header, an empty or duplicate section name, and a section that lists no
-    tokens; a file without sections is refused too.
+    header, an empty or duplicate section name or one with whitespace, and a
+    section that lists no tokens; a file without sections is refused too.
     """
     sections: dict[str, list[str]] = {}
     header_lines: dict[str, int] = {}
@@ -115,6 +118,8 @@ def read_section_file(path: str) -> dict[str, list[str]]:
                 name = line[1:-1].strip()
                 if not name:
                     raise DataError(f"{path}: line {line_no}: empty section name")
+                if len(name.split()) != 1:
+                    raise DataError(f"{path}: line {line_no}: whitespace in section name")
                 if name in sections:
                     raise DataError(f"{path}: line {line_no}: duplicate section [{name}]")
                 sections[name] = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import PosAnnotation, Sentence
@@ -35,8 +34,7 @@ class BucketStats(NamedTuple):
     ref_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class AdequacyReport:
+class AdequacyReport(NamedTuple):
     buckets: Mapping[str, BucketStats]
 
     def to_tsv(self) -> str:

@@ -533,6 +533,27 @@ def test_a_repeated_line_no_is_a_data_error(corpus, capsys, command, rows):
     )
 
 
+@pytest.mark.parametrize(
+    "command, rows, column",
+    [
+        ("classify", "line_no\tscore\tscore\n1\t5\t-5\n", "score"),
+        ("select", "line_no\tscore\tline_no\n1\t5\t2\n2\t-5\t1\n", "line_no"),
+        ("tune-offset", "score\tgold\tgold\n-1\tT\tS\n1\tS\tT\n", "gold"),
+        ("jsdiv-split", "line_no\tgroup\tgroup\n1\ta\tb\n2\tb\ta\n", "group"),
+    ],
+    ids=["classify", "select", "tune-offset", "jsdiv-split"],
+)
+def test_a_column_named_twice_in_the_header_is_a_data_error(corpus, capsys, command, rows, column):
+    table = corpus / "report.tsv"
+    table.write_text(rows, encoding="utf-8")
+    argv, outs = _reading_report(corpus, command, str(table))
+    assert main(argv) == 2
+    assert not any(os.path.exists(out) for out in outs)
+    assert capsys.readouterr().err == (
+        f"covbias: error: {table}: the header names column {column!r} twice\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["classify", "select", "tag", "split-finetune-records"])
 def test_a_label_that_disagrees_with_its_score_is_a_data_error(corpus, capsys, command):
     """A label is label_for(score) to every reader: 5.0 is source-original."""
@@ -825,6 +846,16 @@ def test_abstract_writes_the_abstracted_corpus(corpus):
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "der <NOUN> <VERB>"
+
+
+def test_fluency_refuses_a_bad_tag_affix_before_reading_the_models(corpus, capsys):
+    pos = corpus / "src.pos"
+    pos.write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
+    missing = str(corpus / "missing.lm")
+    argv = ["fluency", "--input", str(corpus / "src.txt"), "--pos", str(pos),
+            "--plain-lm", missing, "--abstracted-lm", missing, "--tag-prefix", "a b"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "covbias: tag prefix/suffix must not contain whitespace\n"
 
 
 def test_fluency_report_with_baseline(corpus, capsys):
@@ -1354,6 +1385,7 @@ _SECTION_FAULTS = {
     "empty file": ("", "no [section] headers"),
     "token before a header": ("NOUN\n[a]\nVERB\n", "line 1: token before any [section] header"),
     "two tokens on a line": ("[a]\nNOUN VERB\n", "line 2: expected one token per line"),
+    "whitespace in a section name": ("[no\tun]\nNOUN\n", "line 1: whitespace in section name"),
 }
 _FMEASURE = ["fmeasure", "--hyp", "src.txt", "--ref", "tgt.txt", "--ref-pos", "pos.txt",
              "--buckets"]

@@ -5,58 +5,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbias import (
+    DEFAULT_CONTENT_TAGS,
     DataError,
     DivergenceReport,
     ParallelExample,
-    VocabDistribution,
-    WordClassMap,
     build_distribution,
     divergence_report,
     js,
     random_split,
+    read_word_classes,
 )
 
 from oracles import js_divergence
 
 
-def _dist(**counts):
-    return VocabDistribution.from_counts(counts)
-
-
 def test_distribution_drops_zeros_and_rejects_negatives():
-    dist = VocabDistribution.from_counts({"a": 3, "b": 0, "c": 1})
-    assert set(dist.counts) == {"a", "c"}
-    assert dist.total == 4
-    with pytest.raises(ValueError):
-        VocabDistribution.from_counts({"a": 1, "b": -2})
+    other = {"a": 1, "d": 2}
+    assert js({"a": 3, "b": 0, "c": 1}, other) == js({"a": 3, "c": 1}, other)
+    assert js({"a": 3, "b": 0, "c": 1}, {"a": 3, "c": 1}) == 0.0
+    with pytest.raises(ValueError, match="^negative token count$"):
+        js({"a": 1, "b": -2}, other)
     with pytest.raises(DataError, match="^distribution over zero tokens$"):
-        VocabDistribution.from_counts({"a": 0})
+        js(other, {"a": 0})
 
 
 def test_word_class_map_default_and_file(tmp_path):
-    assert WordClassMap.default().is_content("NOUN")
-    assert not WordClassMap.default().is_content("DET")
+    assert "NOUN" in DEFAULT_CONTENT_TAGS
+    assert "DET" not in DEFAULT_CONTENT_TAGS
     path = tmp_path / "classes.txt"
     path.write_text("# comment\n[content]\nNOUN\nPROPN\n", encoding="utf-8")
-    classes = WordClassMap.from_file(str(path))
-    assert classes.content_tags == frozenset({"NOUN", "PROPN"})
-    assert classes.is_content("PROPN")
-    assert not classes.is_content("VERB")
+    content_tags = read_word_classes(str(path))
+    assert content_tags == frozenset({"NOUN", "PROPN"})
+    assert "PROPN" in content_tags
+    assert "VERB" not in content_tags
 
 
 def test_word_class_map_file_errors(tmp_path):
     missing = tmp_path / "missing.txt"
     missing.write_text("[function]\nDET\n", encoding="utf-8")
     with pytest.raises(DataError):
-        WordClassMap.from_file(str(missing))
+        read_word_classes(str(missing))
     extra = tmp_path / "extra.txt"
     extra.write_text("[content]\nNOUN\n[other]\nX\n", encoding="utf-8")
     with pytest.raises(DataError):
-        WordClassMap.from_file(str(extra))
+        read_word_classes(str(extra))
     empty = tmp_path / "empty.txt"
     empty.write_text("[content]\n", encoding="utf-8")
     with pytest.raises(DataError):
-        WordClassMap.from_file(str(empty))
+        read_word_classes(str(empty))
 
 
 def _pos_example(tokens, tags, side="source"):
@@ -71,11 +67,13 @@ def test_build_distribution_filters_by_word_class():
         _pos_example(("the", "dog"), ("DET", "NOUN")),
     ]
     all_words = build_distribution(examples, "source", "all")
-    assert dict(all_words.counts) == {"dog": 2, "runs": 1, "the": 2}
+    assert all_words == {"dog": 2, "runs": 1, "the": 2}
     content = build_distribution(examples, "source", "content")
-    assert dict(content.counts) == {"dog": 2, "runs": 1}
+    assert content == {"dog": 2, "runs": 1}
     function = build_distribution(examples, "source", "function")
-    assert dict(function.counts) == {"the": 2}
+    assert function == {"the": 2}
+    determiners = build_distribution(examples, "source", "content", frozenset({"DET"}))
+    assert determiners == {"the": 2}
 
 
 def test_build_distribution_reads_the_requested_side():
@@ -85,14 +83,14 @@ def test_build_distribution_reads_the_requested_side():
         )
     ]
     target_all = build_distribution(examples, "target", "all")
-    assert dict(target_all.counts) == {"t1": 1, "t2": 1}
+    assert target_all == {"t1": 1, "t2": 1}
     with pytest.raises(ValueError):
         build_distribution(examples, "both", "all")
 
 
 def test_build_distribution_requires_pos_only_when_filtering():
     examples = [ParallelExample(("a", "b"), ("x",))]
-    assert build_distribution(examples, "source", "all").total == 2
+    assert sum(build_distribution(examples, "source", "all").values()) == 2
     with pytest.raises(DataError, match="^line 2: source side has no POS annotations$") as err:
         build_distribution(
             [_pos_example(("a",), ("NOUN",)), ParallelExample(("b",), ("x",))],
@@ -103,20 +101,20 @@ def test_build_distribution_requires_pos_only_when_filtering():
 
 
 def test_js_identical_distributions_is_exactly_zero():
-    p = _dist(a=5, b=3, c=9)
-    q = _dist(a=10, b=6, c=18)  # same relative frequencies
+    p = dict(a=5, b=3, c=9)
+    q = dict(a=10, b=6, c=18)  # same relative frequencies
     assert js(p, p) == 0.0
     assert js(p, q) == 0.0
 
 
 def test_js_disjoint_support_is_ln2():
-    got = js(_dist(a=3, b=1), _dist(c=2, d=5))
+    got = js(dict(a=3, b=1), dict(c=2, d=5))
     assert math.isclose(got, math.log(2), rel_tol=0, abs_tol=1e-12)
 
 
 def test_js_known_value():
     # p = (3/4, 1/4) vs q = (1/4, 3/4), computed from the definition
-    got = js(_dist(x=3, y=1), _dist(x=1, y=3))
+    got = js(dict(x=3, y=1), dict(x=1, y=3))
     expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
     assert math.isclose(got, expected, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(got, 0.13081203594113694, rel_tol=0, abs_tol=1e-6)
@@ -130,9 +128,8 @@ _counts = st.dictionaries(
 @settings(max_examples=100, deadline=None)
 @given(p=_counts, q=_counts)
 def test_js_symmetric_bounded_and_matches_reference(p, q):
-    dp, dq = VocabDistribution.from_counts(p), VocabDistribution.from_counts(q)
-    forward = js(dp, dq)
-    assert forward == js(dq, dp)
+    forward = js(p, q)
+    assert forward == js(q, p)
     assert 0.0 <= forward <= math.log(2) + 1e-12
     assert math.isclose(forward, js_divergence(p, q), rel_tol=0, abs_tol=1e-12)
 
@@ -151,10 +148,10 @@ def test_divergence_report_matches_direct_js():
     report = divergence_report(_report_examples(), {1, 3}, {2, 4}, "source")
     assert math.isclose(report.js_content, math.log(2), rel_tol=0, abs_tol=1e-12)
     direct_all = js(
-        _dist(alpha=2, da=1, de=1), _dist(beta=1, gamma=1, da=1, de=1)
+        dict(alpha=2, da=1, de=1), dict(beta=1, gamma=1, da=1, de=1)
     )
     assert report.js_all == direct_all
-    direct_function = js(_dist(da=1, de=1), _dist(da=1, de=1))
+    direct_function = js(dict(da=1, de=1), dict(da=1, de=1))
     assert report.js_function == direct_function == 0.0
 
 

@@ -246,3 +246,42 @@ def test_scoring_subcommands_load_only_the_layers_they_use_in_a_fresh_interprete
         "covbias", "covbias.cli", "covbias.errors", "covbias.fileio"
     }
     assert "dataclasses" not in version
+
+
+def test_analysis_subcommands_load_no_dataclasses_in_a_fresh_interpreter(tmp_path):
+    paths = {name: str(tmp_path / name) for name in (
+        "text", "pos", "split.tsv", "m.lm", "abstracted", "out", "fluency.tsv"
+    )}
+    (tmp_path / "text").write_text("der hund läuft\ndie katze schläft\n" * 2, encoding="utf-8")
+    (tmp_path / "pos").write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
+    (tmp_path / "split.tsv").write_text("line_no\tgroup\n1\ta\n2\tb\n", encoding="utf-8")
+    NGramModel.train([("der", "hund")], order=2, min_count=1).save(paths["m.lm"])
+    text, pos = ["--input", paths["text"]], ["--pos", paths["pos"]]
+    runs = {
+        "jsdiv": ["--source", paths["text"], "--target", paths["text"], "--side", "source",
+                  "--source-pos", paths["pos"], "--split", paths["split.tsv"],
+                  "--output", paths["out"]],
+        "fmeasure": ["--hyp", paths["text"], "--ref", paths["text"], "--ref-pos", paths["pos"],
+                     "--output", paths["out"]],
+        "abstract": [*text, *pos, "--output", paths["abstracted"]],
+        "fluency": [*text, *pos, "--plain-lm", paths["m.lm"], "--abstracted-lm", paths["m.lm"],
+                    "--output", paths["fluency.tsv"]],
+    }
+    layers = {"jsdiv": "divergence", "fmeasure": "fmeasure", "abstract": "abstraction",
+              "fluency": "abstraction"}
+    for command, argv in runs.items():
+        loaded = _modules_loaded_by(command, *argv)
+        assert f"covbias.{layers[command]}" in loaded, command
+        assert "dataclasses" not in loaded, command
+
+
+def test_no_covbias_module_imports_dataclasses():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in imported, path.name
