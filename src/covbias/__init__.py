@@ -35,12 +35,11 @@ _EXPORTS = {
         "merge_augment",
     ),
     "detect": (
-        "DetectionEval", "ScoreRecord", "classify", "evaluate_detection", "label_for",
-        "score_pair", "select_extremes", "tune_offset",
+        "ScoreRecord", "classify", "label_for", "score_pair", "select_extremes", "tune_offset",
     ),
     "divergence": (
-        "DEFAULT_CONTENT_TAGS", "DivergenceReport", "build_distribution",
-        "divergence_report", "js", "random_split", "read_word_classes",
+        "DEFAULT_CONTENT_TAGS", "DivergenceReport", "divergence_report", "js", "random_split",
+        "read_word_classes",
     ),
     "errors": ("DataError", "FormatError"),
     "fmeasure": ("AdequacyReport", "BucketStats", "word_fmeasure"),

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 # at call time, so a rebound one (such as a tracing wrapper) is what is called.
 from . import DEFAULT_ORIGIN_TAG, DEFAULT_SYNTHETIC_TAG, MODEL_FORMAT_VERSION, __version__
 from .errors import DataError
-from .fileio import atomic_write, fmt_float, format_tsv, read_section_file, read_tsv
+from .fileio import atomic_write, fmt_float, format_tsv, line_fault, read_section_file, read_tsv
 
 if TYPE_CHECKING:
     from .abstraction import FluencyReport
@@ -106,11 +106,6 @@ def _content_tags(path: str | None) -> frozenset[str]:
     return read_word_classes(path) if path else DEFAULT_CONTENT_TAGS
 
 
-def _row_fault(path: str, file_line: int, message: str) -> DataError:
-    """The DataError for a fault in one row of a report, naming its file line."""
-    return DataError(f"{path}: line {file_line}: {message}", line_no=file_line)
-
-
 def _keyed_rows(path: str, column: str) -> Iterator[tuple[int, int, dict[str, str]]]:
     """(file line, line_no, row) per row of a report keyed by line_no.
 
@@ -121,11 +116,11 @@ def _keyed_rows(path: str, column: str) -> Iterator[tuple[int, int, dict[str, st
         try:
             line_no = int(row["line_no"])
         except ValueError:
-            raise _row_fault(path, file_line, f"bad line_no {row['line_no']!r}") from None
+            raise line_fault(path, file_line, f"bad line_no {row['line_no']!r}") from None
         if line_no < 1:
-            raise _row_fault(path, file_line, f"line_no must be >= 1, got {line_no}")
+            raise line_fault(path, file_line, f"line_no must be >= 1, got {line_no}")
         if line_no in seen:
-            raise _row_fault(path, file_line, f"line_no {line_no} is repeated")
+            raise line_fault(path, file_line, f"line_no {line_no} is repeated")
         seen.add(line_no)
         yield file_line, line_no, row
 
@@ -135,9 +130,9 @@ def _parse_score(row: dict[str, str], path: str, file_line: int, column: str = "
     try:
         value = float(raw)
     except ValueError:
-        raise _row_fault(path, file_line, f"bad {column} value {raw!r}") from None
+        raise line_fault(path, file_line, f"bad {column} value {raw!r}") from None
     if not math.isfinite(value):
-        raise _row_fault(path, file_line, f"{column} value {raw!r} is not finite")
+        raise line_fault(path, file_line, f"{column} value {raw!r} is not finite")
     return value
 
 
@@ -155,7 +150,7 @@ def _read_scores(path: str) -> list[tuple[int, float]]:
     for file_line, line_no, row in _keyed_rows(path, "score"):
         score = _parse_score(row, path, file_line)
         if "label" in row and by_code.get(row["label"]) is not label_for(score):
-            raise _row_fault(
+            raise line_fault(
                 path,
                 file_line,
                 f"label {row['label']!r} disagrees with"
@@ -174,7 +169,7 @@ def _read_groups(path: str, allowed: tuple[str, ...] = ()) -> dict[str, set[int]
     for file_line, line_no, row in _keyed_rows(path, "group"):
         if allowed and row["group"] not in allowed:
             message = f"group must be {' or '.join(allowed)}, got {row['group']!r}"
-            raise _row_fault(path, file_line, message)
+            raise line_fault(path, file_line, message)
         groups.setdefault(row["group"], set()).add(line_no)
     return groups
 
@@ -219,15 +214,14 @@ def _cmd_perplexity(args: argparse.Namespace) -> int:
 
 def _cmd_score_pairs(args: argparse.Namespace) -> int:
     from .corpus import read_parallel
-    from .detect import score_pair
+    from .detect import classify
     from .lm import NGramModel
 
     source_lm = NGramModel.load(args.source_model)
     target_lm = NGramModel.load(args.target_model)
     examples = read_parallel(args.source, args.target)
-    normalize, offset_c = args.length_normalize, args.offset_c
-    scores = (score_pair(source_lm, target_lm, ex, normalize) + offset_c for ex in examples)
-    _write_report(_labelled_scores(enumerate(scores, 1)), args.output)
+    records = classify(source_lm, target_lm, examples, args.offset_c, args.length_normalize)
+    _write_report(_labelled_scores(records), args.output)
     return 0
 
 
@@ -242,7 +236,7 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
         try:
             scored.append((score, OriginLabel.from_code(row["gold"])))
         except DataError as exc:
-            raise _row_fault(path, file_line, str(exc)) from None
+            raise line_fault(path, file_line, str(exc)) from None
     c, macro_f1 = tune_offset(scored)
     _write_report(
         format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output
@@ -347,12 +341,12 @@ def _read_fluency_baseline(path: str) -> FluencyReport:
     for file_line, row in enumerate(read_tsv(path, ["level", "ppl"]), 2):
         level = row["level"]
         if level not in ("plain", "abstracted"):
-            raise _row_fault(path, file_line, f"level must be plain or abstracted, got {level!r}")
+            raise line_fault(path, file_line, f"level must be plain or abstracted, got {level!r}")
         if level in by_level:
-            raise _row_fault(path, file_line, f"level {level!r} is given more than once")
+            raise line_fault(path, file_line, f"level {level!r} is given more than once")
         ppl = _parse_score(row, path, file_line, column="ppl")
         if ppl < 1:  # every event log-probability is <= 0
-            raise _row_fault(path, file_line, f"ppl value {row['ppl']!r} is below 1")
+            raise line_fault(path, file_line, f"ppl value {row['ppl']!r} is below 1")
         by_level[level] = ppl
     missing = {"plain", "abstracted"} - set(by_level)
     if missing:
@@ -393,7 +387,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     for expected, (line_no, score) in enumerate(_read_scores(args.records), 1):
         if line_no != expected:  # row k is file line k + 1, after the header
             message = f"expected line_no {expected} in order, got {line_no}"
-            raise _row_fault(args.records, expected + 1, message)
+            raise line_fault(args.records, expected + 1, message)
         labels.append(label_for(score))
     examples = read_parallel(args.source, args.target)
     tagged = bias_tag(examples, labels, args.tag_token)
@@ -652,11 +646,15 @@ def _check_outputs(args: argparse.Namespace) -> None:
     """No two of --output, --out-* and --manifest may name one file; an input may be one."""
     seen: dict[str, str] = {}
     for dest, value in vars(args).items():
-        if (dest in ("output", "manifest") or dest.startswith("out_")) and value not in (None, "-"):
-            flag = "--" + dest.replace("_", "-")
-            other = seen.setdefault(os.path.realpath(value), flag)
-            if other != flag:
-                raise UsageError(f"{other} and {flag} both name the file {value}")
+        if dest in ("output", "manifest"):
+            if value in (None, "-"):  # a report given "-" goes to stdout
+                continue
+        elif not dest.startswith("out_") or value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        other = seen.setdefault(os.path.realpath(value), flag)
+        if other != flag:
+            raise UsageError(f"{other} and {flag} both name the file {value}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

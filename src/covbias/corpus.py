@@ -146,12 +146,12 @@ def _check_writable(sentence: Sentence, line_no: int) -> str:
     line splits back into the sentence iff no token is empty or has whitespace.
     """
     if not sentence:
-        raise DataError(f"line {line_no}: refusing to write an empty sentence")
+        raise DataError(f"line {line_no}: refusing to write an empty sentence", line_no)
     line = " ".join(sentence)
     if tuple(line.split()) != tuple(sentence):
         token = next(t for t in sentence if not t or any(ch.isspace() for ch in t))
         raise DataError(
-            f"line {line_no}: token {token!r} is empty or contains whitespace"
+            f"line {line_no}: token {token!r} is empty or contains whitespace", line_no
         )
     return line
 

@@ -166,13 +166,11 @@ def merge_augment(
             _check_collision(example, tag_token, line_no)
             example = _prepend_marker(example, tag_token)
         merged_src.append((example, "synthetic", line_no))
-    order = list(range(len(merged_src)))
     if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(order)
+        random.Random(shuffle_seed).shuffle(merged_src)
     merged = []
     manifest = []
-    for out_no, idx in enumerate(order, 1):
-        example, provenance, original = merged_src[idx]
+    for out_no, (example, provenance, original) in enumerate(merged_src, 1):
         merged.append(example)
         manifest.append(ManifestEntry(out_no, provenance, original))
     return merged, manifest

@@ -15,7 +15,7 @@ import bisect
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .corpus import OriginLabel, ParallelExample
 from .errors import DataError
@@ -125,39 +125,6 @@ def tune_offset(
             best = key
             best_c, best_f1 = c, f1
     return best_c, best_f1
-
-
-class DetectionEval(NamedTuple):
-    macro_f1: float
-    per_class_f1: tuple[float, float]  # (source-original, target-original)
-    accuracy: float
-
-
-def evaluate_detection(
-    records: Sequence[ScoreRecord], gold: Sequence[OriginLabel]
-) -> DetectionEval:
-    if len(records) != len(gold):
-        raise DataError(
-            f"{len(records)} records but {len(gold)} gold labels"
-        )
-    if not records:
-        raise DataError("cannot evaluate zero records")
-    tp = {OriginLabel.SOURCE_ORIGINAL: 0, OriginLabel.TARGET_ORIGINAL: 0}
-    fp = dict(tp)
-    fn = dict(tp)
-    correct = 0
-    for record, truth in zip(records, gold):
-        if record.label is truth:
-            tp[truth] += 1
-            correct += 1
-        else:
-            fp[record.label] += 1
-            fn[truth] += 1
-    f1_s, f1_t = (
-        _f1(tp[label], fp[label], fn[label])
-        for label in (OriginLabel.SOURCE_ORIGINAL, OriginLabel.TARGET_ORIGINAL)
-    )
-    return DetectionEval((f1_s + f1_t) / 2.0, (f1_s, f1_t), correct / len(records))
 
 
 def select_extremes(

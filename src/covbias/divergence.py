@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
 from .corpus import ParallelExample
@@ -37,67 +37,6 @@ def read_word_classes(path: str) -> frozenset[str]:
             f"{path}: unexpected section(s) {', '.join(sorted(unknown))}"
         )
     return frozenset(sections["content"])
-
-
-def _side_tokens(
-    example: ParallelExample, side: str, line_no: int, need_pos: bool
-) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
-    if side == "source":
-        tokens, pos = example.source, example.source_pos
-    elif side == "target":
-        tokens, pos = example.target, example.target_pos
-    else:
-        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
-    if need_pos and pos is None:
-        raise DataError(
-            f"line {line_no}: {side} side has no POS annotations", line_no=line_no
-        )
-    return tokens, pos
-
-
-def _count_words(
-    counts: Mapping[str, dict[str, int]],
-    tokens: Sequence[str],
-    pos: Sequence[str] | None,
-    content_tags: frozenset[str],
-) -> None:
-    """Add one side's tokens to counts["all"] and, when it is tagged, each
-    token to counts["content"] or counts["function"] by its tag."""
-    all_counts = counts["all"]
-    if pos is None:
-        for token in tokens:
-            all_counts[token] = all_counts.get(token, 0) + 1
-        return
-    content_counts, function_counts = counts["content"], counts["function"]
-    for token, tag in zip(tokens, pos):
-        all_counts[token] = all_counts.get(token, 0) + 1
-        bucket = content_counts if tag in content_tags else function_counts
-        bucket[token] = bucket.get(token, 0) + 1
-
-
-def build_distribution(
-    examples: Iterable[ParallelExample],
-    side: str,
-    word_class: str = "all",
-    content_tags: frozenset[str] = DEFAULT_CONTENT_TAGS,
-) -> dict[str, int]:
-    """Token counts over one side, filtered by word class.
-
-    word_class is "all", "content", or "function"; the last two need POS
-    annotations on the chosen side and raise DataError at the
-    first example without them. A content word is one whose tag is in
-    content_tags.
-    """
-    if word_class not in WORD_CLASSES:
-        raise ValueError(f"word_class must be one of {WORD_CLASSES}, got {word_class!r}")
-    counts: dict[str, dict[str, int]] = {name: {} for name in WORD_CLASSES}
-    need_pos = word_class != "all"
-    for line_no, example in enumerate(examples, 1):
-        tokens, pos = _side_tokens(example, side, line_no, need_pos)
-        _count_words(counts, tokens, pos if need_pos else None, content_tags)
-    if not counts[word_class]:
-        raise DataError(f"no {word_class} tokens in the {side}-side selection")
-    return counts[word_class]
 
 
 def _total(counts: Mapping[str, int]) -> int:
@@ -156,15 +95,20 @@ def divergence_report(
 
     Partitions are sets of 1-based line numbers into the example stream; they
     must be disjoint and must all occur in the stream. Lines in neither set
-    are ignored.
+    are ignored. Each partition line needs POS tags on that side; a token is a
+    content word when its tag is in content_tags, else a function word.
     """
+    if side not in ("source", "target"):
+        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
     overlap = partition_a & partition_b
     if overlap:
         raise DataError(
             f"partitions overlap on {len(overlap)} line(s), e.g. {min(overlap)}"
         )
+    pos_field = f"{side}_pos"
     sides = {"a": partition_a, "b": partition_b}
-    counts = {group: {name: {} for name in WORD_CLASSES} for group in sides}
+    # per group, one {token: count} map per word class, in WORD_CLASSES order
+    counts = {group: ({}, {}, {}) for group in sides}
     seen = {"a": 0, "b": 0}
     last_line = 0
     for line_no, example in enumerate(examples, 1):
@@ -176,17 +120,23 @@ def divergence_report(
         else:
             continue
         seen[group] += 1
-        tokens, pos = _side_tokens(example, side, line_no, need_pos=True)
-        _count_words(counts[group], tokens, pos, content_tags)
+        pos = getattr(example, pos_field)
+        if pos is None:
+            raise DataError(
+                f"line {line_no}: {side} side has no POS annotations", line_no=line_no
+            )
+        all_counts, content_counts, function_counts = counts[group]
+        for token, tag in zip(getattr(example, side), pos):
+            all_counts[token] = all_counts.get(token, 0) + 1
+            bucket = content_counts if tag in content_tags else function_counts
+            bucket[token] = bucket.get(token, 0) + 1
     for group, wanted in sides.items():
         if seen[group] != len(wanted):
             raise DataError(
                 f"partition {group} names {len(wanted)} lines but only "
                 f"{seen[group]} were found in the {last_line}-line stream"
             )
-    return DivergenceReport(
-        *(js(counts["a"][word_class], counts["b"][word_class]) for word_class in WORD_CLASSES)
-    )
+    return DivergenceReport(*map(js, counts["a"], counts["b"]))
 
 
 def random_split(
@@ -198,9 +148,9 @@ def random_split(
     with the given seed.
     """
     if not 0 < fraction < 1:
-        raise DataError(f"fraction must be in (0, 1), got {fraction}")
+        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if n_lines < 1:
-        raise DataError("cannot split zero lines")
+        raise ValueError("cannot split zero lines")
     k = math.floor(fraction * n_lines)
     line_numbers = list(range(1, n_lines + 1))
     random.Random(seed).shuffle(line_numbers)

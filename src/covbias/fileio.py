@@ -69,6 +69,11 @@ def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def line_fault(path: str, line_no: int, problem: str) -> DataError:
+    """The DataError for a fault on one line of a file, naming the file and the line."""
+    return DataError(f"{path}: line {line_no}: {problem}", line_no)
+
+
 def read_tsv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
     """Read a headered TSV, returning one dict per row.
 
@@ -92,7 +97,8 @@ def read_tsv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
             fields = line.rstrip("\n").split("\t")
             if len(fields) != len(header):
                 raise DataError(
-                    f"{path}: line {line_no} has {len(fields)} fields, header has {len(header)}"
+                    f"{path}: line {line_no} has {len(fields)} fields, header has {len(header)}",
+                    line_no,
                 )
             rows.append(dict(zip(header, fields)))
     return rows
@@ -117,23 +123,23 @@ def read_section_file(path: str) -> dict[str, list[str]]:
             if line.startswith("[") and line.endswith("]"):
                 name = line[1:-1].strip()
                 if not name:
-                    raise DataError(f"{path}: line {line_no}: empty section name")
+                    raise line_fault(path, line_no, "empty section name")
                 if len(name.split()) != 1:
-                    raise DataError(f"{path}: line {line_no}: whitespace in section name")
+                    raise line_fault(path, line_no, "whitespace in section name")
                 if name in sections:
-                    raise DataError(f"{path}: line {line_no}: duplicate section [{name}]")
+                    raise line_fault(path, line_no, f"duplicate section [{name}]")
                 sections[name] = []
                 header_lines[name] = line_no
                 current = name
                 continue
             if current is None:
-                raise DataError(f"{path}: line {line_no}: token before any [section] header")
+                raise line_fault(path, line_no, "token before any [section] header")
             if len(line.split()) != 1:
-                raise DataError(f"{path}: line {line_no}: expected one token per line")
+                raise line_fault(path, line_no, "expected one token per line")
             sections[current].append(line)
     if not sections:
         raise DataError(f"{path}: no [section] headers")
     for name, tokens in sections.items():
         if not tokens:
-            raise DataError(f"{path}: line {header_lines[name]}: section [{name}] lists no tokens")
+            raise line_fault(path, header_lines[name], f"section [{name}] lists no tokens")
     return sections

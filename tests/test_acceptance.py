@@ -20,7 +20,6 @@ from covbias import (
     OriginLabel,
     ScoreRecord,
     abstract_sentence,
-    evaluate_detection,
     js,
     perplexity,
     read_parallel,
@@ -124,9 +123,12 @@ def test_criterion_1_detection_fidelity(bed_dir, bed_models):
     with criterion(1, "synthetic detection macro-F1 >= 0.90 in under 60 s"):
         state = _detection(bed_dir, bed_models)
         gold = _read_gold(bed_dir.eval_gold)
-        result = evaluate_detection(state["records"], gold)
+        records = state["records"]
+        assert [record.line_no for record in records] == list(range(1, len(gold) + 1))
+        scores = [record.score for record in records]
+        macro_f1 = macro_f1_at_offset(scores, [label.code for label in gold], 0.0)
         elapsed = bed_models.train_seconds + state["seconds"]
-        assert result.macro_f1 >= 0.90, f"macro-F1 {result.macro_f1:.4f}"
+        assert macro_f1 >= 0.90, f"macro-F1 {macro_f1:.4f}"
         assert elapsed < 60.0, f"pipeline took {elapsed:.1f} s"
 
 

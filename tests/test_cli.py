@@ -1351,6 +1351,30 @@ def test_two_outputs_naming_one_file_are_a_usage_error(
     assert sorted(os.listdir(corpus)) == before
 
 
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["tag", "--source", "src.txt", "--target", "tgt.txt", "--records", "records.tsv",
+          "--out-source", "-", "--out-target", "-"], "--out-source", "--out-target"),
+        (_SPLIT + ["--out-pretrain-source", "-", "--out-finetune-target", "-", "--manifest",
+                   "m.tsv"], "--out-pretrain-source", "--out-finetune-target"),
+        (_MERGE + ["--out-source", "-", "--out-target", "-", "--manifest", "-"],
+         "--out-source", "--out-target"),
+    ],
+    ids=["tag", "split-finetune", "merge-augment"],
+)
+def test_a_dash_given_to_two_corpus_outputs_is_a_usage_error(
+    corpus, monkeypatch, capsys, argv, first, second
+):
+    # "-" means stdout only for a report (--output, --manifest); --out-* "-" is a file
+    monkeypatch.chdir(corpus)
+    (corpus / "records.tsv").write_text("line_no\tscore\tlabel\n1\t1.0\tS\n", encoding="utf-8")
+    (corpus / "selection.tsv").write_text("line_no\tgroup\n1\tmost_source\n", encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"covbias: {first} and {second} both name the file -\n"
+    assert not (corpus / "-").exists()
+
+
 def test_an_output_may_overwrite_an_input(corpus, monkeypatch):
     monkeypatch.chdir(corpus)
     expected = (corpus / "tgt.txt").read_bytes() * 2

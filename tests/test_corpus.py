@@ -15,6 +15,7 @@ from covbias import (
     write_parallel,
 )
 from covbias.corpus import _check_writable
+from covbias.fileio import read_section_file, read_tsv
 
 from oracles import bruteforce_writable
 
@@ -279,3 +280,29 @@ def test_last_line_without_newline_reads_the_same(tmp_path):
     assert with_newline[0] == [("a", "b"), ("c", "d")]
     mixed = read("mixed", "a b\nc d", "x\ny z\n")
     assert mixed == with_newline
+
+
+@pytest.mark.parametrize(
+    "call, text, line",
+    [
+        (lambda path: read_tsv(path, ["a"]), "a\tb\n1\t2\n3\n", 3),
+        (read_section_file, "[a]\nX\n\n[]\n", 4),
+        (read_section_file, "[a]\nX\n[b c]\nY\n", 3),
+        (read_section_file, "[a]\nX\n# again\n[a]\nY\n", 4),
+        (read_section_file, "# none yet\nX\n[a]\nY\n", 2),
+        (read_section_file, "[a]\nX\nY Z\n", 3),
+        (read_section_file, "[a]\nX\n[b]\n# no tokens\n", 3),
+        (lambda path: write_mono([("a",), ()], path), "", 2),
+        (lambda path: write_mono([("a",), ("b",), ("c", "d e")], path), "", 3),
+    ],
+    ids=["tsv field count", "empty section name", "whitespace in section name",
+         "duplicate section", "token before any section", "two tokens on a line",
+         "section lists no tokens", "empty sentence", "token with whitespace"],
+)
+def test_a_data_error_that_names_a_line_carries_it(tmp_path, call, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        call(str(path))
+    assert re.findall(r"\bline (\d+)", str(err.value)) == [str(line)]
+    assert err.value.line_no == line

@@ -10,7 +10,6 @@ from covbias import (
     ParallelExample,
     ScoreRecord,
     classify,
-    evaluate_detection,
     label_for,
     score_pair,
     select_extremes,
@@ -162,28 +161,6 @@ def test_tuned_offset_is_grid_optimal_and_honest():
         c, f1 = tune_offset(scored)
         assert macro_f1_at_offset(scores, codes, c) == f1
         assert max(macro_f1_at_offset(scores, codes, g) for g in grid) == f1
-
-
-def test_evaluate_detection_counts_and_degenerate_macro():
-    records = [ScoreRecord(1, 1.0), ScoreRecord(2, 2.0)]
-    result = evaluate_detection(records, [S, T])
-    assert result.per_class_f1 == (2 / 3, 0.0)
-    assert result.macro_f1 == 1 / 3
-    assert result.accuracy == 0.5
-
-
-def test_evaluate_detection_perfect_case():
-    records = [ScoreRecord(1, 1.0), ScoreRecord(2, -1.0)]
-    result = evaluate_detection(records, [S, T])
-    assert result == ((1.0 + 1.0) / 2, (1.0, 1.0), 1.0)
-
-
-def test_evaluate_detection_rejects_bad_shapes():
-    records = [ScoreRecord(1, 1.0)]
-    with pytest.raises(DataError, match="^1 records but 2 gold labels$"):
-        evaluate_detection(records, [S, T])
-    with pytest.raises(DataError, match="^cannot evaluate zero records$"):
-        evaluate_detection([], [])
 
 
 def _records(scores):

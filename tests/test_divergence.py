@@ -9,7 +9,6 @@ from covbias import (
     DataError,
     DivergenceReport,
     ParallelExample,
-    build_distribution,
     divergence_report,
     js,
     random_split,
@@ -59,45 +58,6 @@ def _pos_example(tokens, tags, side="source"):
     if side == "source":
         return ParallelExample(tuple(tokens), ("x",), source_pos=tuple(tags))
     return ParallelExample(("x",), tuple(tokens), target_pos=tuple(tags))
-
-
-def test_build_distribution_filters_by_word_class():
-    examples = [
-        _pos_example(("dog", "runs", "the"), ("NOUN", "VERB", "DET")),
-        _pos_example(("the", "dog"), ("DET", "NOUN")),
-    ]
-    all_words = build_distribution(examples, "source", "all")
-    assert all_words == {"dog": 2, "runs": 1, "the": 2}
-    content = build_distribution(examples, "source", "content")
-    assert content == {"dog": 2, "runs": 1}
-    function = build_distribution(examples, "source", "function")
-    assert function == {"the": 2}
-    determiners = build_distribution(examples, "source", "content", frozenset({"DET"}))
-    assert determiners == {"the": 2}
-
-
-def test_build_distribution_reads_the_requested_side():
-    examples = [
-        ParallelExample(
-            ("s1",), ("t1", "t2"), target_pos=("NOUN", "DET")
-        )
-    ]
-    target_all = build_distribution(examples, "target", "all")
-    assert target_all == {"t1": 1, "t2": 1}
-    with pytest.raises(ValueError):
-        build_distribution(examples, "both", "all")
-
-
-def test_build_distribution_requires_pos_only_when_filtering():
-    examples = [ParallelExample(("a", "b"), ("x",))]
-    assert sum(build_distribution(examples, "source", "all").values()) == 2
-    with pytest.raises(DataError, match="^line 2: source side has no POS annotations$") as err:
-        build_distribution(
-            [_pos_example(("a",), ("NOUN",)), ParallelExample(("b",), ("x",))],
-            "source",
-            "content",
-        )
-    assert err.value.line_no == 2
 
 
 def test_js_identical_distributions_is_exactly_zero():
@@ -168,6 +128,40 @@ def test_divergence_report_rejects_overlap_and_missing_lines():
         divergence_report(_report_examples(), {1}, {2, 9}, "source")
 
 
+def test_divergence_report_content_tags_choose_the_content_words():
+    default = divergence_report(_report_examples(), {1, 3}, {2, 4}, "source")
+    # with DET as the one content tag, the nouns become the function words
+    determiners = divergence_report(
+        _report_examples(), {1, 3}, {2, 4}, "source", frozenset({"DET"})
+    )
+    assert determiners == (default.js_all, default.js_function, default.js_content)
+    assert determiners.js_content == 0.0 < determiners.js_function
+
+
+def test_divergence_report_reads_the_requested_side():
+    source_side = _report_examples()
+    flipped = [
+        ParallelExample(("x", "y"), ex.source, ("NOUN", "DET"), ex.source_pos)
+        for ex in source_side
+    ]
+    by_target = divergence_report(flipped, {1, 3}, {2, 4}, "target")
+    assert by_target == divergence_report(source_side, {1, 3}, {2, 4}, "source")
+    assert divergence_report(flipped, {1, 3}, {2, 4}, "source") == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^side must be 'source' or 'target', got 'both'$"):
+        divergence_report(source_side, {1, 3}, {2, 4}, "both")
+
+
+def test_divergence_report_needs_pos_on_every_partition_line():
+    examples = _report_examples()
+    examples[2] = ParallelExample(("alpha", "de"), ("x",))
+    with pytest.raises(DataError, match="^line 3: source side has no POS annotations$") as err:
+        divergence_report(examples, {1, 3}, {2, 4}, "source")
+    assert err.value.line_no == 3
+    # a line in neither partition needs no tags
+    trimmed = divergence_report(examples, {1}, {2}, "source")
+    assert trimmed == divergence_report(_report_examples(), {1}, {2}, "source")
+
+
 def test_divergence_report_tsv_layout():
     report = DivergenceReport(js_all=0.5, js_content=0.25, js_function=0.0)
     lines = report.to_tsv().splitlines()
@@ -196,7 +190,7 @@ def test_random_split_floors_the_first_share():
 
 def test_random_split_rejects_bad_arguments():
     for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(DataError, match=rf"^fraction must be in \(0, 1\), got {bad}$"):
+        with pytest.raises(ValueError, match=rf"^fraction must be in \(0, 1\), got {bad}$"):
             random_split(10, bad, seed=1)
-    with pytest.raises(DataError, match="^cannot split zero lines$"):
+    with pytest.raises(ValueError, match="^cannot split zero lines$"):
         random_split(0, 0.5, seed=1)
