@@ -79,11 +79,16 @@ def tune_offset(
 ) -> tuple[float, float]:
     """Pick the offset c maximizing macro-F1 on (raw score, gold) pairs.
 
-    Candidate decision thresholds are the midpoints between adjacent distinct
-    raw scores plus one candidate below the minimum and one above the maximum.
-    Ties on macro-F1 prefer the widest score gap (the two outside candidates
-    count as infinitely wide), then the smallest |c|, then the smaller c.
-    Returns (c, macro_f1 at c).
+    A threshold t labels S the scores strictly above it, so c = -t. The
+    candidates are one t per gap between adjacent distinct raw scores lo < hi,
+    the midpoint where it lies strictly between them and otherwise lo (the
+    midpoint overflows or rounds onto lo or hi), plus min - 1 and max + 1
+    (the float below min and max itself where adding 1 is absorbed). Every
+    partition of the scores at a threshold is thus tried, with one exception:
+    at min == -sys.float_info.max no finite c labels every pair S, and that
+    candidate is dropped. Ties on macro-F1 prefer the widest score gap (the
+    two outside candidates count as infinitely wide), then the smallest |c|,
+    then the smaller c. Returns (c, macro_f1 at c).
     """
     if not scored:
         raise DataError("cannot tune an offset on zero scored pairs")
@@ -102,10 +107,13 @@ def tune_offset(
         prefix_s.append(prefix_s[-1] + (1 if gold is OriginLabel.SOURCE_ORIGINAL else 0))
 
     distinct = sorted(set(values))
-    candidates: list[tuple[float, float]] = [(distinct[0] - 1.0, math.inf)]
+    low, high = distinct[0], distinct[-1]
+    below = low - 1.0 if low - 1.0 < low else math.nextafter(low, -math.inf)
+    candidates: list[tuple[float, float]] = [(below, math.inf)] if below > -math.inf else []
     for lo, hi in zip(distinct, distinct[1:]):
-        candidates.append(((lo + hi) / 2.0, hi - lo))
-    candidates.append((distinct[-1] + 1.0, math.inf))
+        mid = (lo + hi) / 2.0
+        candidates.append((mid if lo < mid < hi else lo, hi - lo))
+    candidates.append((high + 1.0 if high + 1.0 > high else high, math.inf))
 
     best: tuple[float, float, float, float] | None = None
     best_c = best_f1 = 0.0

@@ -66,7 +66,8 @@ def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """
     lines = ["\t".join(header)]
     lines.extend("\t".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 def line_fault(path: str, line_no: int, problem: str) -> DataError:

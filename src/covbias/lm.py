@@ -20,12 +20,28 @@ time, so text cannot forge sentence boundaries.
 
 In memory an n-gram of k ids is one int whose base-V digits are the ids, V
 the vocabulary size, oldest most significant: ((g0*V + g1)*V + ...)*V + g(k-1).
-There is one dict per length, _lp[k] for n-grams of k = 1..order ids and
-_bo[k] for contexts of k = 1..order-1 ids (keys of different lengths
-collide). Numeric order of same-length keys is the order of their id tuples.
-The scorer keeps the last m context ids as one int H and looks the event w up
-as _lp[m+1][H*V + w]; on a miss it adds _bo[m][H] if present, drops the
-oldest id (H %= V**(m-1)) and tries again with m-1.
+Numeric order of same-length keys is the order of their id tuples. There is
+one table per length, _lp[k] for n-grams of k = 1..order ids and _bo[k] for
+contexts of k = 1..order-1 ids (keys of different lengths collide), held as
+the two columns the file stores: the strictly increasing keys (an
+array('Q'), or a list of ints where V**k > 2**64) and an array('d') of
+values. The scorer keeps the last m context ids as one int H and looks the
+event w up in _lp[m+1] at H*V + w; on a miss it adds _bo[m]'s weight for H
+if present, drops the oldest id (H %= V**(m-1)) and tries again with m-1.
+
+A lookup bisects a key column until logprob has scored one event per
+_ROWS_PER_BISECTED_EVENT (16) rows of the model. Then each column becomes a
+dict, built from the same keys and floats, and lookups are dict.get: the
+bisection paid so far is about what the dicts cost to build, so a short run
+never builds them and a long one pays at most about twice their cost.
+Scores do not depend on when the switch happens. On the order-4 model of
+the model-reuse benchmark (153,994 rows, V = 554) the columns take 2.5 MiB
+and load in 23 ms, against 14.0 MiB and 47 ms for the dicts; bisection
+scores an event about 3 us slower than dict.get and the dicts take about
+20 ms to build, so the measured break-even lies at rows/21 to rows/26
+events (rows/15 to rows/28 in single runs). 16 errs towards keeping the
+columns, which also keep the run 11 MiB smaller: the 7k-event perplexity
+runs of that benchmark never build the index.
 
 The file (format 2, little-endian) holds the same keys. After the magic
 "NGLM", u16 version, u16 order, u32 V and each token as a u32 length and its
@@ -45,10 +61,11 @@ import os
 import struct
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, count, islice, repeat
-from operator import floordiv, ge, mod
+from operator import floordiv, ge, lt, mod
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
@@ -72,8 +89,13 @@ _VERSION_ORDER = struct.Struct("<HH")
 _META = struct.Struct("<BQ")  # flags, training token count; the discounts follow
 _HAS_COUNT, _HAS_DISCOUNTS = 1, 2
 _SWAP = sys.byteorder == "big"  # file columns are little-endian
+# Scoring bisects the columns until it has scored one event per this many
+# rows, then builds the dict index (see NGramModel._index).
+_ROWS_PER_BISECTED_EVENT = 16
 
-_Tables = tuple[dict[int, float], ...]
+# The tables of one kind, by n-gram length 0..order: each a _Column until
+# the scorer builds its index, a dict after.
+_Tables = list["_Column | dict[int, float]"]
 
 
 class LmScore(NamedTuple):
@@ -87,7 +109,7 @@ class NGramModel:
     logprobs maps full n-gram id tuples (any length 1..order) to natural-log
     conditional probabilities; backoffs maps context id tuples (length
     1..order-1) to natural-log backoff weights. Both are read-only views
-    decoded from the packed tables on every access, at O(rows) per access.
+    decoded from the tables on every access, at O(rows) per access.
     """
 
     def __init__(
@@ -115,6 +137,7 @@ class NGramModel:
                 if any(not 0 <= i < vocab_size for i in gram):
                     raise ValueError(f"{what} {gram}: token id out of range")
                 tables[len(gram)][_pack(gram, vocab_size)] = value
+            _to_columns(tables, vocab_size)
         _check_model(tokens, lp, bo, train_token_count, discounts)
         self._adopt(order, tokens, lp, bo, train_token_count, discounts)
 
@@ -128,11 +151,11 @@ class NGramModel:
         train_token_count: int | None = None,
         discounts: Sequence[float] | None = None,
     ) -> "NGramModel":
-        """Wrap packed tables that are valid by construction: no copy, no checks.
+        """Wrap columns that are valid by construction: no copy, no checks.
 
-        lp[k] and bo[k] hold the k-id keys (see the module docstring); lp[0],
-        bo[0] and bo[order] are empty. The model takes ownership of the dicts;
-        the caller must not keep mutating them.
+        lp[k] and bo[k] are the _Columns of the k-id keys (see the module
+        docstring); lp[0], bo[0] and bo[order] are empty. The model takes
+        ownership of the lists and columns.
         """
         model = cls.__new__(cls)
         model._adopt(order, tuple(tokens), lp, bo, train_token_count, discounts)
@@ -151,16 +174,37 @@ class NGramModel:
         self.id_to_token: tuple[str, ...] = tokens
         self._ids = {t: i for i, t in enumerate(tokens)}
         self.token_ids: Mapping[str, int] = MappingProxyType(self._ids)
-        base = len(tokens)
-        # the scorer's back-off steps, from the longest context (m = order-1) down
-        self._levels = tuple(
-            (lp[m + 1].get, bo[m].get, base ** max(m - 1, 0)) for m in range(order - 1, -1, -1)
-        )
-        self._start = _pack((BOS_ID,) * (order - 1), base)  # the <s> padding as a history
+        self._start = _pack((BOS_ID,) * (order - 1), len(tokens))  # the <s> padding as a history
         self._lp = lp
         self._bo = bo
+        self._set_levels()
+        # events logprob may still score by bisection before it builds the index
+        self._unindexed = sum(map(len, lp + bo)) // _ROWS_PER_BISECTED_EVENT
         self.train_token_count = train_token_count
         self.discounts = tuple(discounts) if discounts is not None else None
+
+    def _set_levels(self) -> None:
+        """The scorer's back-off steps, from the longest context (m = order-1) down."""
+        lp, bo, base = self._lp, self._bo, len(self.id_to_token)
+        self._levels = tuple(
+            (lp[m + 1].get, bo[m].get, base ** max(m - 1, 0))
+            for m in range(self.order - 1, -1, -1)
+        )
+
+    def _index(self) -> None:
+        """Score through dicts from now on, built from the columns, and drop the columns.
+
+        Called by logprob once it has scored one event per
+        _ROWS_PER_BISECTED_EVENT rows. Each dict holds its column's keys in
+        their sorted order, so save writes the same bytes from it. The
+        columns stay in place until every dict is built, so a scorer
+        running meanwhile still finds complete tables.
+        """
+        self._unindexed = math.inf
+        lp = [dict(zip(t.keys(), t.values())) for t in self._lp]
+        bo = [dict(zip(t.keys(), t.values())) for t in self._bo]
+        self._lp, self._bo = lp, bo
+        self._set_levels()
 
     @property
     def logprobs(self) -> Mapping[tuple[int, ...], float]:
@@ -285,8 +329,8 @@ class NGramModel:
         return cls._trusted(
             order,
             id_to_token,
-            logprobs,
-            backoffs,
+            _to_columns(logprobs, base),
+            _to_columns(backoffs, base),
             train_token_count=token_total,
             discounts=discounts[1:],
         )
@@ -308,7 +352,11 @@ class NGramModel:
             total += _walk(levels, base, history, wid)
             history = (history * base + wid) % keep
         total += _walk(levels, base, history, EOS_ID)
-        return LmScore(total, len(sentence) + 1)
+        events = len(sentence) + 1
+        self._unindexed -= events
+        if self._unindexed <= 0:
+            self._index()
+        return LmScore(total, events)
 
     def logprob_word(self, context: Sequence[str], word: str) -> float:
         """Conditional log-probability of one word after a token context.
@@ -347,10 +395,9 @@ class NGramModel:
             handle.write(struct.pack(f"<{self.order}d", *self.discounts or repeat(0.0, self.order)))
             for k in range(1, self.order + 1):
                 for table in (self._lp[k], self._bo[k]) if k < self.order else (self._lp[k],):
-                    keys = sorted(table)
-                    handle.write(_U32.pack(len(keys)))
-                    handle.write(_key_column(keys, base**k))
-                    handle.write(_little(array("d", map(table.__getitem__, keys))))
+                    handle.write(_U32.pack(len(table)))
+                    handle.write(_key_column(table.keys(), base**k))
+                    handle.write(_little("d", table.values()))
 
     @classmethod
     def load(cls, path: str) -> "NGramModel":
@@ -395,8 +442,7 @@ class NGramModel:
                 reader.left = left
                 _check_vocabulary(tokens)
                 reader.base = base
-                lp, bo = _empty_tables(order)
-                meta = _read_v2(reader, order, lp, bo)
+                lp, bo, meta = _read_v2(reader, order)
                 if reader.left:
                     raise reader.fail("trailing bytes after the last table")
                 _check_model(tokens, lp, bo, *meta)
@@ -424,12 +470,52 @@ def _walk(levels: Sequence[tuple], base: int, history: int, wid: int) -> float:
     return -math.inf
 
 
-def _empty_tables(order: int) -> tuple[_Tables, _Tables]:
+class _Column:
+    """One table as its file stores it: strictly increasing keys and their values.
+
+    keys() is an array('Q'), or a list of ints where V**k > 2**64, and
+    values() an array('d'). get(key) finds a key by bisection and answers
+    as dict.get would, so the scorer takes either.
+    """
+
+    __slots__ = ("_keys", "_values", "get")
+
+    def __init__(self, keys: array | list[int], values: array):
+        self._keys = keys
+        self._values = values
+        rows = len(keys)
+
+        def get(key: int) -> float | None:
+            i = bisect_left(keys, key)
+            return values[i] if i < rows and keys[i] == key else None
+
+        self.get = get
+
+    def keys(self) -> array | list[int]:
+        return self._keys
+
+    def values(self) -> array:
+        return self._values
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+_EMPTY = _Column(array("Q"), array("d"))
+
+
+def _empty_tables(order: int) -> tuple[list[dict[int, float]], list[dict[int, float]]]:
     """Per-length logprob and backoff dicts, indexed 0..order."""
-    return (
-        tuple({} for _ in range(order + 1)),
-        tuple({} for _ in range(order + 1)),
-    )
+    return [{} for _ in range(order + 1)], [{} for _ in range(order + 1)]
+
+
+def _to_columns(tables: list, base: int) -> _Tables:
+    """Sort each length's dict once into its _Column, in place; each dict is dropped as it goes."""
+    for k, table in enumerate(tables):
+        keys = sorted(table)
+        values = array("d", map(table.__getitem__, keys))
+        tables[k] = _Column(array("Q", keys) if _key_width(base**k) == 8 else keys, values)
+    return tables
 
 
 class _Reader:
@@ -456,17 +542,19 @@ class _Reader:
     def count(self, what: str) -> int:
         return _U32.unpack(self.take(4, what))[0]
 
-    def column(self, typecode: str, n: int, what: str) -> list:
-        """n little-endian items of an array typecode, as a list."""
+    def column(self, typecode: str, n: int, what: str) -> array:
+        """n little-endian items of an array typecode, as a native array."""
         items = array(typecode)
         items.fromfile(self.handle, self.room(n * items.itemsize, what) // items.itemsize)
-        return _little(items).tolist()
+        if _SWAP:
+            items.byteswap()
+        return items
 
 
 def _read_v2(
-    reader: _Reader, order: int, lp: _Tables, bo: _Tables
-) -> tuple[int | None, tuple[float, ...] | None]:
-    """Fill lp and bo from format-2 tables; return (token count, discounts)."""
+    reader: _Reader, order: int
+) -> tuple[_Tables, _Tables, tuple[int | None, tuple[float, ...] | None]]:
+    """The format-2 tables and metadata: (lp, bo, (token count, discounts))."""
     flags, token_count = _META.unpack(reader.take(_META.size, "metadata"))
     raw = reader.take(8 * order, "discounts")
     if flags & ~(_HAS_COUNT | _HAS_DISCOUNTS):
@@ -475,23 +563,22 @@ def _read_v2(
         raise reader.fail("token count set but flagged absent")
     if not flags & _HAS_DISCOUNTS and any(raw):
         raise reader.fail("discounts set but flagged absent")
+    lp, bo = [_EMPTY], [_EMPTY]
     for k in range(1, order + 1):
-        _read_table(reader, k, "events", lp[k])
-        if k < order:
-            _read_table(reader, k, "contexts", bo[k])
-    return (
+        lp.append(_read_table(reader, k, "events"))
+        bo.append(_read_table(reader, k, "contexts") if k < order else _EMPTY)
+    return lp, bo, (
         token_count if flags & _HAS_COUNT else None,
         struct.unpack(f"<{order}d", raw) if flags & _HAS_DISCOUNTS else None,
     )
 
 
-def _read_table(reader: _Reader, k: int, what: str, into: dict[int, float]) -> None:
-    """Read one format-2 table, "events" or "contexts", into an empty dict.
+def _read_table(reader: _Reader, k: int, what: str) -> _Column:
+    """Read one format-2 table, "events" or "contexts", as it is stored.
 
     Only what the file alone knows is checked here, one C-level pass each:
-    keys strictly increase when the dict holds every row and the key column
-    is its own sorted copy, and then the last key is the largest and must be
-    below V**k. A failing check is redone row by row to name the row.
+    the keys strictly increase, and then the last key is the largest and
+    must be below V**k. A failing check is redone to name the row.
     """
     table = f"order-{k} {what} table"
     n = reader.count(f"{table} row count")
@@ -502,14 +589,15 @@ def _read_table(reader: _Reader, k: int, what: str, into: dict[int, float]) -> N
     else:
         grams = struct.Struct(f"{width}s").iter_unpack(reader.take(n * width, table))
         keys = list(map(int.from_bytes, chain.from_iterable(grams), repeat("big")))
-    into.update(zip(keys, reader.column("d", n, table)))
-    if len(into) != n or keys != sorted(keys):
+    values = reader.column("d", n, table)
+    if not all(map(lt, keys, islice(keys, 1, None))):
         row = next(compress(count(1), map(ge, keys, islice(keys, 1, None))))
         gram = _ids(keys[row], k, reader.base)
         raise reader.fail(f"{table}, row {row + 1} {gram}: not after the row before it")
     if keys and keys[-1] >= span:
         gram = _ids(keys[-1], k, reader.base)
         raise reader.fail(f"{table}, row {n} {gram}: token id out of range")
+    return _Column(keys, values)
 
 
 def _key_width(span: int) -> int:
@@ -517,18 +605,20 @@ def _key_width(span: int) -> int:
     return 8 if span <= 1 << 64 else ((span - 1).bit_length() + 7) // 8
 
 
-def _key_column(keys: Sequence[int], span: int) -> bytes | array:
+def _key_column(keys: Iterable[int], span: int) -> bytes | array:
     """The file column of sorted keys that lie in 0..span-1."""
     width = _key_width(span)
     if width == 8:
-        return _little(array("Q", keys))
+        return _little("Q", keys)
     return b"".join(map(int.to_bytes, keys, repeat(width), repeat("big")))
 
 
-def _little(items: array) -> array:
-    """Swap an array between native and little-endian order, in place."""
-    if _SWAP:
-        items.byteswap()
+def _little(typecode: str, items: Iterable) -> array:
+    """items as a little-endian array; on a little-endian host an array is not copied."""
+    if _SWAP or not isinstance(items, array):
+        items = array(typecode, items)
+        if _SWAP:
+            items.byteswap()
     return items
 
 
@@ -551,18 +641,19 @@ def _ids(key: int, k: int, base: int) -> tuple[int, ...]:
 
 
 def _decode(tables: _Tables, base: int) -> dict[tuple[int, ...], float]:
-    """Id-tuple keyed copy of per-length packed tables, decoded one digit column at a time."""
+    """Id-tuple keyed copy of per-length tables, decoded one digit column at a time."""
     out: dict[tuple[int, ...], float] = {}
     for k, table in enumerate(tables):
         if table:
+            keys = table.keys()
             # id j of k, oldest first, is key // base**(k-1-j) % base; the
             # oldest needs no % and the newest no //
-            digits = [map(floordiv, table, repeat(base ** (k - 1)))]
+            digits = [map(floordiv, keys, repeat(base ** (k - 1)))]
             digits += [
-                map(mod, map(floordiv, table, repeat(base**e)), repeat(base))
+                map(mod, map(floordiv, keys, repeat(base**e)), repeat(base))
                 for e in range(k - 2, 0, -1)
             ]
-            digits += [map(mod, table, repeat(base))] if k > 1 else []
+            digits += [map(mod, keys, repeat(base))] if k > 1 else []
             out.update(zip(zip(*digits), table.values()))
     return out
 
@@ -586,37 +677,44 @@ def _check_model(
     train_token_count: int | None,
     discounts: Sequence[float] | None,
 ) -> None:
-    """Raise ValueError unless packed tables and metadata form a valid model.
+    """Raise ValueError unless columns and metadata form a valid model.
 
-    lp and bo are tables as _trusted takes them, of a checked order, whose
-    keys are known to be n-grams of ids below len(tokens). The faults, each
-    named in the message (a table fault with its table and n-gram, as in
-    "order-2 events (3, 2): log-probability nan is not finite and <= 0"):
+    lp and bo are _Columns as _trusted takes them, of a checked order, whose
+    keys are known to strictly increase and to be n-grams of ids below
+    len(tokens). The faults, each named in the message (a table fault with
+    its table and n-gram, as in "order-2 events (3, 2): log-probability nan
+    is not finite and <= 0"):
     - a vocabulary that does not start with <unk> <s> </s>, or repeats a token;
     - an event log-probability that is NaN, infinite or above 0;
     - a backoff weight that is NaN or infinite;
     - an id other than <s> without a unigram, or a unigram for <s>;
     - a token count that is not an int in 0..2**64-1;
     - discounts that are not one finite value per order.
-    Each value check is one C-level pass per table; a failing table is
-    searched only to name the n-gram.
+    A float sum is finite only when every term is, so one C-level sum (and a
+    max over events) clears a table; a table that fails it is searched row by
+    row, to name the first faulty row or to find that the sum only overflowed.
     """
     _check_vocabulary(tokens)
     base, order = len(tokens), len(lp) - 1
     for k in range(1, order + 1):
-        events, contexts = lp[k], bo[k]
-        if not all(map(math.isfinite, events.values())) or max(events.values(), default=0) > 0:
-            key, x = next(item for item in events.items() if not -math.inf < item[1] <= 0.0)
-            problem = f"log-probability {x} is not finite and <= 0"
-            raise ValueError(f"order-{k} events {_ids(key, k, base)}: {problem}")
-        if not all(map(math.isfinite, contexts.values())):
-            key, x = next(item for item in contexts.items() if not math.isfinite(item[1]))
-            problem = f"backoff weight {x} is not finite"
-            raise ValueError(f"order-{k} contexts {_ids(key, k, base)}: {problem}")
-    if BOS_ID in lp[1]:
+        values = lp[k].values()
+        if not (math.isfinite(sum(values)) and max(values, default=0.0) <= 0.0):
+            row = next((i for i, x in enumerate(values) if not -math.inf < x <= 0.0), None)
+            if row is not None:
+                problem = f"log-probability {values[row]} is not finite and <= 0"
+                raise ValueError(f"order-{k} events {_ids(lp[k].keys()[row], k, base)}: {problem}")
+        values = bo[k].values()
+        if not math.isfinite(sum(values)):
+            row = next((i for i, x in enumerate(values) if not math.isfinite(x)), None)
+            if row is not None:
+                problem = f"backoff weight {values[row]} is not finite"
+                raise ValueError(f"order-{k} contexts {_ids(bo[k].keys()[row], k, base)}: {problem}")
+    unigrams = lp[1].keys()
+    if BOS_ID in unigrams:
         raise ValueError(f"{BOS} must not carry probability mass")
-    if len(lp[1]) != base - 1:
-        missing = next(i for i in range(base) if i != BOS_ID and i not in lp[1])
+    if len(unigrams) != base - 1:
+        present = set(unigrams)
+        missing = next(i for i in range(base) if i != BOS_ID and i not in present)
         raise ValueError(f"missing unigram entry for token id {missing}")
     if train_token_count is not None and not (
         isinstance(train_token_count, int) and 0 <= train_token_count < 1 << 64

@@ -158,3 +158,60 @@ def tuple_word_logprob(order, token_ids, logprobs, backoffs, context, word):
     ids = tuple(token_ids.get(t, 0) for t in kept)
     return tuple_event_logprob(logprobs, backoffs, ids, token_ids.get(word, 0))
 
+
+
+def tuple_train(corpus, order, min_count):
+    """(tokens, logprobs, backoffs, discounts, token count) by the lm module docstring.
+
+    Every table is keyed by id tuples and every float is computed in the
+    order the docstring's formulas are written: raw counts at the top order,
+    distinct left extensions below it, D_k = n1 / (n1 + 2 * n2) (0.75 when
+    n1 or n2 is zero), unigrams interpolated with the uniform distribution
+    over every token but "<s>", and each higher-order probability
+    interpolated with exp of the stored lower-order log-probability.
+    """
+    reserved = ("<unk>", "<s>", "</s>")
+    unk, bos, eos = 0, 1, 2
+    freqs = Counter(token for sentence in corpus for token in sentence)
+    kept = sorted(t for t, c in freqs.items() if c >= min_count and t not in reserved)
+    tokens = reserved + tuple(kept)
+    ids = {t: i for i, t in enumerate(kept, len(reserved))}
+
+    counts = {k: Counter() for k in range(1, order + 1)}
+    for sentence in corpus:
+        row = [bos] * (order - 1) + [ids.get(t, unk) for t in sentence] + [eos]
+        for end in range(order - 1, len(row)):
+            counts[order][tuple(row[end - order + 1 : end + 1])] += 1
+    for k in range(order - 1, 0, -1):
+        for gram in counts[k + 1]:
+            counts[k][gram[1:]] += 1
+
+    discounts = []
+    for k in range(1, order + 1):
+        n1 = sum(1 for c in counts[k].values() if c == 1)
+        n2 = sum(1 for c in counts[k].values() if c == 2)
+        discounts.append(n1 / (n1 + 2 * n2) if n1 and n2 else 0.75)
+
+    logprobs, backoffs = {}, {}
+    d1 = discounts[0]
+    total = sum(counts[1].values())
+    interpolation = d1 * len(counts[1]) / total
+    uniform = 1.0 / (len(tokens) - 1)
+    for i in range(len(tokens)):
+        if i != bos:
+            c = counts[1].get((i,), 0)
+            logprobs[(i,)] = math.log(max(c - d1, 0.0) / total + interpolation * uniform)
+    for k in range(2, order + 1):
+        dk = discounts[k - 1]
+        context_total, context_types = Counter(), Counter()
+        for gram, c in counts[k].items():
+            context_total[gram[:-1]] += c
+            context_types[gram[:-1]] += 1
+        for context, t in context_total.items():
+            backoffs[context] = math.log(dk * context_types[context] / t)
+        for gram, c in counts[k].items():
+            t, types = context_total[gram[:-1]], context_types[gram[:-1]]
+            lower = math.exp(logprobs[gram[1:]])
+            logprobs[gram] = math.log(max(c - dk, 0.0) / t + dk * types / t * lower)
+    token_count = sum(len(sentence) for sentence in corpus)
+    return tokens, logprobs, backoffs, tuple(discounts), token_count

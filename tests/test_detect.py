@@ -1,7 +1,10 @@
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covbias import (
     DataError,
@@ -161,6 +164,63 @@ def test_tuned_offset_is_grid_optimal_and_honest():
         c, f1 = tune_offset(scored)
         assert macro_f1_at_offset(scores, codes, c) == f1
         assert max(macro_f1_at_offset(scores, codes, g) for g in grid) == f1
+
+
+# Tables where plain candidates (min - 1, max + 1 and midpoints) miss the
+# optimum: min - 1 == min at 1e17, and the midpoint overflows at 1e308 and
+# rounds onto hi between adjacent floats.
+_MAGNITUDE_CASES = [
+    ([(1e17, "S"), (2e17, "S"), (3e17, "T")], (-math.nextafter(1e17, -math.inf), 0.4)),
+    ([(-1.0, "T"), (1e308, "T"), (1.7e308, "S")], (-1e308, 1.0)),
+    ([(1 + 2**-52, "T"), (1 + 2**-51, "S")], (-(1 + 2**-52), 1.0)),
+]
+
+
+@pytest.mark.parametrize("rows, expected", _MAGNITUDE_CASES, ids=["absorbed", "overflow", "rounded"])
+def test_tune_offset_is_exact_at_extreme_magnitudes(rows, expected):
+    assert tune_offset([(s, OriginLabel.from_code(g)) for s, g in rows]) == expected
+
+
+def _best_partition_f1(scores, codes):
+    """The best macro-F1 of any partition a finite c makes: S = the scores above t = -c.
+
+    t ranges over the distinct scores and the float below the minimum; at a
+    minimum of -sys.float_info.max that last t is -inf, which no finite c gives.
+    """
+    thresholds = set(scores)
+    if min(scores) > -sys.float_info.max:
+        thresholds.add(math.nextafter(min(scores), -math.inf))
+    return max(macro_f1_at_offset(scores, codes, -t) for t in thresholds)
+
+
+_extreme = st.sampled_from(
+    [sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324, 0.0, -0.0, 2.0**53, 1.0]
+)
+
+
+@st.composite
+def _score_runs(draw):
+    """Full-range finite floats, each the start of a run of adjacent floats."""
+    scores = []
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for start in draw(st.lists(st.one_of(finite, _extreme), min_size=1, max_size=6)):
+        for _ in range(draw(st.integers(1, 3))):
+            scores.append(start)
+            start = math.nextafter(start, math.inf)
+            if start == math.inf:
+                break
+    return scores
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), scores=_score_runs())
+def test_tuned_offset_is_the_best_partition_at_every_magnitude(data, scores):
+    codes = data.draw(st.lists(st.sampled_from("ST"), min_size=len(scores), max_size=len(scores)))
+    assume(len(set(codes)) == 2)
+    c, f1 = tune_offset([(s, OriginLabel.from_code(g)) for s, g in zip(scores, codes)])
+    assert math.isfinite(c)
+    assert f1 == _best_partition_f1(scores, codes)
+    assert macro_f1_at_offset(scores, codes, c) == f1
 
 
 def _records(scores):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -18,7 +19,7 @@ from covbias import (
 )
 from covbias.cli import main as cli_main
 from covbias.lm import BOS, BOS_ID, EOS, UNK
-from oracles import tuple_sentence_logprob, tuple_word_logprob
+from oracles import tuple_sentence_logprob, tuple_train, tuple_word_logprob
 from synthbed import make_testbed
 
 # Hand-computed reference values, worked from the closed-form estimator
@@ -482,6 +483,16 @@ def test_constructor_and_both_formats_reject_the_same_faults(tmp_path, case):
         assert str(built.value) == _PROBLEMS[case]
 
 
+def test_values_whose_sum_overflows_still_load(tmp_path):
+    """The value checks sum a column first; a sum that overflows to -inf is not a fault."""
+    tables = [[((0,), -1e308, -1e308), ((2,), -1e308, 0.0), ((3,), _THIRD, -1e308)], _BIGRAMS]
+    model = _construct(2, _VOCAB, tables)
+    assert math.isinf(sum(model.logprobs.values())) and math.isinf(sum(model.backoffs.values()))
+    path = tmp_path / "m.lm"
+    model.save(str(path))
+    assert NGramModel.load(str(path)).logprobs == model.logprobs
+
+
 def test_constructor_rejects_a_too_long_n_gram():
     with pytest.raises(ValueError, match=r"n-gram \(3, 2, 0\) does not fit order 2"):
         _construct(2, _VOCAB, [_UNIGRAMS, _BIGRAMS, [((3, 2, 0), _HALF, 0.0)]])
@@ -759,6 +770,19 @@ def test_trained_tables_pass_the_public_validation(corpus, order, min_count):
     assert checked.logprobs == model.logprobs and checked.backoffs == model.backoffs
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(corpus=_corpora, order=st.integers(1, 6), min_count=st.integers(1, 3))
+def test_train_matches_the_tuple_estimator_bit_for_bit(corpus, order, min_count):
+    model = _train_or_none(corpus, order, min_count)
+    if model is None:
+        return
+    tokens, logprobs, backoffs, discounts, token_count = tuple_train(corpus, order, min_count)
+    assert model.id_to_token == tokens
+    assert (model.discounts, model.train_token_count) == (discounts, token_count)
+    assert _bits(model.logprobs) == _bits(logprobs)
+    assert _bits(model.backoffs) == _bits(backoffs)
+
+
 def _bits(table):
     return {gram: struct.pack("<d", value) for gram, value in table.items()}
 
@@ -828,6 +852,85 @@ def test_scoring_matches_the_tuple_oracle_bit_for_bit(corpus, order, min_count, 
             assert _bits_of(model.logprob_word(context, word)) == _bits_of(expected)
 
 
+@functools.cache
+def _wide_model_bytes():
+    """Two model files whose top key column is wider than u64: order 6 and order 4."""
+    return _saved_bytes(_wide6_model()), _encode_v2(4, _WIDE_VOCAB, _WIDE_TABLES)
+
+
+# tokens of the n-grams of _wide6_model and of _WIDE_TABLES
+_wide_probe_tokens = st.sampled_from(
+    ["w1625", "w1624", "w3", "w4", "w1623", "w65536", f"w{70_002}", "w65537"]
+)
+
+
+def _on_path(model, path, switch_after):
+    """Make model.logprob look up by bisection only, by the dict index only, or switch."""
+    if path == "bisect":
+        model._unindexed = math.inf
+    elif path == "index":
+        model._index()
+    else:  # build the index once switch_after events are scored
+        model._unindexed = switch_after
+
+
+def _indexed(model):
+    return isinstance(model._lp[1], dict)
+
+
+@pytest.mark.parametrize("path", ["bisect", "index", "switch"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    corpus=_corpora,
+    order=st.integers(1, 6),
+    min_count=st.integers(1, 2),
+    wide=st.sampled_from([None, None, None, 0, 1]),
+    probes=st.lists(
+        st.lists(st.one_of(_probe_tokens, _wide_probe_tokens), max_size=9).map(tuple),
+        min_size=1,
+        max_size=8,
+    ),
+    switch_after=st.integers(1, 80),
+)
+def test_every_lookup_path_matches_the_tuple_oracle_bit_for_bit(
+    tmp_path_factory, path, corpus, order, min_count, wide, probes, switch_after
+):
+    """Bisection over the columns, the dict index and a switch between sentences score alike."""
+    if wide is None:
+        model = _train_or_none(corpus, order, min_count)
+        if model is None:
+            return
+    else:
+        file = tmp_path_factory.mktemp("wide") / "m.lm"
+        file.write_bytes(_wide_model_bytes()[wide])
+        model = NGramModel.load(str(file))
+    args = _oracle_args(model)
+    _on_path(model, path, switch_after)
+    scored = 0
+    for sent in probes + corpus:
+        assert _indexed(model) == (path == "index" or path == "switch" and scored >= switch_after)
+        got = model.logprob(sent)
+        scored += got.token_count
+        total, events = tuple_sentence_logprob(*args, sent)
+        assert (_bits_of(got.total_logprob), got.token_count) == (_bits_of(total), events)
+    for probe in probes:
+        for cut in range(len(probe)):
+            context, word = probe[:cut], probe[cut]
+            expected = tuple_word_logprob(*args, context, word)
+            assert _bits_of(model.logprob_word(context, word)) == _bits_of(expected)
+
+
+def test_scoring_builds_the_index_after_one_event_per_16_rows():
+    model = _fuzz_model()
+    rows = sum(map(len, model._lp + model._bo))
+    assert rows // 16 == 2  # so the index comes with the sentence that reaches 2 events
+    model.logprob(())  # one event, the </s>
+    assert not _indexed(model)
+    model.logprob(())
+    assert _indexed(model)
+    assert _bits(model.logprobs) == _bits(_fuzz_model().logprobs)
+
+
 # ids above 65,535 need more than 16 bits, and with V = 70,003 the order-4
 # keys need more than 64 bits (V**4 > 2**64), so that key column is 9 bytes wide
 _WIDE_VOCAB = (UNK, BOS, EOS) + tuple(f"w{i}" for i in range(3, 70_003))
@@ -881,11 +984,19 @@ def test_ids_wider_than_16_bits_load_score_and_save(tmp_path):
 
 
 def _assert_round_trips(model, root):
-    """save -> load gives the same tables, metadata and scores; a second save the same bytes."""
+    """save -> load gives the same tables, metadata and scores; a second save the same bytes.
+
+    The bytes are the same again once the model and the loaded copy have
+    traded their columns for the dict index.
+    """
     model.save(str(root / "one.lm"))
     loaded = NGramModel.load(str(root / "one.lm"))
     loaded.save(str(root / "two.lm"))
     assert (root / "one.lm").read_bytes() == (root / "two.lm").read_bytes()
+    for indexed in (model, loaded):
+        indexed._index()
+        indexed.save(str(root / "two.lm"))
+        assert (root / "one.lm").read_bytes() == (root / "two.lm").read_bytes()
     assert (loaded.order, loaded.id_to_token) == (model.order, model.id_to_token)
     assert loaded.train_token_count == model.train_token_count
     assert loaded.discounts == model.discounts
@@ -923,6 +1034,86 @@ def test_constructor_rejects_an_empty_context_backoff():
             NGramModel(order, _VOCAB, unigrams, {(): -0.5})
 
 
+def _wide6_rows():
+    """An order-6 model whose 6-gram key column is 9 bytes wide (V = 1,626), with 3 such rows."""
+    tokens = (UNK, BOS, EOS) + tuple(f"w{i}" for i in range(3, 1_626))
+    unigrams = [((i,), math.log(1 / 1_625), 0.0) for i in range(len(tokens)) if i != BOS_ID]
+    sixgrams = [
+        ((5, 4, 3, 1_625, 7, 2), _HALF, 0.0),
+        ((1_624, 3, 9, 9, 1_625, 4), _THIRD, 0.0),
+        ((1_625, 1_625, 3, 1_624, 4, 1_623), _HALF, 0.0),
+    ]
+    return _encode_v2(6, tokens, [unigrams, [], [], [], [], sixgrams])
+
+
+# (file bytes, index of the table to corrupt in _v2_layout's list): the
+# order-2 events of a trained order-3 model (u64 keys) and the order-6 events
+# of _wide6_rows (9-byte big-endian keys); each has 3 or more rows.
+_FAULT_TABLES = {"u64": (_saved_bytes(_fuzz_model()), 2), "wide": (_wide6_rows(), 10)}
+
+
+def _swap_rows(raw, table):
+    low, high = _key_at(raw, table, 1), _key_at(raw, table, 2)
+    _put_key(raw, table, 1, high)
+    _put_key(raw, table, 2, low)
+
+
+def _set_value(value):
+    def put(raw, table):
+        _, width, pos, n = table
+        struct.pack_into("<d", raw, pos + n * width + 8, value)  # row 2's value
+
+    return put
+
+
+_LOAD_FAULTS = {
+    "out of order": _swap_rows,
+    "repeated key": lambda raw, table: _put_key(raw, table, 2, _key_at(raw, table, 1)),
+    "id out of range": lambda raw, table: _put_key(raw, table, table[3] - 1, table[0]),
+    "nan value": _set_value(math.nan),
+    "inf value": _set_value(math.inf),
+    "-inf value": _set_value(-math.inf),
+}
+
+# The text of each fault: the row is 1-based and the n-gram is what the key's
+# base-V digits spell.
+_LOAD_FAULT_TEXT = {
+    ("u64", "out of order"): "order-2 events table, row 3 (1, 4): not after the row before it",
+    ("u64", "repeated key"): "order-2 events table, row 3 (1, 4): not after the row before it",
+    ("u64", "id out of range"): "order-2 events table, row 11 (6, 0): token id out of range",
+    ("u64", "nan value"): "order-2 events (1, 4): log-probability nan is not finite and <= 0",
+    ("u64", "inf value"): "order-2 events (1, 4): log-probability inf is not finite and <= 0",
+    ("u64", "-inf value"): "order-2 events (1, 4): log-probability -inf is not finite and <= 0",
+    ("wide", "out of order"):
+        "order-6 events table, row 3 (1624, 3, 9, 9, 1625, 4): not after the row before it",
+    ("wide", "repeated key"):
+        "order-6 events table, row 3 (1624, 3, 9, 9, 1625, 4): not after the row before it",
+    ("wide", "id out of range"):
+        "order-6 events table, row 3 (1626, 0, 0, 0, 0, 0): token id out of range",
+    ("wide", "nan value"):
+        "order-6 events (1624, 3, 9, 9, 1625, 4): log-probability nan is not finite and <= 0",
+    ("wide", "inf value"):
+        "order-6 events (1624, 3, 9, 9, 1625, 4): log-probability inf is not finite and <= 0",
+    ("wide", "-inf value"):
+        "order-6 events (1624, 3, 9, 9, 1625, 4): log-probability -inf is not finite and <= 0",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_LOAD_FAULTS))
+@pytest.mark.parametrize("column", sorted(_FAULT_TABLES))
+def test_load_faults_keep_their_text_and_row(tmp_path, column, fault):
+    raw, which = _FAULT_TABLES[column]
+    raw = bytearray(raw)
+    table = _v2_layout(raw)[2][which]
+    assert table[1] == (8 if column == "u64" else 9) and table[3] >= 3
+    _LOAD_FAULTS[fault](raw, table)
+    path = tmp_path / "fault.lm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        NGramModel.load(str(path))
+    assert str(err.value) == f"{path}: {_LOAD_FAULT_TEXT[column, fault]}"
+
+
 def _golden_model(order, min_count):
     bed = make_testbed(seed=7, n_mono=400, n_heldout=0, n_pairs_each=0)
     return bed, NGramModel.train(bed.src_mono, order=order, min_count=min_count)
@@ -947,5 +1138,8 @@ def test_trained_model_rows_are_unchanged(order, min_count, rows):
 )
 def test_trained_model_v2_file_bytes_are_unchanged(tmp_path, order, min_count, digest):
     _, model = _golden_model(order, min_count)
+    model.save(str(tmp_path / "m.lm"))
+    assert hashlib.sha256((tmp_path / "m.lm").read_bytes()).hexdigest() == digest
+    model._index()  # and saved from the dict index the scorer builds
     model.save(str(tmp_path / "m.lm"))
     assert hashlib.sha256((tmp_path / "m.lm").read_bytes()).hexdigest() == digest
