@@ -35,6 +35,8 @@ from .errors import DataError
 from .fileio import atomic_write, fmt_float, format_tsv, line_fault, read_section_file, read_tsv
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .abstraction import FluencyReport
 
 VERSION_LINE = f"covbias {__version__} (model format {MODEL_FORMAT_VERSION})"
@@ -57,6 +59,14 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
     return value
+
+
+def _exact_float(text: str) -> Fraction:
+    """What _finite_float accepts, as the exact number the text spells: 0.29 is 29/100."""
+    from fractions import Fraction
+
+    _finite_float(text)
+    return Fraction(text.replace("_", ""))  # Fraction reads "1_0" only from Python 3.11
 
 
 def _thread_count(text: str) -> int:
@@ -253,11 +263,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     from .detect import ScoreRecord, select_extremes
 
+    if not 0 < args.ratio <= 50:
+        raise UsageError(f"--ratio must be in (0, 50], got {float(args.ratio)}")
     records = [ScoreRecord(n, score) for n, score in _read_scores(args.records)]
     most_source, most_target = select_extremes(records, args.ratio)
     if not most_source:
         raise DataError(
-            f"{args.records}: --ratio {args.ratio} of {len(records)} records selects no line"
+            f"{args.records}: --ratio {float(args.ratio)} of {len(records)} records selects no line"
         )
     rows = [(str(n), "most_source") for n in sorted(most_source)]
     rows += [(str(n), "most_target") for n in sorted(most_target)]
@@ -291,15 +303,13 @@ def _cmd_random_split(args: argparse.Namespace) -> int:
 
     count, fraction = args.count, args.fraction
     if not 0 < fraction < 1:
-        raise UsageError(f"--fraction must be in (0, 1), got {fraction}")
+        raise UsageError(f"--fraction must be in (0, 1), got {float(fraction)}")
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
-    if math.floor(fraction * count) == 0:  # group a gets floor(fraction * count) lines
-        raise UsageError(f"--fraction {fraction} of --count {count} puts no line in group a")
     part_a, part_b = random_split(count, fraction, args.seed)
-    rows = [
-        (str(n), "a" if n in part_a else "b") for n in range(1, count + 1)
-    ]
+    if not part_a:
+        raise UsageError(f"--fraction {float(fraction)} of --count {count} puts no line in group a")
+    rows = [(str(n), "a" if n in part_a else "b") for n in range(1, count + 1)]
     _write_report(format_tsv(["line_no", "group"], rows), args.output)
     return 0
 
@@ -489,7 +499,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], list[tuple[
         _cmd_select,
         [
             ("--records", dict(required=True, help="classify output TSV")),
-            ("--ratio", dict(type=_finite_float, required=True, help="percent per side, in (0, 50]")),
+            ("--ratio", dict(type=_exact_float, required=True, help="percent per side, in (0, 50]")),
             _OUTPUT,
         ],
     ),
@@ -512,7 +522,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], list[tuple[
         _cmd_random_split,
         [
             ("--count", dict(type=int, required=True)),
-            ("--fraction", dict(type=_finite_float, required=True)),
+            ("--fraction", dict(type=_exact_float, required=True)),
             ("--seed", dict(type=int, required=True)),
             _OUTPUT,
         ],

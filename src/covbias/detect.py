@@ -21,6 +21,8 @@ from .corpus import OriginLabel, ParallelExample
 from .errors import DataError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .lm import NGramModel
 
 
@@ -136,20 +138,21 @@ def tune_offset(
 
 
 def select_extremes(
-    records: Sequence[ScoreRecord], ratio_percent: float
+    records: Sequence[ScoreRecord], ratio_percent: float | Fraction
 ) -> tuple[set[int], set[int]]:
     """(most_source line numbers, most_target line numbers).
 
     Records are ranked once, descending by score with ties broken by smaller
     line number first; most_source is the head of that ranking, most_target
-    the tail, each floor(R * N / 100) lines for R = ratio_percent in (0, 50],
-    so the sets never overlap.
+    the tail, each floor(R * N / 100) lines for R = ratio_percent in (0, 50]
+    (exact for an int, float or Fraction R), so the sets never overlap.
     """
     if not 0 < ratio_percent <= 50:
         raise ValueError(f"ratio_percent must be in (0, 50], got {ratio_percent}")
     if not records:
         raise DataError("cannot select from zero records")
-    k = math.floor(ratio_percent * len(records) / 100)
+    num, den = ratio_percent.as_integer_ratio()
+    k = num * len(records) // (100 * den)
     ranking = sorted(records, key=lambda r: (-r.score, r.line_no))
     most_source = {r.line_no for r in ranking[:k]}
     most_target = {r.line_no for r in ranking[len(ranking) - k :]} if k else set()

@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Mapping
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import ParallelExample
 from .errors import DataError
 from .fileio import fmt_float, format_tsv, read_section_file
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 JS_SCALE = 1e5
 WORD_CLASSES = ("all", "content", "function")
@@ -140,18 +143,19 @@ def divergence_report(
 
 
 def random_split(
-    n_lines: int, fraction: float, seed: int
+    n_lines: int, fraction: float | Fraction, seed: int
 ) -> tuple[set[int], set[int]]:
     """Deterministically split 1..n_lines into two disjoint covering sets.
 
-    The first set gets floor(fraction * n_lines) lines, sampled by shuffling
-    with the given seed.
+    The first set gets floor(fraction * n_lines) lines (exact for an int,
+    float or Fraction fraction), sampled by shuffling with the given seed.
     """
     if not 0 < fraction < 1:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if n_lines < 1:
         raise ValueError("cannot split zero lines")
-    k = math.floor(fraction * n_lines)
+    num, den = fraction.as_integer_ratio()
+    k = num * n_lines // den
     line_numbers = list(range(1, n_lines + 1))
     random.Random(seed).shuffle(line_numbers)
     return set(line_numbers[:k]), set(line_numbers[k:])

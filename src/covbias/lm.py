@@ -29,6 +29,16 @@ values. The scorer keeps the last m context ids as one int H and looks the
 event w up in _lp[m+1] at H*V + w; on a miss it adds _bo[m]'s weight for H
 if present, drops the oldest id (H %= V**(m-1)) and tries again with m-1.
 
+Training builds these columns in key order, as lmplz does (Heafield et al.
+2013). The top order is counted in one dict and sorted once; each lower
+order counts the suffixes key % V**k of the order above and sorts them once.
+The rows of a context h = key // V are a run of the sorted keys, so the
+contexts come out sorted, with T(h) the run's length and c(h) its count sum.
+The floats are the formulas' own, operand for operand: beta(h) = D * T(h) /
+c(h) is also the factor of exp(stored log p(w | shortened h)). For k >= 2
+every count is >= 1 > D (n1 / (n1 + 2 * n2) or 0.75), so max(c - D, 0) is
+c - D; the unigrams, whose c can be 0, keep the max.
+
 A lookup bisects a key column until logprob has scored one event per
 _ROWS_PER_BISECTED_EVENT (16) rows of the model. Then each column becomes a
 dict, built from the same keys and floats, and lookups are dict.get: the
@@ -64,8 +74,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, compress, count, islice, repeat
-from operator import floordiv, ge, lt, mod
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, floordiv, ge, lt, mod, mul, ne, sub, truediv
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
@@ -126,7 +136,7 @@ class NGramModel:
         _check_order(order)
         tokens = tuple(tokens)
         vocab_size = len(tokens)
-        lp, bo = _empty_tables(order)
+        lp, bo = [{} for _ in range(order + 1)], [{} for _ in range(order + 1)]
         for tables, grams, top, what in (
             (lp, logprobs, order, "n-gram"),
             (bo, backoffs or {}, order - 1, "backoff context"),
@@ -137,41 +147,30 @@ class NGramModel:
                 if any(not 0 <= i < vocab_size for i in gram):
                     raise ValueError(f"{what} {gram}: token id out of range")
                 tables[len(gram)][_pack(gram, vocab_size)] = value
-            _to_columns(tables, vocab_size)
+            for k, table in enumerate(tables):
+                keys = sorted(table)
+                tables[k] = _column(keys, map(table.__getitem__, keys), vocab_size**k)
         _check_model(tokens, lp, bo, train_token_count, discounts)
-        self._adopt(order, tokens, lp, bo, train_token_count, discounts)
+        self._trusted(order, tokens, lp, bo, train_token_count, discounts)
 
-    @classmethod
     def _trusted(
-        cls,
+        self,
         order: int,
         tokens: Sequence[str],
         lp: _Tables,
         bo: _Tables,
-        train_token_count: int | None = None,
-        discounts: Sequence[float] | None = None,
+        train_token_count: int | None,
+        discounts: Sequence[float] | None,
     ) -> "NGramModel":
-        """Wrap columns that are valid by construction: no copy, no checks.
+        """Take columns that are valid by construction, with no copy and no check; return self.
 
         lp[k] and bo[k] are the _Columns of the k-id keys (see the module
         docstring); lp[0], bo[0] and bo[order] are empty. The model takes
-        ownership of the lists and columns.
+        ownership of the lists and columns. train and load call it on
+        cls.__new__(cls), __init__ once its checks pass.
         """
-        model = cls.__new__(cls)
-        model._adopt(order, tuple(tokens), lp, bo, train_token_count, discounts)
-        return model
-
-    def _adopt(
-        self,
-        order: int,
-        tokens: tuple[str, ...],
-        lp: _Tables,
-        bo: _Tables,
-        train_token_count: int | None,
-        discounts: Sequence[float] | None,
-    ) -> None:
         self.order = order
-        self.id_to_token: tuple[str, ...] = tokens
+        self.id_to_token: tuple[str, ...] = tuple(tokens)
         self._ids = {t: i for i, t in enumerate(tokens)}
         self.token_ids: Mapping[str, int] = MappingProxyType(self._ids)
         self._start = _pack((BOS_ID,) * (order - 1), len(tokens))  # the <s> padding as a history
@@ -182,6 +181,7 @@ class NGramModel:
         self._unindexed = sum(map(len, lp + bo)) // _ROWS_PER_BISECTED_EVENT
         self.train_token_count = train_token_count
         self.discounts = tuple(discounts) if discounts is not None else None
+        return self
 
     def _set_levels(self) -> None:
         """The scorer's back-off steps, from the longest context (m = order-1) down."""
@@ -222,28 +222,22 @@ class NGramModel:
     ) -> "NGramModel":
         """Estimate a model from an iterable of sentences.
 
-        Tokens seen fewer than min_count times are masked to <unk>. The
-        corpus iterable is materialized internally (two logical passes).
+        Tokens seen fewer than min_count times are masked to <unk>. The corpus
+        is materialized (two passes). Each column is built in key order, each
+        context's T(h) and c(h) read off its run of sorted rows (module docstring).
         """
         _check_order(order)
         if min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
 
-        sentences: list[Sentence] = []
-        freqs: Counter[str] = Counter()
-        for sentence in corpus:
-            sentences.append(tuple(sentence))
-            freqs.update(sentences[-1])
+        sentences = list(map(tuple, corpus))
         if not sentences:
             raise DataError("cannot train on an empty corpus")
+        freqs = Counter(chain.from_iterable(sentences))
 
-        reserved = set(RESERVED)
-        surviving = sorted(
-            t for t, c in freqs.items() if c >= min_count and t not in reserved
-        )
-        kept = set(surviving)
-        any_masked = any(t not in kept for t in freqs)
-        effective_types = len(surviving) + (1 if any_masked else 0)
+        surviving = sorted(t for t, c in freqs.items() if c >= min_count and t not in RESERVED)
+        # the survivors, and <unk> when any token type is masked to it
+        effective_types = len(surviving) + (len(surviving) < len(freqs))
         if effective_types < 2:
             raise DataError(
                 f"only {effective_types} token type(s) remain after masking "
@@ -255,85 +249,54 @@ class NGramModel:
 
         # Highest order: raw event counts over <s>-padded, </s>-terminated
         # rows, each event's n-gram packed as it rolls over the row.
-        counts: list[Counter[int]] = [Counter() for _ in range(order + 1)]
-        top = counts[order]
+        top: dict[int, int] = {}
+        tally = top.get
         start, keep = _pack((BOS_ID,) * (order - 1), base), base ** (order - 1)
-        token_total = 0
         for sentence in sentences:
-            token_total += len(sentence)
             history = start
             for wid in chain(map(data_ids.get, sentence, repeat(UNK_ID)), (EOS_ID,)):
                 gram = history * base + wid
-                top[gram] += 1
+                top[gram] = tally(gram, 0) + 1
                 history = gram % keep
+        grams = sorted(top)
+        # the sorted keys and counts of each order, from the highest down
+        levels = [(grams, list(map(top.__getitem__, grams)))]
+        del top
 
         # Lower orders: continuation counts (distinct left extensions).
         for k in range(order - 1, 0, -1):
-            cont = counts[k]
-            keep = base**k
-            for gram in counts[k + 1]:
-                cont[gram % keep] += 1
+            cont = Counter(map(mod, grams, repeat(base**k)))
+            grams = sorted(cont)
+            levels.append((grams, list(map(cont.__getitem__, grams))))
 
-        discounts = [0.0] * (order + 1)
-        for k in range(1, order + 1):
-            n1 = n2 = 0
-            for value in counts[k].values():
-                if value == 1:
-                    n1 += 1
-                elif value == 2:
-                    n2 += 1
-            discounts[k] = n1 / (n1 + 2 * n2) if n1 > 0 and n2 > 0 else _FALLBACK_DISCOUNT
-
-        logprobs, backoffs = _empty_tables(order)
+        discounts = [0.0]
+        for _, tallies in reversed(levels):
+            n = Counter(tallies)  # n[1] and n[2]: the n1 and n2 of D_k
+            discounts.append(n[1] / (n[1] + 2 * n[2]) if n[1] and n[2] else _FALLBACK_DISCOUNT)
 
         # Unigrams: interpolate with uniform over the predictable vocabulary.
-        uni = counts[1]
+        uni = dict(zip(*levels.pop()))
         total = sum(uni.values())
         d1 = discounts[1]
         lam = d1 * len(uni) / total
-        uniform = 1.0 / (len(id_to_token) - 1)  # everything but <s>
-        for wid in range(len(id_to_token)):
-            if wid == BOS_ID:
-                continue
-            c = uni.get(wid, 0)
-            p = max(c - d1, 0.0) / total + lam * uniform
-            logprobs[1][wid] = math.log(p)
+        uniform = 1.0 / (base - 1)  # everything but <s>
+        wids = [UNK_ID, *range(EOS_ID, base)]
+        counts = map(uni.get, wids, repeat(0))
+        values = [math.log(max(c - d1, 0.0) / total + lam * uniform) for c in counts]
+        lp, bo = [_EMPTY, _column(wids, values, base)], [_EMPTY]
 
         # Higher orders, bottom-up; the shortened-context probability of any
         # seen n-gram is itself a seen (k-1)-gram by construction.
         for k in range(2, order + 1):
-            level = counts[k]
-            dk = discounts[k]
-            ctx_total: dict[int, int] = {}
-            ctx_types: dict[int, int] = {}
-            for gram, c in level.items():
-                h = gram // base
-                ctx_total[h] = ctx_total.get(h, 0) + c
-                ctx_types[h] = ctx_types.get(h, 0) + 1
-            weights = backoffs[k - 1]
-            for h, t in ctx_total.items():
-                weights[h] = math.log(dk * ctx_types[h] / t)
-            table, lower_table, keep = logprobs[k], logprobs[k - 1], base ** (k - 1)
-            for gram, c in level.items():
-                h = gram // base
-                lower = math.exp(lower_table[gram % keep])
-                p = (
-                    max(c - dk, 0.0) / ctx_total[h]
-                    + dk * ctx_types[h] / ctx_total[h] * lower
-                )
-                table[gram] = math.log(p)
+            contexts, events = _interpolate(*levels.pop(), discounts[k], lp[k - 1], base, k)
+            bo.append(contexts)
+            lp.append(events)
+        bo.append(_EMPTY)
 
-        # Every table above is valid by construction (ids from the vocabulary,
-        # probabilities and weights finite and <= 0); the property tests check
-        # that trained models pass the public constructor's validation.
-        return cls._trusted(
-            order,
-            id_to_token,
-            _to_columns(logprobs, base),
-            _to_columns(backoffs, base),
-            train_token_count=token_total,
-            discounts=discounts[1:],
-        )
+        # Valid by construction (keys strictly increasing, ids from the vocabulary,
+        # values finite and <= 0); property tests pass them through __init__.
+        model = cls.__new__(cls)
+        return model._trusted(order, id_to_token, lp, bo, sum(map(len, sentences)), discounts[1:])
 
     # -- scoring -----------------------------------------------------------
 
@@ -448,7 +411,7 @@ class NGramModel:
                 _check_model(tokens, lp, bo, *meta)
             except ValueError as exc:
                 raise reader.fail(str(exc)) from exc
-        return cls._trusted(order, tokens, lp, bo, *meta)
+        return cls.__new__(cls)._trusted(order, tokens, lp, bo, *meta)
 
 
 def _walk(levels: Sequence[tuple], base: int, history: int, wid: int) -> float:
@@ -504,18 +467,38 @@ class _Column:
 _EMPTY = _Column(array("Q"), array("d"))
 
 
-def _empty_tables(order: int) -> tuple[list[dict[int, float]], list[dict[int, float]]]:
-    """Per-length logprob and backoff dicts, indexed 0..order."""
-    return [{} for _ in range(order + 1)], [{} for _ in range(order + 1)]
+def _column(keys: list[int], values: Iterable[float], span: int) -> _Column:
+    """The _Column of sorted keys that lie in 0..span-1 and their values."""
+    return _Column(array("Q", keys) if _key_width(span) == 8 else keys, array("d", values))
 
 
-def _to_columns(tables: list, base: int) -> _Tables:
-    """Sort each length's dict once into its _Column, in place; each dict is dropped as it goes."""
-    for k, table in enumerate(tables):
-        keys = sorted(table)
-        values = array("d", map(table.__getitem__, keys))
-        tables[k] = _Column(array("Q", keys) if _key_width(base**k) == 8 else keys, values)
-    return tables
+def _interpolate(
+    grams: list[int], tallies: list[int], dk: float, lower: _Column, base: int, k: int
+) -> tuple[_Column, _Column]:
+    """The order-(k-1) contexts and order-k events columns of the sorted k-gram keys.
+
+    tallies are the keys' counts, dk the order's discount and lower the
+    order-(k-1) events column. The j-th context's rows are starts[j] to
+    ends[j] - 1.
+    """
+    contexts = list(map(floordiv, grams, repeat(base)))
+    starts = [0, *compress(count(1), map(ne, contexts, islice(contexts, 1, None)))]
+    ends = starts[1:] + [len(grams)]
+    running = list(accumulate(tallies, initial=0))
+    totals = list(map(sub, map(running.__getitem__, ends), map(running.__getitem__, starts)))
+    types = list(map(sub, ends, starts))
+    weights = list(map(truediv, map(mul, repeat(dk), types), totals))
+    drop = base ** (k - 1)
+    heads = _column(list(map(contexts.__getitem__, starts)), map(math.log, weights), drop)
+    del contexts, ends, starts, running  # freed before the events column is built
+    exp_lower = dict(zip(lower.keys(), map(math.exp, lower.values())))
+    row_totals = chain.from_iterable(map(repeat, totals, types))
+    row_weights = chain.from_iterable(map(repeat, weights, types))
+    lower_p = map(exp_lower.__getitem__, map(mod, grams, repeat(drop)))
+    # (c - D) / c(h) + beta(h) * exp(lower): no max, as every count is >= 1 > D
+    discounted = map(truediv, map(sub, tallies, repeat(dk)), row_totals)
+    p = map(add, discounted, map(mul, row_weights, lower_p))
+    return heads, _column(grams, map(math.log, p), base**k)
 
 
 class _Reader:

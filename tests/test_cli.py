@@ -6,19 +6,24 @@ import shlex
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import covbias
 from covbias import cli, dataprep, lm
 from covbias import (
     NGramModel,
     OriginLabel,
+    ScoreRecord,
     divergence_report,
     perplexity,
     random_split,
     read_parallel,
+    select_extremes,
     tune_offset,
     word_fmeasure,
 )
@@ -695,6 +700,56 @@ def test_random_split_that_puts_no_line_in_group_a_is_a_usage_error(tmp_path, ca
     assert main(["random-split", "--count", "10", "--fraction", "0.1", "--seed", "1"]) == 0
     groups = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()[1:]]
     assert groups.count("a") == 1 and groups.count("b") == 9
+
+
+def test_ratio_and_fraction_floors_take_the_flag_text_exactly(tmp_path, capsys):
+    # 9.2 * 750 / 100 and 0.29 * 100 are 68.99... and 28.99... in binary floats
+    records = tmp_path / "records.tsv"
+    records.write_text(
+        "line_no\tscore\n" + "".join(f"{n}\t{n % 7 - 3.5}\n" for n in range(1, 751)),
+        encoding="utf-8",
+    )
+    assert main(["select", "--records", str(records), "--ratio", "9.2"]) == 0
+    groups = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert groups.count("most_source") == groups.count("most_target") == 69
+    assert main(["random-split", "--count", "100", "--fraction", "0.29", "--seed", "1"]) == 0
+    groups = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert groups.count("a") == 29
+
+
+def test_exact_float_flags_come_from_config_and_keep_their_refusals(tmp_path, capsys):
+    config = tmp_path / "split.cfg"
+    config.write_text("count=100\nfraction=0.29\nseed=1\n", encoding="utf-8")
+    assert main(["random-split", "--config", str(config)]) == 0
+    groups = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert groups.count("a") == 29
+    for bad in ("nan", "inf", "1/3", ""):
+        assert main(["random-split", "--count", "10", "--fraction", bad, "--seed", "1"]) == 1
+        assert f"invalid finite float value: {bad!r}" in capsys.readouterr().err
+    assert main(["select", "--records", "unread.tsv", "--ratio", "50.5"]) == 1
+    assert capsys.readouterr().err == "covbias: --ratio must be in (0, 50], got 50.5\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hundredths=st.integers(1, 5_000), n=st.integers(1, 1_000))
+@example(hundredths=920, n=750)
+def test_ratio_floor_matches_fraction_arithmetic(hundredths, n):
+    text = f"{hundredths // 100}.{hundredths % 100:02d}"
+    ratio = cli._exact_float(text)
+    records = [ScoreRecord(i, -i) for i in range(1, n + 1)]
+    most_source, most_target = select_extremes(records, ratio)
+    k = math.floor(Fraction(text) * n / 100)
+    assert len(most_source) == len(most_target) == k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(thousandths=st.integers(1, 999), n=st.integers(1, 1_000))
+@example(thousandths=290, n=100)
+def test_fraction_floor_matches_fraction_arithmetic(thousandths, n):
+    text = f"0.{thousandths:03d}"
+    part_a, part_b = random_split(n, cli._exact_float(text), seed=1)
+    k = math.floor(Fraction(text) * n)
+    assert (len(part_a), len(part_b)) == (k, n - k)
 
 
 def test_jsdiv_report(corpus, capsys):

@@ -5,6 +5,7 @@ import os
 import random
 import struct
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -774,9 +775,25 @@ def test_trained_tables_pass_the_public_validation(corpus, order, min_count):
 @given(corpus=_corpora, order=st.integers(1, 6), min_count=st.integers(1, 3))
 def test_train_matches_the_tuple_estimator_bit_for_bit(corpus, order, min_count):
     model = _train_or_none(corpus, order, min_count)
-    if model is None:
-        return
-    tokens, logprobs, backoffs, discounts, token_count = tuple_train(corpus, order, min_count)
+    if model is not None:
+        _assert_matches_tuple_train(model, corpus, min_count)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("min_count", [1, 2])
+def test_train_matches_the_tuple_estimator_on_long_context_runs(order, min_count):
+    # hundreds of ids and contexts followed by dozens of words, which the
+    # 7-token hypothesis corpora never reach
+    corpus = make_testbed(seed=5, n_mono=1_000, n_heldout=0, n_pairs_each=0).src_mono
+    model = NGramModel.train(corpus, order=order, min_count=min_count)
+    runs = Counter(gram[:-1] for gram in model.logprobs if len(gram) == order)
+    assert len(model.id_to_token) > 300 and max(runs.values()) > 50
+    _assert_matches_tuple_train(model, corpus, min_count)
+
+
+def _assert_matches_tuple_train(model, corpus, min_count):
+    expected = tuple_train(corpus, model.order, min_count)
+    tokens, logprobs, backoffs, discounts, token_count = expected
     assert model.id_to_token == tokens
     assert (model.discounts, model.train_token_count) == (discounts, token_count)
     assert _bits(model.logprobs) == _bits(logprobs)
@@ -1016,6 +1033,8 @@ def test_order_6_keys_wider_than_64_bits_train_score_and_save(tmp_path):
     model = NGramModel.train(corpus, order=6, min_count=1)
     vocab_size = len(model.id_to_token)
     assert vocab_size**5 <= 2**64 < vocab_size**6
+    assert isinstance(model._lp[6].keys(), list)  # 9-byte keys, held as ints
+    _assert_matches_tuple_train(model, corpus, 1)
     loaded = _assert_round_trips(model, tmp_path)
     args = _oracle_args(model)
     probes = corpus[::7] + [tuple(rng.choice(words) for _ in range(8)) for _ in range(30)]
