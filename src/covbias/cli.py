@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
 
 # Layer modules are imported inside the functions that use them, so a run
@@ -102,12 +103,13 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _write_report(text: str, output: str | None) -> None:
+def _write_report(lines: Iterable[str], output: str | None) -> None:
+    """Write a report's lines to output, or to stdout for None or "-"."""
     if output in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with atomic_write(output) as handle:
-            handle.write(text)
+            handle.writelines(lines)
 
 
 def _content_tags(path: str | None) -> frozenset[str]:
@@ -184,20 +186,33 @@ def _read_groups(path: str, allowed: tuple[str, ...] = ()) -> dict[str, set[int]
     return groups
 
 
-def _labelled_scores(scored: Iterable[tuple[int, float]], path: str | None = None) -> str:
-    """The line_no/score/label report; a score that is not finite is a DataError."""
+def _labelled_scores(
+    scored: Iterable[tuple[int, float]], path: str | None = None
+) -> Iterator[str]:
+    """The lines of the line_no/score/label report; a score that is not finite is a DataError.
+
+    Every score is read and checked before this returns, into two columns;
+    the lines are formatted from them as they are written.
+    """
+    from array import array  # an extension module: loaded only by the runs that need it
+
     from .detect import label_for
 
     where = f"{path}: " if path else ""
-    rows = []
+    line_nos, scores = array("q"), array("d")
     for line_no, score in scored:
         if not math.isfinite(score):
             raise DataError(
                 f"{where}line_no {line_no}: shifted score {score} is not finite",
                 line_no=line_no,
             )
-        rows.append((str(line_no), fmt_float(score), label_for(score).code))
-    return format_tsv(["line_no", "score", "label"], rows)
+        try:
+            line_nos.append(line_no)
+        except OverflowError:  # a report's line_no above 2**63 - 1: keep ints from here on
+            line_nos = [*line_nos, line_no]
+        scores.append(score)
+    rows = (f"{n}\t{fmt_float(x)}\t{label_for(x).code}\n" for n, x in zip(line_nos, scores))
+    return chain(("line_no\tscore\tlabel\n",), rows)
 
 
 # -- handlers ---------------------------------------------------------------
@@ -218,7 +233,8 @@ def _cmd_perplexity(args: argparse.Namespace) -> int:
 
     model = NGramModel.load(args.model)
     value = perplexity(model, read_mono(args.input))
-    _write_report(format_tsv(["metric", "value"], [("perplexity", fmt_float(value))]), args.output)
+    report = format_tsv(["metric", "value"], [("perplexity", fmt_float(value))])
+    _write_report([report], args.output)
     return 0
 
 
@@ -248,14 +264,13 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
         except DataError as exc:
             raise line_fault(path, file_line, str(exc)) from None
     c, macro_f1 = tune_offset(scored)
-    _write_report(
-        format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output
-    )
+    report = format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))])
+    _write_report([report], args.output)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    scored = [(line_no, score + args.offset_c) for line_no, score in _read_scores(args.scores)]
+    scored = ((line_no, score + args.offset_c) for line_no, score in _read_scores(args.scores))
     _write_report(_labelled_scores(scored, args.scores), args.output)
     return 0
 
@@ -273,7 +288,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         )
     rows = [(str(n), "most_source") for n in sorted(most_source)]
     rows += [(str(n), "most_target") for n in sorted(most_target)]
-    _write_report(format_tsv(["line_no", "group"], rows), args.output)
+    _write_report([format_tsv(["line_no", "group"], rows)], args.output)
     return 0
 
 
@@ -294,7 +309,7 @@ def _cmd_jsdiv(args: argparse.Namespace) -> int:
     report = divergence_report(
         examples, partition_a, partition_b, args.side, _content_tags(args.word_classes)
     )
-    _write_report(report.to_tsv(), args.output)
+    _write_report([report.to_tsv()], args.output)
     return 0
 
 
@@ -310,7 +325,7 @@ def _cmd_random_split(args: argparse.Namespace) -> int:
     if not part_a:
         raise UsageError(f"--fraction {float(fraction)} of --count {count} puts no line in group a")
     rows = [(str(n), "a" if n in part_a else "b") for n in range(1, count + 1)]
-    _write_report(format_tsv(["line_no", "group"], rows), args.output)
+    _write_report([format_tsv(["line_no", "group"], rows)], args.output)
     return 0
 
 
@@ -330,7 +345,7 @@ def _cmd_fmeasure(args: argparse.Namespace) -> int:
         [ex.target_pos for ex in examples],
         buckets,
     )
-    _write_report(report.to_tsv(), args.output)
+    _write_report([report.to_tsv()], args.output)
     return 0
 
 
@@ -384,7 +399,7 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
         tag_suffix=args.tag_suffix,
         baseline=baseline,
     )
-    _write_report(report.to_tsv(), args.output)
+    _write_report([report.to_tsv()], args.output)
     return 0
 
 
@@ -425,7 +440,7 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
     pretrain, finetune, manifest = finetune_split(examples, lines)
     write_parallel(pretrain, args.out_pretrain_source, args.out_pretrain_target)
     write_parallel(finetune, args.out_finetune_source, args.out_finetune_target)
-    _write_report(manifest_to_tsv(manifest), args.manifest)
+    _write_report([manifest_to_tsv(manifest)], args.manifest)
     return 0
 
 
@@ -437,7 +452,7 @@ def _cmd_merge_augment(args: argparse.Namespace) -> int:
     synthetic = list(read_parallel(args.synthetic_source, args.synthetic_target))
     merged, manifest = merge_augment(authentic, synthetic, args.tag_token, args.seed)
     write_parallel(merged, args.out_source, args.out_target)
-    _write_report(manifest_to_tsv(manifest), args.manifest)
+    _write_report([manifest_to_tsv(manifest)], args.manifest)
     return 0
 
 

@@ -40,18 +40,20 @@ every count is >= 1 > D (n1 / (n1 + 2 * n2) or 0.75), so max(c - D, 0) is
 c - D; the unigrams, whose c can be 0, keep the max.
 
 A lookup bisects a key column until logprob has scored one event per
-_ROWS_PER_BISECTED_EVENT (16) rows of the model. Then each column becomes a
+_ROWS_PER_BISECTED_EVENT (12) rows of the model. Then each column becomes a
 dict, built from the same keys and floats, and lookups are dict.get: the
 bisection paid so far is about what the dicts cost to build, so a short run
 never builds them and a long one pays at most about twice their cost.
-Scores do not depend on when the switch happens. On the order-4 model of
-the model-reuse benchmark (153,994 rows, V = 554) the columns take 2.5 MiB
-and load in 23 ms, against 14.0 MiB and 47 ms for the dicts; bisection
-scores an event about 3 us slower than dict.get and the dicts take about
-20 ms to build, so the measured break-even lies at rows/21 to rows/26
-events (rows/15 to rows/28 in single runs). 16 errs towards keeping the
-columns, which also keep the run 11 MiB smaller: the 7k-event perplexity
-runs of that benchmark never build the index.
+Scores do not depend on when the switch happens. The dicts store what
+repeats once (Pauls and Klein 2011): a context's key is the object of the
+same n-gram's event key, and equal backoff weights of a contexts table are
+one float. On the order-4 model of the model-reuse benchmark (153,994 rows,
+V = 554) the columns take 2.5 MiB and load in about 20 ms; the dicts take
+11.5 MiB (14.0 MiB unshared) and about 35 ms to build, and bisection scores
+an event about 2.5 us slower than dict.get, so the measured break-even lies
+at rows/11 to rows/12 events (rows/9 to rows/20 in single runs). Until then
+the columns also keep the run 9 MiB smaller: the 7k-event perplexity runs
+of that benchmark never build the index.
 
 The file (format 2, little-endian) holds the same keys. After the magic
 "NGLM", u16 version, u16 order, u32 V and each token as a u32 length and its
@@ -74,7 +76,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from operator import add, floordiv, ge, lt, mod, mul, ne, sub, truediv
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
@@ -101,7 +103,7 @@ _HAS_COUNT, _HAS_DISCOUNTS = 1, 2
 _SWAP = sys.byteorder == "big"  # file columns are little-endian
 # Scoring bisects the columns until it has scored one event per this many
 # rows, then builds the dict index (see NGramModel._index).
-_ROWS_PER_BISECTED_EVENT = 16
+_ROWS_PER_BISECTED_EVENT = 12
 
 # The tables of one kind, by n-gram length 0..order: each a _Column until
 # the scorer builds its index, a dict after.
@@ -196,15 +198,20 @@ class NGramModel:
 
         Called by logprob once it has scored one event per
         _ROWS_PER_BISECTED_EVENT rows. Each dict holds its column's keys in
-        their sorted order, so save writes the same bytes from it. The
-        columns stay in place until every dict is built, so a scorer
-        running meanwhile still finds complete tables.
+        their sorted order, so save writes the same bytes from it, and a
+        contexts dict shares keys and weights as _contexts_index says. On the
+        order-4 model of the model-reuse benchmark (153,994 rows) the dicts
+        take 11.5 MiB and about 35 ms to build.
         """
         self._unindexed = math.inf
-        lp = [dict(zip(t.keys(), t.values())) for t in self._lp]
-        bo = [dict(zip(t.keys(), t.values())) for t in self._bo]
-        self._lp, self._bo = lp, bo
-        self._set_levels()
+        self._levels = ()  # its lookups hold the columns, which go as their dicts come
+        lp, bo = self._lp, self._bo
+        try:
+            for k in range(self.order + 1):  # the largest table, the top events, comes last
+                lp[k] = dict(zip(lp[k].keys(), lp[k].values()))
+                bo[k] = _contexts_index(bo[k], lp[k])
+        finally:  # a column and a dict answer get alike, so a partial index still scores
+            self._set_levels()
 
     @property
     def logprobs(self) -> Mapping[tuple[int, ...], float]:
@@ -470,6 +477,26 @@ _EMPTY = _Column(array("Q"), array("d"))
 def _column(keys: list[int], values: Iterable[float], span: int) -> _Column:
     """The _Column of sorted keys that lie in 0..span-1 and their values."""
     return _Column(array("Q", keys) if _key_width(span) == 8 else keys, array("d", values))
+
+
+def _contexts_index(column: _Column, events: dict[int, float]) -> dict[int, float]:
+    """The dict of a contexts column over the key objects of the same-length events dict.
+
+    In a trained model every context but the all-<s> one is also an event.
+    A context with no event keeps a key of its own, and the sort merges the
+    two sorted runs back into the column's order. Equal backoff weights
+    become one float unless the table holds a zero: -0.0 == 0.0 would merge
+    the signs and change the saved bytes.
+    """
+    keys, values = column.keys(), column.values()
+    contexts = set(keys)
+    shared = filter(contexts.__contains__, events)
+    keys = sorted(chain(shared, filterfalse(events.__contains__, keys)))
+    del contexts  # freed before the dict is built
+    if 0.0 not in values:
+        weights: dict[float, float] = {}
+        values = map(weights.setdefault, values, values)
+    return dict(zip(keys, values))
 
 
 def _interpolate(

@@ -6,6 +6,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,9 +27,11 @@ from covbias import (
     select_extremes,
     tune_offset,
     word_fmeasure,
+    write_parallel,
 )
 from covbias.cli import VERSION_LINE, main
 from covbias.fileio import fmt_float
+from synthbed import make_testbed
 
 
 @pytest.fixture
@@ -1229,6 +1232,63 @@ def test_classify_rejects_a_shifted_score_that_is_not_finite(corpus, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert str(scores) in err and "line_no 1" in err
+
+
+def test_a_streamed_score_report_is_all_or_nothing(corpus, capsys):
+    """A fault in the last row leaves stdout empty and writes no file."""
+    scores = corpus / "scores.tsv"
+    scores.write_text("line_no\tscore\n1\t-1.5\n2\t2\n3\t1e308\n", encoding="utf-8")
+    out = corpus / "labels.tsv"
+    for output in ("-", str(out)):
+        argv = ["classify", "--scores", str(scores), "--offset-c", "1e308", "--output", output]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+    assert not out.exists()
+    short = corpus / "short.txt"
+    lines = (corpus / "tgt.txt").read_text(encoding="utf-8").splitlines(True)
+    short.write_text("".join(lines[:-1]), encoding="utf-8")
+    src_lm, tgt_lm = _train(corpus, "src.lm", "src.txt"), _train(corpus, "tgt.lm", "tgt.txt")
+    argv = ["score-pairs", "--source-model", str(src_lm), "--target-model", str(tgt_lm),
+            "--source", str(corpus / "src.txt"), "--target", str(short), "--output", "-"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert not list(corpus.glob(".tmp-*"))
+
+
+def test_classify_keeps_a_line_no_beyond_64_bits(corpus, capsys):
+    scores = corpus / "scores.tsv"
+    scores.write_text(f"line_no\tscore\n{2**64}\t1.5\n3\t-2\n", encoding="utf-8")
+    assert main(["classify", "--scores", str(scores), "--offset-c", "0.5"]) == 0
+    assert capsys.readouterr().out == f"line_no\tscore\tlabel\n{2**64}\t2\tS\n3\t-1.5\tT\n"
+
+
+def test_score_pairs_holds_no_object_per_row(tmp_path, monkeypatch):
+    """Past the models, a 5,000-pair run keeps two columns of 8-byte numbers, not rows."""
+    bed = make_testbed(seed=5, n_mono=2_000, n_heldout=0, n_pairs_each=2_500)
+    models = {}
+    for name, mono in (("src.lm", bed.src_mono), ("tgt.lm", bed.tgt_mono)):
+        models[str(tmp_path / name)] = model = NGramModel.train(mono, order=3)
+        model._index()
+    monkeypatch.setattr(NGramModel, "load", classmethod(lambda cls, path: models[path]))
+    write_parallel(bed.pairs, str(tmp_path / "p.src"), str(tmp_path / "p.tgt"))
+    write_parallel(bed.pairs[:3], str(tmp_path / "w.src"), str(tmp_path / "w.tgt"))
+
+    def score_pairs(stem):
+        return main(["score-pairs", "--source-model", str(tmp_path / "src.lm"),
+                     "--target-model", str(tmp_path / "tgt.lm"),
+                     "--source", str(tmp_path / f"{stem}.src"),
+                     "--target", str(tmp_path / f"{stem}.tgt"),
+                     "--output", str(tmp_path / "out.tsv")])
+
+    assert score_pairs("w") == 0  # a warm-up run, so imports count for nothing
+    tracemalloc.start()
+    try:
+        assert score_pairs("p") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "out.tsv").read_text().splitlines()) == 5_001
+    assert peak < 2**19, f"score-pairs peaked at {peak} bytes above its models"
 
 
 @pytest.mark.parametrize("value", _NON_FINITE)

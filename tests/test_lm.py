@@ -937,15 +937,49 @@ def test_every_lookup_path_matches_the_tuple_oracle_bit_for_bit(
             assert _bits_of(model.logprob_word(context, word)) == _bits_of(expected)
 
 
-def test_scoring_builds_the_index_after_one_event_per_16_rows():
+def test_scoring_builds_the_index_after_one_event_per_12_rows():
     model = _fuzz_model()
     rows = sum(map(len, model._lp + model._bo))
-    assert rows // 16 == 2  # so the index comes with the sentence that reaches 2 events
-    model.logprob(())  # one event, the </s>
+    assert rows // 12 == 3  # so the index comes with the sentence that reaches 3 events
+    model.logprob(("a",))  # two events, a and </s>
     assert not _indexed(model)
     model.logprob(())
     assert _indexed(model)
     assert _bits(model.logprobs) == _bits(_fuzz_model().logprobs)
+
+
+def test_the_index_keeps_signed_zero_weights_and_contexts_without_events():
+    """Interning equal weights would give -0.0 the object of 0.0; (<s>, <s>) is no event."""
+    vocab = (UNK, BOS, EOS, "a", "b")
+    logprobs = {(0,): -1.5, (2,): -1.5, (3,): -1.0, (4,): -1.0, (1, 3): _HALF, (3, 4): _HALF}
+    logprobs[(1, 1, 3)] = _HALF
+    backoffs = {(1,): -0.5, (3,): 0.0, (4,): -0.0, (1, 1): -0.25, (1, 3): -0.25, (3, 4): -0.25}
+    model = NGramModel(3, vocab, logprobs, backoffs)
+    saved, weights = _saved_bytes(model), _bits(model.backoffs)
+    model._index()
+    assert _saved_bytes(model) == saved
+    assert _bits(model.backoffs) == weights
+    start = BOS_ID * len(vocab) + BOS_ID  # the key of (<s>, <s>)
+    assert start in model._bo[2] and start not in model._lp[2]
+    assert len({id(w) for w in model._bo[2].values()}) == 1  # no zero: one -0.25 object
+
+
+def test_the_index_shares_context_keys_and_equal_weights():
+    """A context's key is its event's key object, and a table's equal weights are one object."""
+    bed = make_testbed(seed=7, n_mono=800, n_heldout=0, n_pairs_each=0)
+    model = NGramModel.train(bed.src_mono, order=4)
+    model._index()
+    shared = interned = 0
+    for k in range(1, model.order):
+        events = {key: key for key in model._lp[k]}  # each key to the dict's own object
+        contexts = model._bo[k]
+        assert all(events[key] is key for key in contexts if key in events)
+        assert sum(key not in events for key in contexts) == 1  # the all-<s> context
+        shared += len(contexts) - 1
+        weights = {}
+        assert all(weights.setdefault(w, w) is w for w in contexts.values())
+        interned += len(contexts) - len(weights)
+    assert shared > 1_000 and interned > 1_000
 
 
 # ids above 65,535 need more than 16 bits, and with V = 70,003 the order-4
