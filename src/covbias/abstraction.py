@@ -4,18 +4,19 @@ Abstraction keeps sentence length and function words intact and substitutes a
 rendered tag token for every content word, so language-model statistics over
 the result reflect word order and function-word usage rather than topical
 vocabulary. There are exactly two abstraction levels: none, and content-word
-abstraction.
+abstraction. abstract_corpus and fluency_report read their input once, a line
+at a time, so neither holds the corpus in memory.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 from .corpus import PosAnnotation, Sentence, read_tagged, write_mono
 from .errors import DataError
 from .fileio import fmt_float, format_tsv
-from .lm import NGramModel, perplexity
+from .lm import NGramModel, _perplexity
 
 
 def _abstractor(
@@ -95,7 +96,7 @@ class FluencyReport(NamedTuple):
 
 
 def fluency_report(
-    tagged: Sequence[tuple[Sentence, PosAnnotation]],
+    tagged: Iterable[tuple[Sentence, PosAnnotation]],
     *,
     plain_lm: NGramModel,
     abstracted_lm: NGramModel,
@@ -107,12 +108,23 @@ def fluency_report(
     """Score outputs with a plain LM and their abstraction with an abstracted LM.
 
     tagged holds one (sentence, tags) pair per output line, as read_tagged
-    yields them; they are abstracted as abstract_sentence does.
+    yields them; they are abstracted as abstract_sentence does. It is read
+    once: both models score each line as it arrives, so each perplexity sums
+    the same floats in the same order as perplexity() would.
     """
     abstract = _abstractor(content_tags, tag_prefix, tag_suffix)
-    abstracted = [abstract(sentence, pos) for sentence, pos in tagged]
-    ppl_plain = perplexity(plain_lm, (sentence for sentence, _ in tagged))
-    ppl_abstracted = perplexity(abstracted_lm, abstracted)
+    plain_total = abstracted_total = 0.0
+    plain_events = abstracted_events = 0
+    for sentence, pos in tagged:
+        abstracted = abstract(sentence, pos)
+        score = plain_lm.logprob(sentence)
+        plain_total += score.total_logprob
+        plain_events += score.token_count
+        score = abstracted_lm.logprob(abstracted)
+        abstracted_total += score.total_logprob
+        abstracted_events += score.token_count
+    ppl_plain = _perplexity(plain_total, plain_events)
+    ppl_abstracted = _perplexity(abstracted_total, abstracted_events)
     diff_plain = diff_abstracted = None
     if baseline is not None:
         diff_plain = (ppl_plain - baseline.ppl_plain) / baseline.ppl_plain

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, tee
 from typing import TYPE_CHECKING
 
 # Layer modules are imported inside the functions that use them, so a run
@@ -333,16 +333,16 @@ def _cmd_fmeasure(args: argparse.Namespace) -> int:
     from .corpus import read_parallel
     from .fmeasure import DEFAULT_BUCKETS, word_fmeasure
 
-    examples = list(read_parallel(args.hyp, args.ref, None, args.ref_pos))
+    hyp, ref, ref_pos = tee(read_parallel(args.hyp, args.ref, None, args.ref_pos), 3)
     if args.buckets:
         sections = read_section_file(args.buckets)
         buckets = {name: frozenset(tags) for name, tags in sections.items()}
     else:
         buckets = dict(DEFAULT_BUCKETS)
     report = word_fmeasure(
-        [ex.source for ex in examples],
-        [ex.target for ex in examples],
-        [ex.target_pos for ex in examples],
+        (ex.source for ex in hyp),
+        (ex.target for ex in ref),
+        (ex.target_pos for ex in ref_pos),
         buckets,
     )
     _write_report([report.to_tsv()], args.output)
@@ -384,7 +384,7 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
     from .corpus import read_tagged
     from .lm import NGramModel
 
-    tagged = list(read_tagged(args.input, args.pos))
+    tagged = read_tagged(args.input, args.pos)
     content_tags = _content_tags(args.word_classes)
     # a bad --tag-prefix/--tag-suffix is a usage fault (exit 1) whatever the
     # baseline and the models hold, so it is refused before they are read
@@ -421,13 +421,12 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_split_finetune(args: argparse.Namespace) -> int:
-    from .corpus import OriginLabel, read_parallel, write_parallel
+    from .corpus import OriginLabel, read_parallel
     from .dataprep import finetune_split, manifest_to_tsv
     from .detect import label_for
 
     if bool(args.records) == bool(args.selection):
         raise UsageError("pass exactly one of --records or --selection")
-    examples = list(read_parallel(args.source, args.target))
     if args.records:
         scored = _read_scores(args.records)
         lines = {n for n, score in scored if label_for(score) is OriginLabel.SOURCE_ORIGINAL}
@@ -437,22 +436,24 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
     if not lines:
         source = args.records or args.selection
         raise DataError(f"{source}: no source-original line to fine-tune on")
-    pretrain, finetune, manifest = finetune_split(examples, lines)
-    write_parallel(pretrain, args.out_pretrain_source, args.out_pretrain_target)
-    write_parallel(finetune, args.out_finetune_source, args.out_finetune_target)
-    _write_report([manifest_to_tsv(manifest)], args.manifest)
+    examples = read_parallel(args.source, args.target)
+    pretrain = (args.out_pretrain_source, args.out_pretrain_target)
+    finetune = (args.out_finetune_source, args.out_finetune_target)
+    manifest = finetune_split(examples, lines, pretrain, finetune)
+    _write_report(manifest_to_tsv(manifest), args.manifest)
     return 0
 
 
 def _cmd_merge_augment(args: argparse.Namespace) -> int:
-    from .corpus import read_parallel, write_parallel
+    from .corpus import read_parallel
     from .dataprep import manifest_to_tsv, merge_augment
 
-    authentic = list(read_parallel(args.authentic_source, args.authentic_target))
-    synthetic = list(read_parallel(args.synthetic_source, args.synthetic_target))
-    merged, manifest = merge_augment(authentic, synthetic, args.tag_token, args.seed)
-    write_parallel(merged, args.out_source, args.out_target)
-    _write_report([manifest_to_tsv(manifest)], args.manifest)
+    authentic = read_parallel(args.authentic_source, args.authentic_target)
+    synthetic = read_parallel(args.synthetic_source, args.synthetic_target)
+    manifest = merge_augment(
+        authentic, synthetic, args.out_source, args.out_target, args.tag_token, args.seed
+    )
+    _write_report(manifest_to_tsv(manifest), args.manifest)
     return 0
 
 

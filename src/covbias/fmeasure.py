@@ -6,12 +6,16 @@ majority POS tag they carry across the whole reference; a type whose majority
 is tied between tags joins only the lexicographically smallest bucket that
 contains one of the tied tags. Hypothesis types never seen in the reference
 belong to no bucket and are ignored.
+
+word_fmeasure reads its three inputs once, in lock-step, and holds counts per
+token type, never a line: its memory grows with the vocabulary, not the corpus.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain, zip_longest
 from typing import NamedTuple
 
 from .corpus import PosAnnotation, Sentence
@@ -56,15 +60,15 @@ class AdequacyReport(NamedTuple):
 
 
 def _type_buckets(
-    ref: Sequence[Sentence],
-    ref_pos: Sequence[PosAnnotation],
-    buckets: Mapping[str, frozenset[str]],
+    tagged: Counter[tuple[str, str]], buckets: Mapping[str, frozenset[str]]
 ) -> dict[str, tuple[str, ...]]:
-    """Assign each reference token type to its buckets by majority tag."""
-    profiles: dict[str, Counter[str]] = {}
-    for tokens, tags in zip(ref, ref_pos):
-        for token, tag in zip(tokens, tags):
-            profiles.setdefault(token, Counter())[tag] += 1
+    """Assign each reference token type to its buckets by majority tag.
+
+    tagged counts each (token, tag) pair of the reference.
+    """
+    profiles: dict[str, dict[str, int]] = {}
+    for (token, tag), count in tagged.items():
+        profiles.setdefault(token, {})[tag] = count
     ordered_buckets = sorted(buckets)
     assignment: dict[str, tuple[str, ...]] = {}
     for token, profile in profiles.items():
@@ -82,47 +86,65 @@ def _type_buckets(
     return assignment
 
 
+_END = object()
+
+
+def _length_fault(line_no: int, row: tuple, rest: Iterator[tuple]) -> DataError:
+    """The DataError for inputs of unequal length; row is the first short one."""
+    sizes = [line_no - 1] * 3
+    for later in chain([row], rest):
+        for side, value in enumerate(later):
+            sizes[side] += value is not _END
+    hyp_lines, ref_lines, pos_lines = sizes
+    if hyp_lines != ref_lines:
+        return DataError(f"{hyp_lines} hypothesis lines but {ref_lines} reference lines")
+    return DataError(f"{pos_lines} POS lines but {ref_lines} reference lines")
+
+
 def word_fmeasure(
-    hyp: Sequence[Sentence],
-    ref: Sequence[Sentence],
-    ref_pos: Sequence[PosAnnotation],
+    hyp: Iterable[Sentence],
+    ref: Iterable[Sentence],
+    ref_pos: Iterable[PosAnnotation],
     buckets: Mapping[str, frozenset[str]] | None = None,
 ) -> AdequacyReport:
-    """Clipped bag-of-words precision/recall/F1 per POS bucket."""
+    """Clipped bag-of-words precision/recall/F1 per POS bucket, in one pass.
+
+    The three inputs are read once, in lock-step. Per token type the pass
+    keeps its tag profile and three totals (hypothesis count, reference count
+    and clipped matches); each bucket sums its types' totals at the end.
+    """
     if buckets is None:
         buckets = DEFAULT_BUCKETS
-    if len(hyp) != len(ref):
-        raise DataError(f"{len(hyp)} hypothesis lines but {len(ref)} reference lines")
-    if len(ref_pos) != len(ref):
-        raise DataError(f"{len(ref_pos)} POS lines but {len(ref)} reference lines")
-    for line_no, (tokens, tags) in enumerate(zip(ref, ref_pos), 1):
-        if len(tokens) != len(tags):
+    hyp_count: Counter[str] = Counter()
+    ref_count: Counter[str] = Counter()
+    matched: Counter[str] = Counter()
+    tagged: Counter[tuple[str, str]] = Counter()
+    rows = zip_longest(hyp, ref, ref_pos, fillvalue=_END)
+    for line_no, row in enumerate(rows, 1):
+        if _END in row:
+            raise _length_fault(line_no, row, rows)
+        hyp_tokens, ref_tokens, tags = row
+        if len(ref_tokens) != len(tags):
             raise DataError(
-                f"line {line_no}: {len(tags)} tags for {len(tokens)} reference tokens",
+                f"line {line_no}: {len(tags)} tags for {len(ref_tokens)} reference tokens",
                 line_no=line_no,
             )
-    membership = _type_buckets(ref, ref_pos, buckets)
+        hyp_count.update(hyp_tokens)
+        ref_count.update(ref_tokens)
+        tagged.update(zip(ref_tokens, tags))
+        hyp_line, ref_line = Counter(hyp_tokens), Counter(ref_tokens)
+        for token in hyp_line.keys() & ref_line.keys():
+            matched[token] += min(hyp_line[token], ref_line[token])
 
-    matched = {name: 0 for name in buckets}
-    sys_count = dict(matched)
-    ref_count = dict(matched)
-    for hyp_tokens, ref_tokens in zip(hyp, ref):
-        hyp_counts = Counter(hyp_tokens)
-        ref_counts = Counter(ref_tokens)
-        for token, count in hyp_counts.items():
-            for name in membership.get(token, ()):
-                sys_count[name] += count
-        for token, count in ref_counts.items():
-            for name in membership.get(token, ()):
-                ref_count[name] += count
-        for token in hyp_counts.keys() & ref_counts.keys():
-            overlap = min(hyp_counts[token], ref_counts[token])
-            for name in membership.get(token, ()):
-                matched[name] += overlap
-
+    totals = {name: [0, 0, 0] for name in buckets}  # matched, sys_count, ref_count
+    for token, names in _type_buckets(tagged, buckets).items():
+        for name in names:
+            total = totals[name]
+            total[0] += matched[token]
+            total[1] += hyp_count[token]
+            total[2] += ref_count[token]
     stats = {}
-    for name in buckets:
-        m, s, r = matched[name], sys_count[name], ref_count[name]
+    for name, (m, s, r) in totals.items():
         precision = m / s if s else 0.0
         recall = m / r if r else 0.0
         f1 = (

@@ -744,6 +744,14 @@ def perplexity(model: NGramModel, corpus: Iterable[Sentence]) -> float:
         score = model.logprob(sentence)
         total += score.total_logprob
         events += score.token_count
+    return _perplexity(total, events)
+
+
+def _perplexity(total: float, events: int) -> float:
+    """exp(-total / events) for a corpus's summed log-probability and event count.
+
+    DataError for an empty corpus, and for a mean beyond exp's float range.
+    """
     if events == 0:
         raise DataError("cannot compute perplexity over an empty corpus")
     mean = -total / events

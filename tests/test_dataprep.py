@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -30,6 +31,24 @@ def _examples():
     ]
 
 
+def _paths(tmp_path, stem):
+    return str(tmp_path / f"{stem}.src"), str(tmp_path / f"{stem}.tgt")
+
+
+def _split(tmp_path, examples, lines):
+    """finetune_split into files: (pretrain, finetune) as read back, and the manifest."""
+    pretrain, finetune = _paths(tmp_path, "pre"), _paths(tmp_path, "fine")
+    manifest = list(finetune_split(examples, lines, pretrain, finetune))
+    return list(read_parallel(*pretrain)), list(read_parallel(*finetune)), manifest
+
+
+def _merge(tmp_path, authentic, synthetic, **options):
+    """merge_augment into files: the merged corpus as read back, and the manifest."""
+    paths = _paths(tmp_path, "merged")
+    manifest = list(merge_augment(authentic, synthetic, *paths, **options))
+    return list(read_parallel(*paths)), manifest
+
+
 def test_tag_marks_only_target_original_sources():
     tagged = list(bias_tag(_examples(), [S, T, S]))
     assert tagged[0] == _examples()[0]
@@ -53,7 +72,7 @@ def test_tag_keeps_pos_annotations_aligned():
     assert tagged.target_pos == ("INTJ", "NOUN")
 
 
-def test_custom_tag_token():
+def test_custom_tag_token(tmp_path):
     (tagged,) = bias_tag([_examples()[1]], [T], "<ORIG=T>")
     assert tagged.source[0] == "<ORIG=T>"
     assert list(detag([tagged], "<ORIG=T>")) == [_examples()[1]]
@@ -65,7 +84,8 @@ def test_custom_tag_token():
         with pytest.raises(ValueError, match=message):
             list(detag(_examples(), bad))
         with pytest.raises(ValueError, match=message):
-            merge_augment(_examples(), _examples(), tag_token=bad)
+            merge_augment(_examples(), _examples(), *_paths(tmp_path, "m"), tag_token=bad)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tag_collision_reports_the_line():
@@ -133,9 +153,9 @@ def test_tag_detag_file_round_trip_is_byte_exact(tmp_path):
     assert Path(tgt_tag).read_bytes() == raw_tgt  # targets never change
 
 
-def test_finetune_split_keeps_everything_and_the_selection():
+def test_finetune_split_keeps_everything_and_the_selection(tmp_path):
     examples = _examples()
-    pretrain, finetune, manifest = finetune_split(examples, {3, 1})
+    pretrain, finetune, manifest = _split(tmp_path, iter(examples), {3, 1})
     assert pretrain == examples
     assert finetune == [examples[0], examples[2]]  # input order, not set order
     assert manifest == [
@@ -147,20 +167,21 @@ def test_finetune_split_keeps_everything_and_the_selection():
     ]
 
 
-def test_finetune_split_validates_the_selection():
+def test_finetune_split_validates_the_selection(tmp_path):
     with pytest.raises(DataError, match="^selection names line 4 but the corpus has 3 lines$"):
-        finetune_split(_examples(), {4})
+        _split(tmp_path, _examples(), {4})
     with pytest.raises(DataError):
-        finetune_split(_examples(), {0})
-    pretrain, finetune, manifest = finetune_split(_examples(), set())
+        _split(tmp_path, _examples(), {0})
+    assert list(tmp_path.iterdir()) == []  # neither fault wrote a file
+    pretrain, finetune, manifest = _split(tmp_path, _examples(), set())
     assert pretrain == _examples()
     assert finetune == []
     assert all(entry.provenance == "pretrain" for entry in manifest)
 
 
-def test_merge_without_options_concatenates():
+def test_merge_without_options_concatenates(tmp_path):
     authentic, synthetic = _examples()[:2], _examples()[2:]
-    merged, manifest = merge_augment(authentic, synthetic)
+    merged, manifest = _merge(tmp_path, iter(authentic), iter(synthetic))
     assert merged == authentic + synthetic
     assert manifest == [
         ManifestEntry(1, "authentic", 1),
@@ -169,41 +190,54 @@ def test_merge_without_options_concatenates():
     ]
 
 
-def test_merge_tags_synthetic_sources_only():
+def test_merge_tags_synthetic_sources_only(tmp_path):
     authentic, synthetic = _examples()[:1], _examples()[1:2]
-    merged, _ = merge_augment(authentic, synthetic, tag_token="<BT>")
+    merged, _ = _merge(tmp_path, authentic, synthetic, tag_token="<BT>")
     assert merged[0] == authentic[0]
     assert merged[1].source == ("<BT>", "hallo")
     assert merged[1].target == ("hello",)
 
 
-def test_merge_collision_checks_both_corpora():
+def test_merge_collision_checks_both_corpora(tmp_path):
     poisoned = ParallelExample(("<BT>",), ("x",))
     message = "^line 1: corpus already contains the tag token '<BT>'$"
     with pytest.raises(DataError, match=message):
-        merge_augment([poisoned], _examples(), tag_token="<BT>")
+        _merge(tmp_path, [poisoned], _examples(), tag_token="<BT>")
     with pytest.raises(DataError, match=message):
-        merge_augment(_examples(), [poisoned], tag_token="<BT>")
+        _merge(tmp_path, _examples(), [poisoned], tag_token="<BT>")
+    assert list(tmp_path.iterdir()) == []  # neither fault wrote a file
     # without a tag token nothing is tagged, so nothing can collide
-    merged, _ = merge_augment([poisoned], [poisoned])
+    merged, _ = _merge(tmp_path, [poisoned], [poisoned])
     assert merged == [poisoned, poisoned]
 
 
-def test_merge_shuffle_is_a_seeded_permutation():
+def test_merge_shuffle_is_a_seeded_permutation(tmp_path):
     authentic, synthetic = _examples(), _examples()
-    merged1, manifest1 = merge_augment(authentic, synthetic, shuffle_seed=5)
-    merged2, manifest2 = merge_augment(authentic, synthetic, shuffle_seed=5)
+    merged1, manifest1 = _merge(tmp_path, authentic, synthetic, shuffle_seed=5)
+    merged2, manifest2 = _merge(tmp_path, authentic, synthetic, shuffle_seed=5)
     assert merged1 == merged2
     assert manifest1 == manifest2
-    plain, _ = merge_augment(authentic, synthetic)
+    plain, _ = _merge(tmp_path, authentic, synthetic)
     assert Counter(merged1) == Counter(plain)  # same multiset, new order
-    merged3, _ = merge_augment(authentic, synthetic, shuffle_seed=6)
+    merged3, _ = _merge(tmp_path, authentic, synthetic, shuffle_seed=6)
     assert Counter(merged3) == Counter(plain)
 
 
-def test_merge_manifest_partitions_the_output():
+def test_merge_shuffle_is_the_seeded_shuffle_of_the_merged_pairs(tmp_path):
+    # the merged lines are held as text and an index list is shuffled: the
+    # order is the one that shuffling the tagged pairs themselves gives
+    authentic, synthetic = _examples() * 3, _examples()[1:] * 2
+    tagged = [ParallelExample(("<BT>",) + ex.source, ex.target) for ex in synthetic]
+    for seed in (0, 5, 77):
+        expected = authentic + tagged
+        random.Random(seed).shuffle(expected)
+        merged, _ = _merge(tmp_path, authentic, synthetic, tag_token="<BT>", shuffle_seed=seed)
+        assert merged == expected
+
+
+def test_merge_manifest_partitions_the_output(tmp_path):
     authentic, synthetic = _examples()[:2], _examples()
-    merged, manifest = merge_augment(authentic, synthetic, shuffle_seed=9)
+    merged, manifest = _merge(tmp_path, authentic, synthetic, shuffle_seed=9)
     assert [entry.output_line_no for entry in manifest] == list(
         range(1, len(merged) + 1)
     )
@@ -215,5 +249,5 @@ def test_merge_manifest_partitions_the_output():
 
 
 def test_manifest_tsv_layout():
-    tsv = manifest_to_tsv([ManifestEntry(1, "authentic", 7)])
+    tsv = "".join(manifest_to_tsv([ManifestEntry(1, "authentic", 7)]))
     assert tsv == "output_line_no\tprovenance\toriginal_line_no\n1\tauthentic\t7\n"

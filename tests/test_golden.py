@@ -16,6 +16,18 @@ def test_every_pipeline_output_matches_its_golden_digest(tmp_path):
     assert mismatches(digests) == []
 
 
+@pytest.mark.parametrize("hash_seed", ["0", "1", "12345"])
+def test_golden_digests_do_not_depend_on_the_hash_seed(hash_seed):
+    # set and dict iteration over strings follows PYTHONHASHSEED; no output may
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONHASHSEED=hash_seed)
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "golden.py")],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=False,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
 def _other_interpreters() -> dict[tuple[int, int], str]:
     """One runnable CPython 3.10+ per minor version other than this one's.
 
