@@ -387,7 +387,7 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
     tagged = read_tagged(args.input, args.pos)
     content_tags = _content_tags(args.word_classes)
     # a bad --tag-prefix/--tag-suffix is a usage fault (exit 1) whatever the
-    # baseline and the models hold, so it is refused before they are read
+    # baseline, the models and the corpus hold, so it is refused before them
     _abstractor(content_tags, args.tag_prefix, args.tag_suffix)
     baseline = _read_fluency_baseline(args.baseline) if args.baseline else None
     report = fluency_report(
