@@ -34,9 +34,7 @@ _EXPORTS = {
         "ManifestEntry", "bias_tag", "detag", "finetune_split", "manifest_to_tsv",
         "merge_augment",
     ),
-    "detect": (
-        "ScoreRecord", "classify", "label_for", "score_pair", "select_extremes", "tune_offset",
-    ),
+    "detect": ("classify", "label_for", "score_pair", "select_extremes", "tune_offset"),
     "divergence": (
         "DEFAULT_CONTENT_TAGS", "DivergenceReport", "divergence_report", "js", "random_split",
         "read_word_classes",

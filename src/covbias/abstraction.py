@@ -82,7 +82,7 @@ class FluencyReport(NamedTuple):
         def diff_cell(value: float | None) -> str:
             return "-" if value is None else fmt_float(value)
 
-        return format_tsv(
+        return "".join(format_tsv(
             ("level", "ppl", "diff"),
             [
                 ("plain", fmt_float(self.ppl_plain), diff_cell(self.diff_plain)),
@@ -92,7 +92,7 @@ class FluencyReport(NamedTuple):
                     diff_cell(self.diff_abstracted),
                 ),
             ],
-        )
+        ))
 
 
 def fluency_report(

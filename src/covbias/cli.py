@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, tee
+from itertools import tee
 from typing import TYPE_CHECKING
 
 # Layer modules are imported inside the functions that use them, so a run
@@ -99,7 +99,10 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}: line {line_no}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise UsageError(f"{path}: line {line_no}: key {key!r} is given more than once")
+            values[key] = value.strip()
     return values
 
 
@@ -154,14 +157,12 @@ def _read_scores(path: str) -> list[tuple[int, float]]:
     A line's label is label_for(score): a label column that says otherwise
     is a DataError naming the line.
     """
-    from .corpus import OriginLabel
     from .detect import label_for
 
-    by_code = {label.code: label for label in OriginLabel}
     scored = []
     for file_line, line_no, row in _keyed_rows(path, "score"):
         score = _parse_score(row, path, file_line)
-        if "label" in row and by_code.get(row["label"]) is not label_for(score):
+        if "label" in row and row["label"] != label_for(score).code:
             raise line_fault(
                 path,
                 file_line,
@@ -211,8 +212,8 @@ def _labelled_scores(
         except OverflowError:  # a report's line_no above 2**63 - 1: keep ints from here on
             line_nos = [*line_nos, line_no]
         scores.append(score)
-    rows = (f"{n}\t{fmt_float(x)}\t{label_for(x).code}\n" for n, x in zip(line_nos, scores))
-    return chain(("line_no\tscore\tlabel\n",), rows)
+    rows = ((str(n), fmt_float(x), label_for(x).code) for n, x in zip(line_nos, scores))
+    return format_tsv(("line_no", "score", "label"), rows)
 
 
 # -- handlers ---------------------------------------------------------------
@@ -233,8 +234,7 @@ def _cmd_perplexity(args: argparse.Namespace) -> int:
 
     model = NGramModel.load(args.model)
     value = perplexity(model, read_mono(args.input))
-    report = format_tsv(["metric", "value"], [("perplexity", fmt_float(value))])
-    _write_report([report], args.output)
+    _write_report(format_tsv(["metric", "value"], [("perplexity", fmt_float(value))]), args.output)
     return 0
 
 
@@ -264,8 +264,7 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
         except DataError as exc:
             raise line_fault(path, file_line, str(exc)) from None
     c, macro_f1 = tune_offset(scored)
-    report = format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))])
-    _write_report([report], args.output)
+    _write_report(format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output)
     return 0
 
 
@@ -276,11 +275,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    from .detect import ScoreRecord, select_extremes
+    from .detect import select_extremes
 
     if not 0 < args.ratio <= 50:
         raise UsageError(f"--ratio must be in (0, 50], got {float(args.ratio)}")
-    records = [ScoreRecord(n, score) for n, score in _read_scores(args.records)]
+    records = _read_scores(args.records)
     most_source, most_target = select_extremes(records, args.ratio)
     if not most_source:
         raise DataError(
@@ -288,7 +287,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         )
     rows = [(str(n), "most_source") for n in sorted(most_source)]
     rows += [(str(n), "most_target") for n in sorted(most_target)]
-    _write_report([format_tsv(["line_no", "group"], rows)], args.output)
+    _write_report(format_tsv(["line_no", "group"], rows), args.output)
     return 0
 
 
@@ -324,8 +323,8 @@ def _cmd_random_split(args: argparse.Namespace) -> int:
     part_a, part_b = random_split(count, fraction, args.seed)
     if not part_a:
         raise UsageError(f"--fraction {float(fraction)} of --count {count} puts no line in group a")
-    rows = [(str(n), "a" if n in part_a else "b") for n in range(1, count + 1)]
-    _write_report([format_tsv(["line_no", "group"], rows)], args.output)
+    rows = ((str(n), "a" if n in part_a else "b") for n in range(1, count + 1))
+    _write_report(format_tsv(["line_no", "group"], rows), args.output)
     return 0
 
 

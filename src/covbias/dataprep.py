@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import DEFAULT_ORIGIN_TAG, DEFAULT_SYNTHETIC_TAG  # defined at the root for the CLI
 from .corpus import OriginLabel, ParallelExample, _check_writable
 from .errors import DataError
-from .fileio import atomic_write
+from .fileio import atomic_write, format_tsv
 
 # POS tag given to a prepended marker token when the example carries
 # annotations, so the one-tag-per-token invariant survives tagging.
@@ -55,9 +55,8 @@ class ManifestEntry(NamedTuple):
 
 def manifest_to_tsv(entries: Iterable[ManifestEntry]) -> Iterator[str]:
     """The manifest's TSV lines, header first, each made as its entry is read."""
-    yield "output_line_no\tprovenance\toriginal_line_no\n"
-    for out_no, provenance, original in entries:
-        yield f"{out_no}\t{provenance}\t{original}\n"
+    rows = ((str(out_no), provenance, str(original)) for out_no, provenance, original in entries)
+    return format_tsv(("output_line_no", "provenance", "original_line_no"), rows)
 
 
 def _check_collision(

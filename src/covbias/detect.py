@@ -6,14 +6,13 @@ log-probability of the target sentence, plus a constant offset c. Positive
 scores mean source-original; zero and negative mean target-original. The
 offset is tuned on labeled data by maximizing macro-F1 over decision
 thresholds. score_pair gives the difference without c; classify adds c and
-yields ScoreRecords, whose label is derived from the score, never stored.
+yields (line_no, score) pairs, whose label is label_for(score), never stored.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
@@ -24,21 +23,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .lm import NGramModel
-
-
-class ScoreRecord(namedtuple("ScoreRecord", "line_no score")):
-    """A scored line (line_no, score); its label is always label_for(score)."""
-
-    __slots__ = ()
-
-    def __new__(cls, line_no: int, score: float) -> ScoreRecord:
-        if math.isnan(score):
-            raise ValueError(f"line {line_no}: score is NaN, which has no rank")
-        return tuple.__new__(cls, (line_no, score))
-
-    @property
-    def label(self) -> OriginLabel:
-        return label_for(self.score)
 
 
 def label_for(score: float) -> OriginLabel:
@@ -66,12 +50,12 @@ def classify(
     examples: Iterable[ParallelExample],
     offset_c: float = 0.0,
     length_normalize: bool = False,
-) -> Iterator[ScoreRecord]:
-    """Score examples in order, offset_c added, with 1-based line numbers."""
+) -> Iterator[tuple[int, float]]:
+    """(line_no, score) per example in order, offset_c added, line numbers from 1."""
     if not math.isfinite(offset_c):
         raise ValueError("offset_c must be finite")
     return (
-        ScoreRecord(n, score_pair(source_lm, target_lm, ex, length_normalize) + offset_c)
+        (n, score_pair(source_lm, target_lm, ex, length_normalize) + offset_c)
         for n, ex in enumerate(examples, 1)
     )
 
@@ -138,24 +122,28 @@ def tune_offset(
 
 
 def select_extremes(
-    records: Sequence[ScoreRecord], ratio_percent: float | Fraction
+    records: Sequence[tuple[int, float]], ratio_percent: float | Fraction
 ) -> tuple[set[int], set[int]]:
-    """(most_source line numbers, most_target line numbers).
+    """(most_source line numbers, most_target line numbers) of (line_no, score) pairs.
 
     Records are ranked once, descending by score with ties broken by smaller
     line number first; most_source is the head of that ranking, most_target
     the tail, each floor(R * N / 100) lines for R = ratio_percent in (0, 50]
-    (exact for an int, float or Fraction R), so the sets never overlap.
+    (exact for an int, float or Fraction R), so the sets never overlap. A NaN
+    score has no rank, and raises ValueError naming its line.
     """
     if not 0 < ratio_percent <= 50:
         raise ValueError(f"ratio_percent must be in (0, 50], got {ratio_percent}")
     if not records:
         raise DataError("cannot select from zero records")
+    for line_no, score in records:
+        if math.isnan(score):
+            raise ValueError(f"line {line_no}: score is NaN, which has no rank")
     num, den = ratio_percent.as_integer_ratio()
     k = num * len(records) // (100 * den)
-    ranking = sorted(records, key=lambda r: (-r.score, r.line_no))
-    most_source = {r.line_no for r in ranking[:k]}
-    most_target = {r.line_no for r in ranking[len(ranking) - k :]} if k else set()
+    ranking = sorted(records, key=lambda r: (-r[1], r[0]))
+    most_source = {line_no for line_no, _ in ranking[:k]}
+    most_target = {line_no for line_no, _ in ranking[len(ranking) - k :]} if k else set()
     return most_source, most_target
 
 

@@ -84,7 +84,7 @@ class DivergenceReport(NamedTuple):
             (word_class, fmt_float(nats), fmt_float(nats * JS_SCALE))
             for word_class, nats in zip(WORD_CLASSES, self)
         ]
-        return format_tsv(("class", "js_nats", "js_x1e5"), rows)
+        return "".join(format_tsv(("class", "js_nats", "js_x1e5"), rows))
 
 
 def divergence_report(

@@ -59,15 +59,15 @@ def atomic_write_bytes(path: str) -> AbstractContextManager[IO[bytes]]:
     return _atomic(path, "wb")
 
 
-def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """A TSV report: the header row, then one row per line, fields tab-joined.
+def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """The lines of a TSV report: the header row, then one line per row.
 
-    Every line, the last one included, ends in a newline.
+    Fields are tab-joined and every line ends in a newline. Each row is
+    formatted as it is read, so a report streams from its rows.
     """
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(row) for row in rows)
-    lines.append("")  # the final newline, without copying the joined text again
-    return "\n".join(lines)
+    yield "\t".join(header) + "\n"
+    for row in rows:
+        yield "\t".join(row) + "\n"
 
 
 def line_fault(path: str, line_no: int, problem: str) -> DataError:

@@ -42,7 +42,7 @@ class AdequacyReport(NamedTuple):
     buckets: Mapping[str, BucketStats]
 
     def to_tsv(self) -> str:
-        return format_tsv(
+        return "".join(format_tsv(
             ("bucket", "precision", "recall", "f1", "matched", "sys_count", "ref_count"),
             (
                 (
@@ -56,7 +56,7 @@ class AdequacyReport(NamedTuple):
                 )
                 for name, s in sorted(self.buckets.items())
             ),
-        )
+        ))
 
 
 def _type_buckets(

@@ -18,9 +18,9 @@ from covbias import (
     DEFAULT_CONTENT_TAGS,
     NGramModel,
     OriginLabel,
-    ScoreRecord,
     abstract_sentence,
     js,
+    label_for,
     perplexity,
     read_parallel,
     tune_offset,
@@ -106,9 +106,9 @@ def _detection(bed_dir, bed_models):
     _run(["classify", "--scores", eval_raw, "--offset-c", repr(c), "--output", records_path])
 
     rows = read_tsv(str(records_path), ["line_no", "score", "label"])
-    records = [ScoreRecord(int(row["line_no"]), float(row["score"])) for row in rows]
-    # the label column is the one a record derives from its score
-    assert [row["label"] for row in rows] == [record.label.code for record in records]
+    records = [(int(row["line_no"]), float(row["score"])) for row in rows]
+    # the label column is the one each score is labelled with
+    assert [row["label"] for row in rows] == [label_for(score).code for _, score in records]
     _detection_state.update(
         offset=c,
         records=records,
@@ -124,8 +124,8 @@ def test_criterion_1_detection_fidelity(bed_dir, bed_models):
         state = _detection(bed_dir, bed_models)
         gold = _read_gold(bed_dir.eval_gold)
         records = state["records"]
-        assert [record.line_no for record in records] == list(range(1, len(gold) + 1))
-        scores = [record.score for record in records]
+        assert [line_no for line_no, _ in records] == list(range(1, len(gold) + 1))
+        scores = [score for _, score in records]
         macro_f1 = macro_f1_at_offset(scores, [label.code for label in gold], 0.0)
         elapsed = bed_models.train_seconds + state["seconds"]
         assert macro_f1 >= 0.90, f"macro-F1 {macro_f1:.4f}"

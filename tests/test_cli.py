@@ -19,7 +19,6 @@ from covbias import cli, dataprep, lm
 from covbias import (
     NGramModel,
     OriginLabel,
-    ScoreRecord,
     divergence_report,
     perplexity,
     random_split,
@@ -286,6 +285,14 @@ def test_zero_threads_is_a_usage_error(corpus):
     )
 
 
+def test_a_thread_count_that_is_not_an_integer_is_a_usage_error(corpus, capsys):
+    argv = ["perplexity", "--model", "m.lm", "--input", str(corpus / "src.txt")]
+    assert main([*argv, "--threads", "abc"]) == 1
+    assert capsys.readouterr().err == (
+        "covbias perplexity: argument --threads: must be an integer >= 1, got 'abc'\n"
+    )
+
+
 def test_reruns_are_byte_identical(corpus):
     one = _train(corpus, "a.lm", "src.txt").read_bytes()
     two = _train(corpus, "b.lm", "src.txt").read_bytes()
@@ -380,6 +387,14 @@ def test_unknown_or_malformed_config_keys_are_usage_errors(corpus, capsys):
     malformed = corpus / "malformed.cfg"
     malformed.write_text("order: 2\n", encoding="utf-8")
     assert main(args + ["--config", str(malformed)]) == 1
+    capsys.readouterr()
+    repeated = corpus / "repeated.cfg"
+    repeated.write_text("order = 2\norder = 3\n", encoding="utf-8")
+    assert main(args + ["--config", str(repeated)]) == 1
+    assert capsys.readouterr().err == (
+        f"covbias: {repeated}: line 2: key 'order' is given more than once\n"
+    )
+    assert not (corpus / "m.lm").exists()
 
 
 _SCORE_PAIRS = ["score-pairs", "--source-model", "src.lm", "--target-model", "tgt.lm",
@@ -634,6 +649,29 @@ def test_a_report_row_fault_names_the_file_and_the_line(
 
 
 @pytest.mark.parametrize(
+    "command, rows, fault",
+    [
+        ("classify", "", "empty TSV, expected a header row"),
+        ("select", "line_no\tlabel\n1\tS\n", "missing required column(s) score"),
+        ("jsdiv-split", "line_no\tgroup\n1\ta\n2\ta\n", "expected exactly 2 group values, found 1"),
+        ("fluency", "level\tppl\nplain\t3\n", "missing level row(s): abstracted"),
+    ],
+    ids=["empty", "missing-column", "one-group", "missing-level"],
+)
+def test_a_report_file_fault_names_the_file(corpus, capsys, command, rows, fault):
+    table = corpus / "report.tsv"
+    table.write_text(rows, encoding="utf-8")
+    argv, outs = _reading_report(corpus, command, str(table))
+    assert main(argv) == 2
+    assert not any(os.path.exists(out) for out in outs)
+    assert capsys.readouterr().err == f"covbias: error: {table}: {fault}\n"
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(cli.DataError) as err:
+        cli._COMMANDS[args.command][1](args)
+    assert err.value.line_no is None
+
+
+@pytest.mark.parametrize(
     "command, rows",
     [
         ("split-finetune-selection", "line_no\tgroup\n"),
@@ -739,7 +777,7 @@ def test_exact_float_flags_come_from_config_and_keep_their_refusals(tmp_path, ca
 def test_ratio_floor_matches_fraction_arithmetic(hundredths, n):
     text = f"{hundredths // 100}.{hundredths % 100:02d}"
     ratio = cli._exact_float(text)
-    records = [ScoreRecord(i, -i) for i in range(1, n + 1)]
+    records = [(i, -i) for i in range(1, n + 1)]
     most_source, most_target = select_extremes(records, ratio)
     k = math.floor(Fraction(text) * n / 100)
     assert len(most_source) == len(most_target) == k

@@ -107,6 +107,8 @@ def test_example_is_immutable_and_validated():
         example.source = ("b",)
     with pytest.raises(DataError, match="^source has 2 tokens but 1 tags$"):
         ParallelExample(("a", "b"), ("x",), source_pos=("NOUN",))
+    with pytest.raises(DataError, match="^target has 2 tokens but 1 tags$"):
+        ParallelExample(("a",), ("b", "c"), None, ("X",))
 
 
 def test_origin_label_codes():

@@ -11,7 +11,6 @@ from covbias import (
     NGramModel,
     OriginLabel,
     ParallelExample,
-    ScoreRecord,
     classify,
     label_for,
     score_pair,
@@ -54,8 +53,9 @@ def test_offset_is_added_after_normalization(uniform_pair):
     src_lm, tgt_lm = uniform_pair
     example = ParallelExample(("a",), ("b", "c"))
     for normalize in (False, True):
-        (record,) = classify(src_lm, tgt_lm, [example], 1.25, length_normalize=normalize)
-        assert record.score == score_pair(src_lm, tgt_lm, example, normalize) + 1.25
+        ((line_no, score),) = classify(src_lm, tgt_lm, [example], 1.25, length_normalize=normalize)
+        assert line_no == 1
+        assert score == score_pair(src_lm, tgt_lm, example, normalize) + 1.25
 
 
 def test_swapping_models_and_sides_negates_the_score(uniform_pair):
@@ -75,16 +75,6 @@ def test_label_boundary_zero_is_target_original():
     assert label_for(-1.0) is T
 
 
-def test_score_record_label_follows_score():
-    assert ScoreRecord(1, 0.0).label is T
-    assert ScoreRecord(1, -0.0).label is T
-    assert ScoreRecord(1, 0.5).label is S
-    assert ScoreRecord(1, 2.0).label is S
-    # a label that disagrees with the score can no longer be given
-    with pytest.raises(TypeError):
-        ScoreRecord(1, 0.0, S)
-
-
 def test_classify_rejects_non_finite_offset(uniform_pair):
     src_lm, tgt_lm = uniform_pair
     examples = [ParallelExample(("a",), ("b",))]
@@ -101,11 +91,10 @@ def test_classify_numbers_lines_from_one(uniform_pair):
         ParallelExample(("a", "a", "a"), ("b",)),  # long source: negative score
     ]
     records = list(classify(src_lm, tgt_lm, examples))
-    assert [r.line_no for r in records] == [1, 2]
-    assert records[0].label is S
-    assert records[1].label is T
-    for record, example in zip(records, examples):
-        assert record.score == score_pair(src_lm, tgt_lm, example)
+    assert [line_no for line_no, _ in records] == [1, 2]
+    assert records[0][1] > 0 > records[1][1]
+    for (_, score), example in zip(records, examples):
+        assert score == score_pair(src_lm, tgt_lm, example)
 
 
 def test_tune_offset_separable_case():
@@ -224,7 +213,7 @@ def test_tuned_offset_is_the_best_partition_at_every_magnitude(data, scores):
 
 
 def _records(scores):
-    return [ScoreRecord(i, s) for i, s in enumerate(scores, 1)]
+    return list(enumerate(scores, 1))
 
 
 def test_select_extremes_takes_both_ends():
@@ -264,13 +253,13 @@ def test_select_extremes_never_overlaps_and_ignores_input_order():
 @pytest.mark.parametrize("nan_line", [1, 2])
 def test_nan_scores_are_rejected_before_ranking(nan_line):
     # (1.0, 2.0, -1.0) with a NaN on line 1 or 2: ranked, the NaN would land
-    # on an arbitrary end, so the record itself refuses it.
+    # on an arbitrary end, so select_extremes refuses it before ranking.
     scores = [1.0, 2.0, -1.0]
     scores.insert(nan_line - 1, math.nan)
-    with pytest.raises(ValueError, match="NaN"):
-        _records(scores)
-    with pytest.raises(ValueError, match="NaN"):
-        ScoreRecord(nan_line, math.nan)
+    message = rf"^line {nan_line}: score is NaN, which has no rank$"
+    for ratio in (25, 50):
+        with pytest.raises(ValueError, match=message):
+            select_extremes(_records(scores), ratio)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import types
 from pathlib import Path
 
 import covbias
-from covbias import NGramModel, OriginLabel, write_mono, write_parallel
+from covbias import NGramModel, write_mono, write_parallel
 
 from synthbed import make_testbed
 
@@ -74,10 +74,10 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     namespace = {"src_sentences": bed.src_mono, "held_out_sentences": bed.src_heldout}
     exec(compile(_library_section(code=True), str(README), "exec"), namespace)
     records = namespace["records"]
-    assert [r.line_no for r in records] == list(range(1, len(bed.pairs) + 1))
+    assert [line_no for line_no, _ in records] == list(range(1, len(bed.pairs) + 1))
     assert len(namespace["most_source"]) == len(namespace["most_target"]) == 4
     tagged = [ex.source[0] == "<TORIG>" for ex in namespace["tagged"]]
-    assert tagged == [r.label is OriginLabel.TARGET_ORIGINAL for r in records]
+    assert tagged == [score <= 0 for _, score in records]
     assert namespace["ppl"] > 1
 
 
