@@ -31,8 +31,7 @@ _EXPORTS = {
         "read_parallel", "write_mono", "write_parallel",
     ),
     "dataprep": (
-        "ManifestEntry", "bias_tag", "detag", "finetune_split", "manifest_to_tsv",
-        "merge_augment",
+        "ManifestEntry", "bias_tag", "detag", "finetune_split", "merge_augment",
     ),
     "detect": ("classify", "label_for", "score_pair", "select_extremes", "tune_offset"),
     "divergence": (
@@ -40,7 +39,7 @@ _EXPORTS = {
         "read_word_classes",
     ),
     "errors": ("DataError", "FormatError"),
-    "fmeasure": ("AdequacyReport", "BucketStats", "word_fmeasure"),
+    "fmeasure": ("BucketStats", "word_fmeasure"),
     "lm": ("LmScore", "NGramModel", "perplexity"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

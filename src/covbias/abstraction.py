@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .corpus import PosAnnotation, Sentence, read_tagged, write_mono
 from .errors import DataError
-from .fileio import fmt_float, format_tsv
 from .lm import NGramModel, _perplexity
 
 
@@ -67,32 +66,10 @@ def abstract_corpus(
 
 
 class FluencyReport(NamedTuple):
-    """Perplexities of system output, plain and abstracted.
-
-    diff_* fields are signed relative changes against a baseline report
-    ((ours - baseline) / baseline), or None when no baseline was given.
-    """
+    """Perplexities of system output, plain and abstracted."""
 
     ppl_plain: float
     ppl_abstracted: float
-    diff_plain: float | None = None
-    diff_abstracted: float | None = None
-
-    def to_tsv(self) -> str:
-        def diff_cell(value: float | None) -> str:
-            return "-" if value is None else fmt_float(value)
-
-        return "".join(format_tsv(
-            ("level", "ppl", "diff"),
-            [
-                ("plain", fmt_float(self.ppl_plain), diff_cell(self.diff_plain)),
-                (
-                    "abstracted",
-                    fmt_float(self.ppl_abstracted),
-                    diff_cell(self.diff_abstracted),
-                ),
-            ],
-        ))
 
 
 def fluency_report(
@@ -103,7 +80,6 @@ def fluency_report(
     content_tags: frozenset[str],
     tag_prefix: str = "",
     tag_suffix: str = "",
-    baseline: FluencyReport | None = None,
 ) -> FluencyReport:
     """Score outputs with a plain LM and their abstraction with an abstracted LM.
 
@@ -123,12 +99,6 @@ def fluency_report(
         score = abstracted_lm.logprob(abstracted)
         abstracted_total += score.total_logprob
         abstracted_events += score.token_count
-    ppl_plain = _perplexity(plain_total, plain_events)
-    ppl_abstracted = _perplexity(abstracted_total, abstracted_events)
-    diff_plain = diff_abstracted = None
-    if baseline is not None:
-        diff_plain = (ppl_plain - baseline.ppl_plain) / baseline.ppl_plain
-        diff_abstracted = (
-            ppl_abstracted - baseline.ppl_abstracted
-        ) / baseline.ppl_abstracted
-    return FluencyReport(ppl_plain, ppl_abstracted, diff_plain, diff_abstracted)
+    return FluencyReport(
+        _perplexity(plain_total, plain_events), _perplexity(abstracted_total, abstracted_events)
+    )

@@ -38,7 +38,7 @@ from .fileio import atomic_write, fmt_float, format_tsv, line_fault, read_sectio
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .abstraction import FluencyReport
+    from .corpus import ParallelExample
 
 VERSION_LINE = f"covbias {__version__} (model format {MODEL_FORMAT_VERSION})"
 
@@ -115,6 +115,11 @@ def _write_report(lines: Iterable[str], output: str | None) -> None:
             handle.writelines(lines)
 
 
+def _write_manifest(entries: Iterable[tuple[int, str, int]], path: str) -> None:
+    rows = ((str(out_no), provenance, str(original)) for out_no, provenance, original in entries)
+    _write_report(format_tsv(("output_line_no", "provenance", "original_line_no"), rows), path)
+
+
 def _content_tags(path: str | None) -> frozenset[str]:
     from .divergence import DEFAULT_CONTENT_TAGS, read_word_classes
 
@@ -185,6 +190,17 @@ def _read_groups(path: str, allowed: tuple[str, ...] = ()) -> dict[str, set[int]
             raise line_fault(path, file_line, message)
         groups.setdefault(row["group"], set()).add(line_no)
     return groups
+
+
+def _read_untagged(source: str, target: str, token: str | None) -> Iterator[ParallelExample]:
+    """read_parallel's pairs; a side that holds token is a fault naming its file and line."""
+    from .corpus import read_parallel
+
+    for line_no, example in enumerate(read_parallel(source, target), 1):
+        for path, side in ((source, example.source), (target, example.target)):
+            if token in side:
+                raise line_fault(path, line_no, f"corpus already contains the tag token {token!r}")
+        yield example
 
 
 def _labelled_scores(
@@ -293,22 +309,25 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_jsdiv(args: argparse.Namespace) -> int:
     from .corpus import read_parallel
-    from .divergence import divergence_report
+    from .divergence import JS_SCALE, WORD_CLASSES, divergence_report
 
+    pos = args.source_pos if args.side == "source" else args.target_pos
+    if not pos:
+        raise UsageError(f"--side {args.side} needs --{args.side}-pos")
     groups = _read_groups(args.split)
     if len(groups) != 2:
         raise DataError(f"{args.split}: expected exactly 2 group values, found {len(groups)}")
     partition_a, partition_b = (groups[name] for name in sorted(groups))
-    examples = read_parallel(
-        args.source,
-        args.target,
-        args.source_pos if args.source_pos and args.side == "source" else None,
-        args.target_pos if args.target_pos and args.side == "target" else None,
-    )
+    source_pos, target_pos = (pos, None) if args.side == "source" else (None, pos)
+    examples = read_parallel(args.source, args.target, source_pos, target_pos)
     report = divergence_report(
         examples, partition_a, partition_b, args.side, _content_tags(args.word_classes)
     )
-    _write_report([report.to_tsv()], args.output)
+    rows = (
+        (word_class, fmt_float(nats), fmt_float(nats * JS_SCALE))
+        for word_class, nats in zip(WORD_CLASSES, report)
+    )
+    _write_report(format_tsv(("class", "js_nats", "js_x1e5"), rows), args.output)
     return 0
 
 
@@ -338,13 +357,15 @@ def _cmd_fmeasure(args: argparse.Namespace) -> int:
         buckets = {name: frozenset(tags) for name, tags in sections.items()}
     else:
         buckets = dict(DEFAULT_BUCKETS)
-    report = word_fmeasure(
+    stats = word_fmeasure(
         (ex.source for ex in hyp),
         (ex.target for ex in ref),
         (ex.target_pos for ex in ref_pos),
         buckets,
     )
-    _write_report([report.to_tsv()], args.output)
+    rows = ((name, *map(fmt_float, s[:3]), *map(str, s[3:])) for name, s in sorted(stats.items()))
+    header = ("bucket", "precision", "recall", "f1", "matched", "sys_count", "ref_count")
+    _write_report(format_tsv(header, rows), args.output)
     return 0
 
 
@@ -358,9 +379,8 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_fluency_baseline(path: str) -> FluencyReport:
-    from .abstraction import FluencyReport
-
+def _read_fluency_baseline(path: str) -> dict[str, float]:
+    """{level: ppl} of a fluency report, one plain and one abstracted row."""
     by_level = {}
     for file_line, row in enumerate(read_tsv(path, ["level", "ppl"]), 2):
         level = row["level"]
@@ -375,7 +395,7 @@ def _read_fluency_baseline(path: str) -> FluencyReport:
     missing = {"plain", "abstracted"} - set(by_level)
     if missing:
         raise DataError(f"{path}: missing level row(s): {', '.join(sorted(missing))}")
-    return FluencyReport(by_level["plain"], by_level["abstracted"])
+    return by_level
 
 
 def _cmd_fluency(args: argparse.Namespace) -> int:
@@ -396,14 +416,17 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
         content_tags=content_tags,
         tag_prefix=args.tag_prefix,
         tag_suffix=args.tag_suffix,
-        baseline=baseline,
     )
-    _write_report([report.to_tsv()], args.output)
+    rows = []
+    for level, ppl in zip(("plain", "abstracted"), report):
+        diff = fmt_float((ppl - baseline[level]) / baseline[level]) if baseline else "-"
+        rows.append((level, fmt_float(ppl), diff))
+    _write_report(format_tsv(("level", "ppl", "diff"), rows), args.output)
     return 0
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
-    from .corpus import read_parallel, write_parallel
+    from .corpus import write_parallel
     from .dataprep import bias_tag
     from .detect import label_for
 
@@ -413,15 +436,24 @@ def _cmd_tag(args: argparse.Namespace) -> int:
             message = f"expected line_no {expected} in order, got {line_no}"
             raise line_fault(args.records, expected + 1, message)
         labels.append(label_for(score))
-    examples = read_parallel(args.source, args.target)
-    tagged = bias_tag(examples, labels, args.tag_token)
-    write_parallel(tagged, args.out_source, args.out_target)
+    records, source = args.records, args.source
+
+    def examples() -> Iterator[ParallelExample]:  # one per record, or a fault naming both files
+        n = 0
+        for n, example in enumerate(_read_untagged(source, args.target, args.tag_token), 1):
+            if n > len(labels):
+                raise DataError(f"{records} ended at line_no {n} but {source} continues", n)
+            yield example
+        if n < len(labels):
+            raise DataError(f"{source} ended at line {n + 1} but {records} continues", n + 1)
+
+    write_parallel(bias_tag(examples(), labels, args.tag_token), args.out_source, args.out_target)
     return 0
 
 
 def _cmd_split_finetune(args: argparse.Namespace) -> int:
     from .corpus import OriginLabel, read_parallel
-    from .dataprep import finetune_split, manifest_to_tsv
+    from .dataprep import finetune_split
     from .detect import label_for
 
     if bool(args.records) == bool(args.selection):
@@ -439,20 +471,19 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
     pretrain = (args.out_pretrain_source, args.out_pretrain_target)
     finetune = (args.out_finetune_source, args.out_finetune_target)
     manifest = finetune_split(examples, lines, pretrain, finetune)
-    _write_report(manifest_to_tsv(manifest), args.manifest)
+    _write_manifest(manifest, args.manifest)
     return 0
 
 
 def _cmd_merge_augment(args: argparse.Namespace) -> int:
-    from .corpus import read_parallel
-    from .dataprep import manifest_to_tsv, merge_augment
+    from .dataprep import merge_augment
 
-    authentic = read_parallel(args.authentic_source, args.authentic_target)
-    synthetic = read_parallel(args.synthetic_source, args.synthetic_target)
+    authentic = _read_untagged(args.authentic_source, args.authentic_target, args.tag_token)
+    synthetic = _read_untagged(args.synthetic_source, args.synthetic_target, args.tag_token)
     manifest = merge_augment(
         authentic, synthetic, args.out_source, args.out_target, args.tag_token, args.seed
     )
-    _write_report(manifest_to_tsv(manifest), args.manifest)
+    _write_manifest(manifest, args.manifest)
     return 0
 
 

@@ -3,10 +3,10 @@
 A distribution is a {token: count} map over one side of a corpus, read as
 unsmoothed relative frequencies, optionally restricted to content words (by
 POS tag) or function words (the complement). Divergences are in natural log
-units, so js() is bounded by ln 2; the jsdiv report (DivergenceReport.to_tsv)
-also gives each value multiplied by JS_SCALE = 1e5, convenient for comparing
-very close distributions. Summation uses math.fsum over a sorted token order,
-which makes js exactly symmetric and exactly zero on identical inputs.
+units, so js() is bounded by ln 2; the jsdiv report also gives each value
+multiplied by JS_SCALE = 1e5, convenient for comparing very close
+distributions. Summation uses math.fsum over a sorted token order, which
+makes js exactly symmetric and exactly zero on identical inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import ParallelExample
 from .errors import DataError
-from .fileio import fmt_float, format_tsv, read_section_file
+from .fileio import read_section_file
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -78,13 +78,6 @@ class DivergenceReport(NamedTuple):
     js_all: float
     js_content: float
     js_function: float
-
-    def to_tsv(self) -> str:
-        rows = [
-            (word_class, fmt_float(nats), fmt_float(nats * JS_SCALE))
-            for word_class, nats in zip(WORD_CLASSES, self)
-        ]
-        return "".join(format_tsv(("class", "js_nats", "js_x1e5"), rows))
 
 
 def divergence_report(

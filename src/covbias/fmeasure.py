@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .corpus import PosAnnotation, Sentence
 from .errors import DataError
-from .fileio import fmt_float, format_tsv
 
 DEFAULT_BUCKETS: dict[str, frozenset[str]] = {
     "noun": frozenset({"NOUN"}),
@@ -36,27 +35,6 @@ class BucketStats(NamedTuple):
     matched: int
     sys_count: int
     ref_count: int
-
-
-class AdequacyReport(NamedTuple):
-    buckets: Mapping[str, BucketStats]
-
-    def to_tsv(self) -> str:
-        return "".join(format_tsv(
-            ("bucket", "precision", "recall", "f1", "matched", "sys_count", "ref_count"),
-            (
-                (
-                    name,
-                    fmt_float(s.precision),
-                    fmt_float(s.recall),
-                    fmt_float(s.f1),
-                    str(s.matched),
-                    str(s.sys_count),
-                    str(s.ref_count),
-                )
-                for name, s in sorted(self.buckets.items())
-            ),
-        ))
 
 
 def _type_buckets(
@@ -106,7 +84,7 @@ def word_fmeasure(
     ref: Iterable[Sentence],
     ref_pos: Iterable[PosAnnotation],
     buckets: Mapping[str, frozenset[str]] | None = None,
-) -> AdequacyReport:
+) -> dict[str, BucketStats]:
     """Clipped bag-of-words precision/recall/F1 per POS bucket, in one pass.
 
     The three inputs are read once, in lock-step. Per token type the pass
@@ -153,4 +131,4 @@ def word_fmeasure(
             else 0.0
         )
         stats[name] = BucketStats(precision, recall, f1, m, s, r)
-    return AdequacyReport(stats)
+    return stats

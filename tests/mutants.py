@@ -77,6 +77,57 @@ MUTANTS = (
         "",
         ("tests/test_cli.py::test_unknown_or_malformed_config_keys_are_usage_errors",),
     ),
+    Mutant(
+        "fluency-diff-over-the-new-ppl",
+        "src/covbias/cli.py",
+        "(ppl - baseline[level]) / baseline[level]",
+        "(ppl - baseline[level]) / ppl",
+        ("tests/test_cli.py::test_fluency_diffs_are_relative_to_the_baseline",),
+    ),
+    Mutant(
+        "fallback-discount-0.7",
+        "src/covbias/lm.py",
+        "_FALLBACK_DISCOUNT = 0.75",
+        "_FALLBACK_DISCOUNT = 0.7",
+        (
+            "tests/test_lm.py::test_discount_fallback_when_counts_are_one_sided",
+            "tests/test_lm.py::test_train_matches_the_tuple_estimator_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "select_extremes-float-floor",
+        "src/covbias/detect.py",
+        "k = num * len(records) // (100 * den)",
+        "k = int(ratio_percent * len(records) / 100)",
+        ("tests/test_detect.py::test_select_extremes_floors_a_float_ratio_at_its_binary_value",),
+    ),
+    Mutant(
+        "tune_offset-mid-not-strictly-between",
+        "src/covbias/detect.py",
+        "mid if lo < mid < hi else lo",
+        "mid",
+        (
+            "tests/test_detect.py::test_tune_offset_is_exact_at_extreme_magnitudes[rounded]",
+            "tests/test_detect.py::test_tuned_offset_is_the_best_partition_at_every_magnitude",
+        ),
+    ),
+    Mutant(
+        "contexts_index-interns-a-zero",
+        "src/covbias/lm.py",
+        "    if 0.0 not in values:\n",
+        "    if True:\n",
+        ("tests/test_lm.py::test_the_index_keeps_signed_zero_weights_and_contexts_without_events",),
+    ),
+    Mutant(
+        "column-get-misses-the-last-row",
+        "src/covbias/lm.py",
+        "values[i] if i < rows and keys[i] == key else None",
+        "values[i] if i < rows - 1 and keys[i] == key else None",
+        (
+            "tests/test_lm.py::test_every_lookup_path_matches_the_tuple_oracle_bit_for_bit[switch]",
+            "tests/test_lm.py::test_hand_built_uniform_model_scores_uniformly",
+        ),
+    ),
 )
 
 

@@ -305,7 +305,7 @@ def test_criterion_7_fmeasure_matches_bruteforce_oracle():
             expected = bruteforce_fmeasure(hyp, ref, ref_pos, buckets)
             got = word_fmeasure(hyp, ref, ref_pos, buckets)
             for name in buckets:
-                assert tuple(got.buckets[name]) == expected[name], name
+                assert tuple(got[name]) == expected[name], name
 
 
 def _partition_gap(train_lm, own_held, other_held):

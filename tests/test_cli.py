@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 import covbias
 from covbias import cli, dataprep, lm
 from covbias import (
+    DataError,
     NGramModel,
     OriginLabel,
     divergence_report,
+    fluency_report,
     perplexity,
     random_split,
     read_parallel,
@@ -29,6 +31,7 @@ from covbias import (
     write_parallel,
 )
 from covbias.cli import VERSION_LINE, main
+from covbias.corpus import read_tagged
 from covbias.fileio import fmt_float
 from synthbed import make_testbed
 
@@ -506,6 +509,8 @@ def _reading_report(corpus, command, table):
     split += ["--out-finetune-source", outs[2], "--out-finetune-target", outs[3]]
     split += ["--manifest", outs[4]]
     output = ["--output", outs[0]]
+    pos = corpus / "src.pos"
+    pos.write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
     argv = {
         "classify": ["classify", "--scores", table, *output],
         "select": ["select", "--records", table, "--ratio", "50", *output],
@@ -513,13 +518,13 @@ def _reading_report(corpus, command, table):
             "tag", *pairs, "--records", table, "--out-source", outs[0], "--out-target", outs[1]
         ],
         "split-finetune-records": ["split-finetune", *pairs, "--records", table, *split],
-        "jsdiv-split": ["jsdiv", *pairs, "--side", "source", "--split", table, *output],
+        "jsdiv-split": [
+            "jsdiv", *pairs, "--side", "source", "--source-pos", str(pos), "--split", table, *output
+        ],
         "split-finetune-selection": ["split-finetune", *pairs, "--selection", table, *split],
         "tune-offset": ["tune-offset", "--input", table, *output],
     }
     if command == "fluency":
-        pos = corpus / "src.pos"
-        pos.write_text("DET NOUN VERB\n" * 4, encoding="utf-8")
         model = str(_train(corpus, "plain.lm", "src.txt"))
         return [
             "fluency", "--input", str(corpus / "src.txt"), "--pos", str(pos), "--plain-lm", model,
@@ -838,23 +843,34 @@ def test_jsdiv_report(corpus, capsys):
     assert float(rows["all"][1]) == float(rows["all"][0]) * 1e5
 
 
-def test_jsdiv_needs_pos_for_the_scored_side(corpus):
+def test_jsdiv_report_tsv_layout(corpus, capsys):
+    # "der" is a function word on every line and the nouns differ by group:
+    # content JS is ln 2, function JS 0, and over all words ln 2 / 2
+    (corpus / "a.src").write_text("der hund\nder katze\n", encoding="utf-8")
+    (corpus / "a.pos").write_text("DET NOUN\nDET NOUN\n", encoding="utf-8")
+    (corpus / "a.tgt").write_text("x\ny\n", encoding="utf-8")
     split = corpus / "split.tsv"
     split.write_text("line_no\tgroup\n1\ta\n2\tb\n", encoding="utf-8")
-    code = main(
-        [
-            "jsdiv",
-            "--source",
-            str(corpus / "src.txt"),
-            "--target",
-            str(corpus / "tgt.txt"),
-            "--side",
-            "source",
-            "--split",
-            str(split),
-        ]
-    )
-    assert code == 2  # missing annotations are a data problem
+    argv = ["jsdiv", "--source", str(corpus / "a.src"), "--target", str(corpus / "a.tgt"),
+            "--side", "source", "--source-pos", str(corpus / "a.pos"), "--split", str(split)]
+    assert main(argv) == 0
+    half, ln2 = math.log(2) / 2, math.log(2)
+    assert capsys.readouterr().out.splitlines() == [
+        "class\tjs_nats\tjs_x1e5",
+        f"all\t{fmt_float(half)}\t{fmt_float(half * 1e5)}",
+        f"content\t{fmt_float(ln2)}\t{fmt_float(ln2 * 1e5)}",
+        "function\t0\t0",
+    ]
+
+
+def test_jsdiv_needs_pos_for_the_scored_side(corpus, capsys):
+    # a missing flag is a usage error, refused before any file is opened
+    missing = str(corpus / "missing")
+    for side, other in (("source", "target"), ("target", "source")):
+        argv = ["jsdiv", "--source", missing, "--target", missing, "--side", side,
+                f"--{other}-pos", missing, "--split", missing]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"covbias: --side {side} needs --{side}-pos\n"
 
 
 def test_fmeasure_report_matches_library(corpus, capsys):
@@ -878,13 +894,32 @@ def test_fmeasure_report_matches_library(corpus, capsys):
         )
         == 0
     )
-    got = capsys.readouterr().out
-    expected = word_fmeasure(
+    lines = capsys.readouterr().out.splitlines()
+    stats = word_fmeasure(
         [("the", "dog", "runs")],
         [("the", "dog", "sleeps")],
         [("DET", "NOUN", "VERB")],
-    ).to_tsv()
-    assert got == expected
+    )
+    assert [line.split("\t")[0] for line in lines[1:]] == sorted(stats)
+    for line in lines[1:]:
+        name, *cells = line.split("\t")
+        assert [*map(float, cells[:3]), *map(int, cells[3:])] == list(stats[name])
+
+
+def test_fmeasure_report_tsv_layout(corpus, capsys):
+    # ref "a a b" / hyp "a b b": 2 of 3 tokens match; rows in bucket-name order
+    for name, text in (("hyp", "a b b"), ("ref", "a a b"), ("ref.pos", "NOUN NOUN NOUN")):
+        (corpus / name).write_text(text + "\n", encoding="utf-8")
+    argv = ["fmeasure", "--hyp", str(corpus / "hyp"), "--ref", str(corpus / "ref"),
+            "--ref-pos", str(corpus / "ref.pos")]
+    assert main(argv) == 0
+    third = format(2 / 3, ".17g")
+    assert capsys.readouterr().out.splitlines() == [
+        "bucket\tprecision\trecall\tf1\tmatched\tsys_count\tref_count",
+        "adj\t0\t0\t0\t0\t0\t0",
+        f"noun\t{third}\t{third}\t{third}\t2\t3\t3",
+        "verb\t0\t0\t0\t0\t0\t0",
+    ]
 
 
 def test_fmeasure_custom_buckets(corpus, capsys):
@@ -954,7 +989,8 @@ def test_fluency_refuses_a_bad_tag_affix_before_reading_the_models(corpus, capsy
     assert capsys.readouterr().err == "covbias: tag prefix/suffix must not contain whitespace\n"
 
 
-def test_fluency_report_with_baseline(corpus, capsys):
+def _fluency_argv(corpus):
+    """A fluency run over src.txt, with models trained on it and on its abstraction."""
     pos = corpus / "src.pos"
     pos.write_text(
         "DET NOUN VERB\nDET NOUN VERB\nDET NOUN VERB\nDET NOUN VERB\n",
@@ -977,7 +1013,7 @@ def test_fluency_report_with_baseline(corpus, capsys):
     )
     plain_lm = _train(corpus, "plain.lm", "src.txt")
     abstracted_lm = _train(corpus, "abs.lm", "abstracted.txt")
-    base_args = [
+    return [
         "fluency",
         "--input",
         str(corpus / "src.txt"),
@@ -988,6 +1024,46 @@ def test_fluency_report_with_baseline(corpus, capsys):
         "--abstracted-lm",
         str(abstracted_lm),
     ]
+
+
+def _fluency_ppls(argv):
+    """The (plain, abstracted) perplexities that the library gives the run argv."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    return fluency_report(
+        read_tagged(flags["--input"], flags["--pos"]),
+        plain_lm=NGramModel.load(flags["--plain-lm"]),
+        abstracted_lm=NGramModel.load(flags["--abstracted-lm"]),
+        content_tags=covbias.DEFAULT_CONTENT_TAGS,
+    )
+
+
+def test_fluency_tsv_uses_dash_for_missing_diffs(corpus, capsys):
+    argv = _fluency_argv(corpus)
+    assert main(argv) == 0
+    plain, abstracted = _fluency_ppls(argv)
+    assert capsys.readouterr().out.splitlines() == [
+        "level\tppl\tdiff",
+        f"plain\t{fmt_float(plain)}\t-",
+        f"abstracted\t{fmt_float(abstracted)}\t-",
+    ]
+
+
+def test_fluency_diffs_are_relative_to_the_baseline(corpus, capsys):
+    argv = _fluency_argv(corpus)
+    baseline = corpus / "baseline.tsv"
+    baseline.write_text("level\tppl\nplain\t2.0\nabstracted\t4.0\n", encoding="utf-8")
+    assert main(argv + ["--baseline", str(baseline)]) == 0
+    plain, abstracted = _fluency_ppls(argv)
+    assert plain not in (2.0, 4.0) and abstracted not in (2.0, 4.0)
+    assert capsys.readouterr().out.splitlines() == [
+        "level\tppl\tdiff",
+        f"plain\t{fmt_float(plain)}\t{fmt_float((plain - 2.0) / 2.0)}",
+        f"abstracted\t{fmt_float(abstracted)}\t{fmt_float((abstracted - 4.0) / 4.0)}",
+    ]
+
+
+def test_fluency_report_with_baseline(corpus, capsys):
+    base_args = _fluency_argv(corpus)
     baseline_path = corpus / "baseline.tsv"
     assert main(base_args + ["--output", str(baseline_path)]) == 0
     baseline_lines = baseline_path.read_text(encoding="utf-8").splitlines()
@@ -1230,6 +1306,66 @@ def test_merge_augment_tag_collision_is_a_data_error(corpus):
         ]
     )
     assert code == 2
+
+
+def _fails_naming(corpus, capsys, argv, message, line_no, outputs):
+    """argv exits 2 with message, writes none of outputs, and its DataError has line_no."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"covbias: error: {message}\n"
+    assert not any((corpus / name).exists() for name in outputs)
+    with pytest.raises(DataError) as err:
+        cli._COMMANDS[argv[0]][1](cli._build_parser().parse_args(argv))
+    assert err.value.line_no == line_no
+
+
+def test_tag_faults_name_the_file_and_the_line(corpus, capsys):
+    records = corpus / "records.tsv"
+    src, tgt = str(corpus / "src.txt"), str(corpus / "tgt.txt")
+    poisoned = corpus / "poisoned.tgt"
+    poisoned.write_text("a\nb <TORIG>\nc\nd\n", encoding="utf-8")
+    cases = [  # records rows, target file, message, line_no
+        (2, tgt, f"{records} ended at line_no 3 but {src} continues", 3),
+        (5, tgt, f"{src} ended at line 5 but {records} continues", 5),
+        (4, str(poisoned), f"{poisoned}: line 2: corpus already contains the tag token '<TORIG>'", 2),
+    ]
+    for rows, target, message, line_no in cases:
+        records.write_text(
+            "line_no\tscore\n" + "".join(f"{n}\t-1\n" for n in range(1, rows + 1)), "utf-8"
+        )
+        argv = ["tag", "--source", src, "--target", target, "--records", str(records),
+                "--out-source", str(corpus / "o.src"), "--out-target", str(corpus / "o.tgt")]
+        _fails_naming(corpus, capsys, argv, message, line_no, ["o.src", "o.tgt"])
+
+
+def test_merge_augment_collision_names_the_file_and_the_line(corpus, capsys):
+    # line 2 of the authentic corpus is clean; the synthetic target's is not
+    synthetic = corpus / "syn.tgt"
+    synthetic.write_text("a\nb <BT>\nc\nd\n", encoding="utf-8")
+    src, tgt = str(corpus / "src.txt"), str(corpus / "tgt.txt")
+    argv = ["merge-augment", "--authentic-source", src, "--authentic-target", tgt,
+            "--synthetic-source", src, "--synthetic-target", str(synthetic),
+            "--tag-token", "<BT>", "--out-source", str(corpus / "m.src"),
+            "--out-target", str(corpus / "m.tgt"), "--manifest", str(corpus / "m.tsv")]
+    message = f"{synthetic}: line 2: corpus already contains the tag token '<BT>'"
+    _fails_naming(corpus, capsys, argv, message, 2, ["m.src", "m.tgt", "m.tsv"])
+
+
+def test_manifest_tsv_layout(corpus):
+    (corpus / "syn.src").write_text("hallo\n", encoding="utf-8")
+    (corpus / "syn.tgt").write_text("hello\n", encoding="utf-8")
+    manifest = corpus / "m.tsv"
+    argv = ["merge-augment", "--authentic-source", str(corpus / "src.txt"),
+            "--authentic-target", str(corpus / "tgt.txt"),
+            "--synthetic-source", str(corpus / "syn.src"),
+            "--synthetic-target", str(corpus / "syn.tgt"),
+            "--out-source", str(corpus / "m.src"), "--out-target", str(corpus / "m.tgt"),
+            "--manifest", str(manifest)]
+    assert main(argv) == 0
+    assert manifest.read_text(encoding="utf-8") == (
+        "output_line_no\tprovenance\toriginal_line_no\n"
+        "1\tauthentic\t1\n2\tauthentic\t2\n3\tauthentic\t3\n4\tauthentic\t4\n"
+        "5\tsynthetic\t1\n"
+    )
 
 
 def test_float_cells_round_trip_through_the_report(corpus, capsys):

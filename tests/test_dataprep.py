@@ -12,7 +12,6 @@ from covbias import (
     bias_tag,
     detag,
     finetune_split,
-    manifest_to_tsv,
     merge_augment,
     read_parallel,
     write_parallel,
@@ -246,8 +245,3 @@ def test_merge_manifest_partitions_the_output(tmp_path):
     for entry in manifest:
         pool = authentic if entry.provenance == "authentic" else synthetic
         assert merged[entry.output_line_no - 1] == pool[entry.original_line_no - 1]
-
-
-def test_manifest_tsv_layout():
-    tsv = "".join(manifest_to_tsv([ManifestEntry(1, "authentic", 7)]))
-    assert tsv == "output_line_no\tprovenance\toriginal_line_no\n1\tauthentic\t7\n"

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -229,6 +230,14 @@ def test_select_extremes_floors_the_count():
     assert len(most_source) == len(most_target) == 2
     assert most_source == {1, 2}
     assert most_target == {4, 5}
+
+
+def test_select_extremes_floors_a_float_ratio_at_its_binary_value():
+    # 0.3 is stored as 0.29999999999999998890, so 1,000 records give
+    # floor(2.9999999999999998890) = 2 lines; float arithmetic rounds it to 3
+    records = _records([float(n) for n in range(1000)])
+    assert [len(side) for side in select_extremes(records, 0.3)] == [2, 2]
+    assert [len(side) for side in select_extremes(records, Fraction(3, 10))] == [3, 3]
 
 
 def test_select_extremes_breaks_score_ties_by_line_number():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from covbias import (
     DEFAULT_CONTENT_TAGS,
     DataError,
-    DivergenceReport,
     ParallelExample,
     divergence_report,
     js,
@@ -160,15 +159,6 @@ def test_divergence_report_needs_pos_on_every_partition_line():
     # a line in neither partition needs no tags
     trimmed = divergence_report(examples, {1}, {2}, "source")
     assert trimmed == divergence_report(_report_examples(), {1}, {2}, "source")
-
-
-def test_divergence_report_tsv_layout():
-    report = DivergenceReport(js_all=0.5, js_content=0.25, js_function=0.0)
-    lines = report.to_tsv().splitlines()
-    assert lines[0] == "class\tjs_nats\tjs_x1e5"
-    assert lines[1] == "all\t0.5\t50000"
-    assert lines[2] == "content\t0.25\t25000"
-    assert lines[3] == "function\t0\t0"
 
 
 def test_random_split_is_deterministic_and_covering():

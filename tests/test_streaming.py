@@ -135,7 +135,7 @@ def test_merge_augment_collision_on_the_last_synthetic_line_writes_nothing(
     (root / "syn.tgt").write_bytes((root / "c.tgt").read_bytes())
     (root / "syn.src").write_text((root / "c.src").read_text("utf-8")[:-1] + " <BT>\n", "utf-8")
     argv = _argv("merge-augment", root, "c", synthetic="syn") + seed
-    message = f"line {n}: corpus already contains the tag token '<BT>'"
+    message = f"{root / 'syn.src'}: line {n}: corpus already contains the tag token '<BT>'"
     _fails_leaving_nothing(root, argv, message, capsys)
 
 
