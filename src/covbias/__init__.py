@@ -30,9 +30,7 @@ _EXPORTS = {
         "OriginLabel", "ParallelExample", "PosAnnotation", "Sentence", "read_mono",
         "read_parallel", "write_mono", "write_parallel",
     ),
-    "dataprep": (
-        "ManifestEntry", "bias_tag", "detag", "finetune_split", "merge_augment",
-    ),
+    "dataprep": ("ManifestEntry", "bias_tag", "finetune_split", "merge_augment"),
     "detect": ("classify", "label_for", "score_pair", "select_extremes", "tune_offset"),
     "divergence": (
         "DEFAULT_CONTENT_TAGS", "DivergenceReport", "divergence_report", "js", "random_split",

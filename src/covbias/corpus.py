@@ -67,9 +67,8 @@ def _empty_line(path: str, line_no: int) -> NoReturn:
 
 def read_mono(path: str) -> Iterator[Sentence]:
     """Stream one Sentence per line. Blank lines are data errors, not skips."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, 1):
-            yield tuple(raw.split()) or _empty_line(path, line_no)
+    for line_no, (raw,) in _read_lines([path]):
+        yield tuple(raw.split()) or _empty_line(path, line_no)
 
 
 def _read_tags(raw: str, tokens: Sentence, path: str, line_no: int) -> PosAnnotation:
@@ -88,11 +87,13 @@ _END = object()
 def _read_lines(paths: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Walk files in lock-step, yielding (line_no, one raw line per file).
 
-    The first file, in argument order, to run out raises DataError
-    naming that file and the first line it lacks.
+    Lines end at "\n" only, as the writers end them, so a lone "\r" is
+    whitespace inside a line and "\r\n" ends one. The first file, in
+    argument order, to run out raises DataError naming that file and the
+    first line it lacks.
     """
     with ExitStack() as stack:
-        handles = [stack.enter_context(open(p, "r", encoding="utf-8")) for p in paths]
+        handles = [stack.enter_context(open(p, encoding="utf-8", newline="\n")) for p in paths]
         for line_no, raws in enumerate(zip_longest(*handles, fillvalue=_END), 1):
             if _END in raws:
                 raise DataError(

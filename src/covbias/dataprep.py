@@ -71,7 +71,7 @@ def bias_tag(
     """Prepend the tag token to the source side of target-original pairs.
 
     Labels align 1:1 with examples; a corpus that already contains the tag
-    token anywhere raises DataError so detagging stays unambiguous. A bad
+    token anywhere raises DataError so tagging stays reversible. A bad
     tag token raises ValueError at the call, before any line is read.
     """
     _check_tag_token(tag_token)
@@ -92,24 +92,6 @@ def _tag_lines(
         _check_collision(example, tag_token, line_no)
         if label is OriginLabel.TARGET_ORIGINAL:
             yield _prepend_marker(example, tag_token)
-        else:
-            yield example
-
-
-def detag(
-    examples: Iterable[ParallelExample], tag_token: str = DEFAULT_ORIGIN_TAG
-) -> Iterator[ParallelExample]:
-    """Strip one leading tag token from each tagged source side (inverse of bias_tag)."""
-    _check_tag_token(tag_token)
-    for example in examples:
-        if example.source and example.source[0] == tag_token:
-            pos = example.source_pos
-            yield ParallelExample(
-                example.source[1:],
-                example.target,
-                pos[1:] if pos is not None else None,
-                example.target_pos,
-            )
         else:
             yield example
 

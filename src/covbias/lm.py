@@ -118,42 +118,12 @@ class LmScore(NamedTuple):
 class NGramModel:
     """An immutable trained model: lookup tables plus metadata.
 
+    A model comes from train or load; there is no public constructor.
     logprobs maps full n-gram id tuples (any length 1..order) to natural-log
     conditional probabilities; backoffs maps context id tuples (length
     1..order-1) to natural-log backoff weights. Both are read-only views
     decoded from the tables on every access, at O(rows) per access.
     """
-
-    def __init__(
-        self,
-        order: int,
-        tokens: Sequence[str],
-        logprobs: Mapping[tuple[int, ...], float],
-        backoffs: Mapping[tuple[int, ...], float] | None = None,
-        *,
-        train_token_count: int | None = None,
-        discounts: Sequence[float] | None = None,
-    ):
-        """Raise ValueError on a bad-length or unknown-id n-gram, or as _check_model does."""
-        _check_order(order)
-        tokens = tuple(tokens)
-        vocab_size = len(tokens)
-        lp, bo = [{} for _ in range(order + 1)], [{} for _ in range(order + 1)]
-        for tables, grams, top, what in (
-            (lp, logprobs, order, "n-gram"),
-            (bo, backoffs or {}, order - 1, "backoff context"),
-        ):
-            for gram, value in grams.items():
-                if not 1 <= len(gram) <= top:
-                    raise ValueError(f"{what} {gram} does not fit order {order}")
-                if any(not 0 <= i < vocab_size for i in gram):
-                    raise ValueError(f"{what} {gram}: token id out of range")
-                tables[len(gram)][_pack(gram, vocab_size)] = value
-            for k, table in enumerate(tables):
-                keys = sorted(table)
-                tables[k] = _column(keys, map(table.__getitem__, keys), vocab_size**k)
-        _check_model(tokens, lp, bo, train_token_count, discounts)
-        self._trusted(order, tokens, lp, bo, train_token_count, discounts)
 
     def _trusted(
         self,
@@ -164,12 +134,12 @@ class NGramModel:
         train_token_count: int | None,
         discounts: Sequence[float] | None,
     ) -> "NGramModel":
-        """Take columns that are valid by construction, with no copy and no check; return self.
+        """Take valid columns, with no copy and no check; return self.
 
         lp[k] and bo[k] are the _Columns of the k-id keys (see the module
         docstring); lp[0], bo[0] and bo[order] are empty. The model takes
-        ownership of the lists and columns. train and load call it on
-        cls.__new__(cls), __init__ once its checks pass.
+        ownership of the lists and columns. train, whose columns are valid by
+        construction, and load, once its checks pass, call it on cls.__new__(cls).
         """
         self.order = order
         self.id_to_token: tuple[str, ...] = tuple(tokens)
@@ -301,7 +271,7 @@ class NGramModel:
         bo.append(_EMPTY)
 
         # Valid by construction (keys strictly increasing, ids from the vocabulary,
-        # values finite and <= 0); property tests pass them through __init__.
+        # values finite and <= 0); property tests pass them through load.
         model = cls.__new__(cls)
         return model._trusted(order, id_to_token, lp, bo, sum(map(len, sentences)), discounts[1:])
 
@@ -412,13 +382,13 @@ class NGramModel:
                 reader.left = left
                 _check_vocabulary(tokens)
                 reader.base = base
-                lp, bo, meta = _read_v2(reader, order)
+                lp, bo, (token_count, discounts) = _read_v2(reader, order)
                 if reader.left:
                     raise reader.fail("trailing bytes after the last table")
-                _check_model(tokens, lp, bo, *meta)
+                _check_model(lp, bo, base, discounts)
             except ValueError as exc:
                 raise reader.fail(str(exc)) from exc
-        return cls.__new__(cls)._trusted(order, tokens, lp, bo, *meta)
+        return cls.__new__(cls)._trusted(order, tokens, lp, bo, token_count, discounts)
 
 
 def _walk(levels: Sequence[tuple], base: int, history: int, wid: int) -> float:
@@ -680,32 +650,23 @@ def _check_vocabulary(tokens: Sequence[str]) -> None:
         raise ValueError("duplicate token in vocabulary")
 
 
-def _check_model(
-    tokens: Sequence[str],
-    lp: _Tables,
-    bo: _Tables,
-    train_token_count: int | None,
-    discounts: Sequence[float] | None,
-) -> None:
-    """Raise ValueError unless columns and metadata form a valid model.
+def _check_model(lp: _Tables, bo: _Tables, base: int, discounts: Sequence[float] | None) -> None:
+    """Raise ValueError unless the columns and discounts of a model file form a valid model.
 
-    lp and bo are _Columns as _trusted takes them, of a checked order, whose
-    keys are known to strictly increase and to be n-grams of ids below
-    len(tokens). The faults, each named in the message (a table fault with
-    its table and n-gram, as in "order-2 events (3, 2): log-probability nan
-    is not finite and <= 0"):
-    - a vocabulary that does not start with <unk> <s> </s>, or repeats a token;
+    load calls it on what it read: columns of a checked order whose keys
+    strictly increase and are n-grams of ids below base, the size of a
+    checked vocabulary, and one discount per order. The faults, each named
+    in the message (a table fault with its table and n-gram, as in "order-2
+    events (3, 2): log-probability nan is not finite and <= 0"):
     - an event log-probability that is NaN, infinite or above 0;
     - a backoff weight that is NaN or infinite;
     - an id other than <s> without a unigram, or a unigram for <s>;
-    - a token count that is not an int in 0..2**64-1;
-    - discounts that are not one finite value per order.
+    - a discount that is not finite.
     A float sum is finite only when every term is, so one C-level sum (and a
     max over events) clears a table; a table that fails it is searched row by
     row, to name the first faulty row or to find that the sum only overflowed.
     """
-    _check_vocabulary(tokens)
-    base, order = len(tokens), len(lp) - 1
+    order = len(lp) - 1
     for k in range(1, order + 1):
         values = lp[k].values()
         if not (math.isfinite(sum(values)) and max(values, default=0.0) <= 0.0):
@@ -726,13 +687,7 @@ def _check_model(
         present = set(unigrams)
         missing = next(i for i in range(base) if i != BOS_ID and i not in present)
         raise ValueError(f"missing unigram entry for token id {missing}")
-    if train_token_count is not None and not (
-        isinstance(train_token_count, int) and 0 <= train_token_count < 1 << 64
-    ):
-        raise ValueError(f"train_token_count {train_token_count!r} is not an int in 0..2**64-1")
-    if discounts is not None and not (
-        len(discounts) == order and all(map(math.isfinite, discounts))
-    ):
+    if discounts is not None and not all(map(math.isfinite, discounts)):
         raise ValueError(f"discounts {tuple(discounts)} are not {order} finite values")
 
 

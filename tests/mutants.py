@@ -128,6 +128,37 @@ MUTANTS = (
             "tests/test_lm.py::test_hand_built_uniform_model_scores_uniformly",
         ),
     ),
+    Mutant(
+        "load-skips-check_model",
+        "src/covbias/lm.py",
+        "                _check_model(lp, bo, base, discounts)\n",
+        "",
+        ("tests/test_lm.py::test_load_rejects_invalid_models",),
+    ),
+    Mutant(
+        "index-drops-a-row",
+        "src/covbias/lm.py",
+        "lp[k] = dict(zip(lp[k].keys(), lp[k].values()))",
+        "lp[k] = dict(zip(lp[k].keys()[1:], lp[k].values()[1:]))",
+        (
+            "tests/test_lm.py::test_scoring_builds_the_index_after_one_event_per_12_rows",
+            "tests/test_lm.py::test_the_index_keeps_signed_zero_weights_and_contexts_without_events",
+        ),
+    ),
+    Mutant(
+        "random_split-float-floor",
+        "src/covbias/divergence.py",
+        "k = num * n_lines // den",
+        "k = int(fraction * n_lines)",
+        ("tests/test_divergence.py::test_random_split_floors_a_float_fraction_at_its_binary_value",),
+    ),
+    Mutant(
+        "backoff-weight-regrouped",
+        "src/covbias/lm.py",
+        "weights = list(map(truediv, map(mul, repeat(dk), types), totals))",
+        "weights = list(map(mul, repeat(dk), map(truediv, types, totals)))",
+        ("tests/test_lm.py::test_train_matches_the_tuple_estimator_bit_for_bit",),
+    ),
 )
 
 
@@ -155,9 +186,12 @@ def run(mutant: Mutant) -> list[str]:
         path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
         # wide columns, so that no summary line is cut short
         env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1", COLUMNS="10000")
+        # Plain asserts: a failing assert still fails its test, and with no
+        # bytecode written, rewriting them (the plugins' modules too) costs
+        # about 2 s a run.
         child = subprocess.run(
-            [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q", "--tb=no", "-rf",
-             *mutant.tests],
+            [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "--assert=plain", "-q",
+             "--tb=no", "-rf", *mutant.tests],
             cwd=root, env=env, capture_output=True, text=True, check=False,
         )
     if child.returncode not in (0, 1):  # 2 and up: interrupted, a usage error, no tests

@@ -8,6 +8,9 @@ independent derivations of the same quantity.
 from __future__ import annotations
 
 import math
+import os
+import struct
+import tempfile
 from collections import Counter
 
 
@@ -158,6 +161,53 @@ def tuple_word_logprob(order, token_ids, logprobs, backoffs, context, word):
     ids = tuple(token_ids.get(t, 0) for t in kept)
     return tuple_event_logprob(logprobs, backoffs, ids, token_ids.get(word, 0))
 
+
+def model_bytes(order, tokens, logprobs, backoffs=None, *, train_token_count=None, discounts=None):
+    """The bytes of a format-2 model file (see the lm module docstring) of id-tuple keyed tables.
+
+    logprobs maps n-grams of 1..order ids and backoffs maps contexts of
+    1..order-1 ids; a context needs no event of its own, and an n-gram of
+    another length is not written. A token may be bytes, written as they
+    are. Nothing is checked, so any fault can be written. Each table goes in
+    key order; a key column is u64 when V**k <= 2**64 and otherwise
+    big-endian in the fewest bytes that hold V**k - 1.
+    """
+    vocab_size = len(tokens)
+    out = bytearray(b"NGLM" + struct.pack("<HHI", 2, order, vocab_size))
+    for token in tokens:
+        raw = token if isinstance(token, bytes) else token.encode("utf-8")
+        out += struct.pack("<I", len(raw)) + raw
+    flags = (train_token_count is not None) | (discounts is not None) << 1
+    out += struct.pack("<BQ", flags, train_token_count or 0)
+    out += struct.pack(f"<{order}d", *discounts or [0.0] * order)
+
+    def packed(gram):  # the ids as base-V digits, oldest most significant
+        return sum(i * vocab_size**e for e, i in enumerate(reversed(gram)))
+
+    for k in range(1, order + 1):
+        span = vocab_size**k
+        for grams in [logprobs, backoffs or {}] if k < order else [logprobs]:
+            table = sorted((packed(gram), value) for gram, value in grams.items() if len(gram) == k)
+            keys = [key for key, _ in table]
+            out += struct.pack("<I", len(table))
+            if span <= 2**64:
+                out += struct.pack(f"<{len(keys)}Q", *keys)
+            else:
+                width = ((span - 1).bit_length() + 7) // 8
+                out += b"".join(key.to_bytes(width, "big") for key in keys)
+            out += struct.pack(f"<{len(table)}d", *(value for _, value in table))
+    return bytes(out)
+
+
+def build_model(order, tokens, logprobs, backoffs=None, **meta):
+    """NGramModel.load of the model_bytes of the same arguments, written to a temporary file."""
+    from covbias import NGramModel  # imported here, as the benchmark loads this file by path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.lm")
+        with open(path, "wb") as handle:
+            handle.write(model_bytes(order, tokens, logprobs, backoffs, **meta))
+        return NGramModel.load(path)
 
 
 def tuple_train(corpus, order, min_count):

@@ -16,18 +16,16 @@ import numpy as np
 
 from covbias import (
     DEFAULT_CONTENT_TAGS,
+    DEFAULT_ORIGIN_TAG,
     NGramModel,
     OriginLabel,
     abstract_sentence,
     js,
     label_for,
     perplexity,
-    read_parallel,
     tune_offset,
     word_fmeasure,
-    write_parallel,
 )
-from covbias.dataprep import detag
 from covbias.cli import main as cli_main
 from covbias.fileio import read_tsv
 from covbias.lm import BOS
@@ -373,16 +371,11 @@ def test_criterion_9_data_prep_integrity(bed_dir, bed_models):
         with open(bed_dir.eval_tgt, "rb") as handle:
             assert tagged_tgt.read_bytes() == handle.read()
 
-        recovered_src, recovered_tgt = root / "recovered.src", root / "recovered.tgt"
-        write_parallel(
-            detag(read_parallel(str(tagged_src), str(tagged_tgt))),
-            str(recovered_src),
-            str(recovered_tgt),
-        )
+        # dropping the leading tag from each tagged line gives the input bytes back
+        prefix = DEFAULT_ORIGIN_TAG.encode("utf-8") + b" "
+        lines = tagged_src.read_bytes().splitlines(keepends=True)
         with open(bed_dir.eval_src, "rb") as handle:
-            assert recovered_src.read_bytes() == handle.read()
-        with open(bed_dir.eval_tgt, "rb") as handle:
-            assert recovered_tgt.read_bytes() == handle.read()
+            assert b"".join(line.removeprefix(prefix) for line in lines) == handle.read()
 
         # -- fine-tuning split sizes match the extreme selection --------------
         selection = root / "sel50.tsv"

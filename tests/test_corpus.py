@@ -59,6 +59,19 @@ def test_read_parallel_pairs_lines(tmp_path):
     assert examples[0].source_pos is None
 
 
+def test_a_bare_carriage_return_is_whitespace_inside_a_line(tmp_path):
+    r"""Lines end at "\n" only, so pairs stay aligned; "\r\n" ends a line as "\n" does."""
+    sources = [("a", "b", "b", "a"), ("a", "a", "b")]
+    targets = [("x", "y"), ("y", "x", "x", "x", "y")]
+    for stem, newline in (("lf", b"\n"), ("crlf", b"\r\n")):
+        src, tgt = tmp_path / f"{stem}.src", tmp_path / f"{stem}.tgt"
+        src.write_bytes(b"a b\rb a\na a b\n".replace(b"\n", newline))
+        tgt.write_bytes(b"x y\ny x\rx x y\n".replace(b"\n", newline))
+        examples = list(read_parallel(str(src), str(tgt)))
+        assert [(e.source, e.target) for e in examples] == list(zip(sources, targets))
+        assert list(read_mono(str(src))) == sources
+
+
 def test_read_parallel_line_count_mismatch_names_line(tmp_path):
     src = tmp_path / "s.txt"
     tgt = tmp_path / "t.txt"

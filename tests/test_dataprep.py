@@ -3,6 +3,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covbias import (
     DataError,
@@ -10,7 +12,6 @@ from covbias import (
     OriginLabel,
     ParallelExample,
     bias_tag,
-    detag,
     finetune_split,
     merge_augment,
     read_parallel,
@@ -73,15 +74,12 @@ def test_tag_keeps_pos_annotations_aligned():
 
 def test_custom_tag_token(tmp_path):
     (tagged,) = bias_tag([_examples()[1]], [T], "<ORIG=T>")
-    assert tagged.source[0] == "<ORIG=T>"
-    assert list(detag([tagged], "<ORIG=T>")) == [_examples()[1]]
+    assert tagged.source == ("<ORIG=T>", "hallo")
     message = "^tag token must be non-empty and whitespace-free$"
     for bad in ("", "a b", "a\tb"):
         # bias_tag refuses it when called, before it reads a line
         with pytest.raises(ValueError, match=message):
             bias_tag(_examples(), [S, T, S], bad)
-        with pytest.raises(ValueError, match=message):
-            list(detag(_examples(), bad))
         with pytest.raises(ValueError, match=message):
             merge_augment(_examples(), _examples(), *_paths(tmp_path, "m"), tag_token=bad)
     assert list(tmp_path.iterdir()) == []
@@ -112,26 +110,41 @@ def test_tag_label_length_mismatch_both_directions():
     assert err.value.line_no == 4
 
 
-def test_detag_inverts_tagging():
-    labels = [S, T, S]
-    tagged = list(bias_tag(_examples(), labels))
-    assert list(detag(tagged)) == _examples()
+_words = st.lists(st.sampled_from(["hallo", "welt", "good", "X"]), min_size=1, max_size=4)
 
 
-def test_detag_strips_at_most_one_leading_tag():
-    doubled = ParallelExample((DEFAULT_ORIGIN_TAG, DEFAULT_ORIGIN_TAG, "x"), ("y",))
-    (stripped,) = detag([doubled])
-    assert stripped.source == (DEFAULT_ORIGIN_TAG, "x")
-    untouched = ParallelExample(("x", DEFAULT_ORIGIN_TAG), ("y",))
-    assert list(detag([untouched])) == [untouched]
+@st.composite
+def _examples_with_labels(draw):
+    examples = []
+    for source, target in draw(st.lists(st.tuples(_words, _words), max_size=6)):
+        if draw(st.booleans()):
+            tags = st.sampled_from(["NOUN", "VERB", MARKER_POS_TAG])
+            source_pos = tuple(draw(tags) for _ in source)
+            target_pos = tuple(draw(tags) for _ in target)
+            examples.append(ParallelExample(tuple(source), tuple(target), source_pos, target_pos))
+        else:
+            examples.append(ParallelExample(tuple(source), tuple(target)))
+    labels = [draw(st.sampled_from([S, T])) for _ in examples]
+    return examples, labels
 
 
-def test_detag_restores_pos_annotations():
-    examples = [
-        ParallelExample(("hallo",), ("hello",), source_pos=("INTJ",))
-    ]
-    tagged = list(bias_tag(examples, [T]))
-    assert list(detag(tagged)) == examples
+@settings(max_examples=60, deadline=None)
+@given(_examples_with_labels())
+def test_tagging_is_reversible(examples_and_labels):
+    """A T line without its first source token and that token's tag is its input; an S line is."""
+    examples, labels = examples_and_labels
+    tagged = list(bias_tag(examples, labels))
+    assert len(tagged) == len(examples)
+    for example, label, line in zip(examples, labels, tagged):
+        if label is S:
+            assert line == example
+            continue
+        assert line.source[0] == DEFAULT_ORIGIN_TAG
+        pos = line.source_pos
+        if pos is not None:
+            assert pos[0] == MARKER_POS_TAG
+            pos = pos[1:]
+        assert ParallelExample(line.source[1:], line.target, pos, line.target_pos) == example
 
 
 def test_tag_detag_file_round_trip_is_byte_exact(tmp_path):
@@ -144,11 +157,11 @@ def test_tag_detag_file_round_trip_is_byte_exact(tmp_path):
     src_tag, tgt_tag = str(tmp_path / "tag.src"), str(tmp_path / "tag.tgt")
     write_parallel(tagged, src_tag, tgt_tag)
 
-    back = detag(read_parallel(src_tag, tgt_tag))
-    src_out, tgt_out = str(tmp_path / "out.src"), str(tmp_path / "out.tgt")
-    write_parallel(back, src_out, tgt_out)
-    assert Path(src_out).read_bytes() == raw_src
-    assert Path(tgt_out).read_bytes() == raw_tgt
+    # dropping the tag and its space from the tagged lines gives the input bytes back
+    prefix = DEFAULT_ORIGIN_TAG.encode("utf-8") + b" "
+    lines = Path(src_tag).read_bytes().splitlines(keepends=True)
+    assert [line.startswith(prefix) for line in lines] == [True, False, True]
+    assert b"".join(line.removeprefix(prefix) for line in lines) == raw_src
     assert Path(tgt_tag).read_bytes() == raw_tgt  # targets never change
 
 

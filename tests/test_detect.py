@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from covbias import (
     DataError,
-    NGramModel,
     OriginLabel,
     ParallelExample,
     classify,
@@ -20,7 +19,7 @@ from covbias import (
 )
 from covbias.lm import BOS, EOS, UNK
 
-from oracles import macro_f1_at_offset
+from oracles import build_model, macro_f1_at_offset
 
 S = OriginLabel.SOURCE_ORIGINAL
 T = OriginLabel.TARGET_ORIGINAL
@@ -31,7 +30,7 @@ def _uniform_model(vocab):
     tokens = (UNK, BOS, EOS) + tuple(vocab)
     lp = math.log(1.0 / (len(tokens) - 1))
     table = {(i,): lp for i in range(len(tokens)) if i != 1}
-    return NGramModel(1, tokens, table)
+    return build_model(1, tokens, table)
 
 
 @pytest.fixture(scope="module")

@@ -178,6 +178,13 @@ def test_random_split_floors_the_first_share():
     assert len(b) == 4
 
 
+def test_random_split_floors_a_float_fraction_at_its_binary_value():
+    # 0.7 is stored as 0.69999999999999995559, so 10 lines give
+    # floor(6.9999999999999995559) = 6 lines; float arithmetic rounds it to 7
+    a, b = random_split(10, 0.7, seed=1)
+    assert (len(a), len(b)) == (6, 4)
+
+
 def test_random_split_rejects_bad_arguments():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError, match=rf"^fraction must be in \(0, 1\), got {bad}$"):

@@ -20,7 +20,13 @@ from covbias import (
 )
 from covbias.cli import main as cli_main
 from covbias.lm import BOS, BOS_ID, EOS, UNK
-from oracles import tuple_sentence_logprob, tuple_train, tuple_word_logprob
+from oracles import (
+    build_model,
+    model_bytes,
+    tuple_sentence_logprob,
+    tuple_train,
+    tuple_word_logprob,
+)
 from synthbed import make_testbed
 
 # Hand-computed reference values, worked from the closed-form estimator
@@ -85,7 +91,7 @@ def test_perplexity_matches_hand_computation():
 
 def test_hand_built_uniform_model_scores_uniformly():
     third = math.log(1.0 / 3.0)
-    model = NGramModel(1, (UNK, BOS, EOS, "a"), {(0,): third, (2,): third, (3,): third})
+    model = build_model(1, (UNK, BOS, EOS, "a"), {(0,): third, (2,): third, (3,): third})
     got = model.logprob(("a", "a", "q")).total_logprob
     assert math.isclose(got, 4 * third, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(perplexity(model, [("a",), ("q", "a")]), 3.0, rel_tol=0, abs_tol=1e-12)
@@ -95,8 +101,8 @@ def test_hand_built_uniform_model_scores_uniformly():
 def test_a_perplexity_beyond_the_float_range_is_a_data_error(tmp_path, capsys, command):
     """exp(1000) overflows a float: exit 2, no output and no traceback."""
     model = tmp_path / "steep.lm"
-    NGramModel(1, (UNK, BOS, EOS, "a"), {(0,): -1000.0, (2,): -1000.0, (3,): -1000.0}).save(
-        str(model)
+    model.write_bytes(
+        model_bytes(1, (UNK, BOS, EOS, "a"), {(0,): -1000.0, (2,): -1000.0, (3,): -1000.0})
     )
     text, pos, out = tmp_path / "in.txt", tmp_path / "in.pos", tmp_path / "out.tsv"
     text.write_text("a\n", encoding="utf-8")
@@ -249,14 +255,14 @@ def test_retraining_is_deterministic(tmp_path):
 
 
 @pytest.fixture
-def model_bytes(tmp_path):
+def trained_bytes(tmp_path):
     path = tmp_path / "valid.lm"
     _model_abba().save(str(path))
     return path.read_bytes()
 
 
-def test_load_rejects_bad_magic(tmp_path, model_bytes):
-    raw = bytearray(model_bytes)
+def test_load_rejects_bad_magic(tmp_path, trained_bytes):
+    raw = bytearray(trained_bytes)
     raw[:4] = b"XGLM"
     path = tmp_path / "bad.lm"
     path.write_bytes(bytes(raw))
@@ -275,9 +281,9 @@ def _assert_perplexity_refuses(tmp_path, capsys, model, problem):
 
 
 @pytest.mark.parametrize("version", [1, MODEL_FORMAT_VERSION + 1])
-def test_load_rejects_other_format_versions(tmp_path, capsys, model_bytes, version):
+def test_load_rejects_other_format_versions(tmp_path, capsys, trained_bytes, version):
     """Only the current format loads: a version-1 model must be retrained."""
-    raw = bytearray(model_bytes)
+    raw = bytearray(trained_bytes)
     raw[4:6] = struct.pack("<H", version)
     path = tmp_path / "other.lm"
     path.write_bytes(bytes(raw))
@@ -288,13 +294,13 @@ def test_load_rejects_other_format_versions(tmp_path, capsys, model_bytes, versi
     _assert_perplexity_refuses(tmp_path, capsys, path, problem)
 
 
-def test_load_rejects_truncation_and_trailing_bytes(tmp_path, model_bytes):
+def test_load_rejects_truncation_and_trailing_bytes(tmp_path, trained_bytes):
     short = tmp_path / "short.lm"
-    short.write_bytes(model_bytes[:-3])
+    short.write_bytes(trained_bytes[:-3])
     with pytest.raises(FormatError):
         NGramModel.load(str(short))
     long = tmp_path / "long.lm"
-    long.write_bytes(model_bytes + b"\x00")
+    long.write_bytes(trained_bytes + b"\x00")
     with pytest.raises(FormatError):
         NGramModel.load(str(long))
 
@@ -335,71 +341,41 @@ def test_trained_models_score_finitely_and_round_trip(tmp_path_factory, corpus, 
 # -- the model-file boundary ---------------------------------------------------
 
 
-def _encode_v2(order, tokens, tables, discounts=None):
-    """Format-2 bytes built by hand: tables[k-1] lists (gram, logprob, backoff) rows.
-
-    Every row is an event, and a row below the top order with a backoff weight
-    is also a context; each table goes in key order. A key column is u64 when
-    V**k <= 2**64 and otherwise big-endian in the fewest bytes that hold V**k - 1.
-    """
-    vocab_size = len(tokens)
-    out = bytearray(b"NGLM" + struct.pack("<HHI", 2, order, vocab_size))
-    for token in tokens:
-        raw = token if isinstance(token, bytes) else token.encode("utf-8")
-        out += struct.pack("<I", len(raw)) + raw
-    out += struct.pack("<BQ", 0 if discounts is None else 2, 0)
-    out += struct.pack(f"<{order}d", *discounts or [0.0] * order)
-
-    def packed(gram):  # the ids as base-V digits, oldest most significant
-        return sum(i * vocab_size**e for e, i in enumerate(reversed(gram)))
-
-    for k, rows in enumerate(tables, 1):
-        span = vocab_size**k
-        events = sorted((packed(gram), logprob) for gram, logprob, _ in rows)
-        contexts = sorted((packed(gram), backoff) for gram, _, backoff in rows if backoff)
-        for table in [events, contexts] if k < order else [events]:
-            keys = [key for key, _ in table]
-            out += struct.pack("<I", len(table))
-            if span <= 2**64:
-                out += struct.pack(f"<{len(keys)}Q", *keys)
-            else:
-                width = ((span - 1).bit_length() + 7) // 8
-                out += b"".join(key.to_bytes(width, "big") for key in keys)
-            out += struct.pack(f"<{len(table)}d", *(value for _, value in table))
-    return bytes(out)
-
-
 _HALF = math.log(0.5)
 _THIRD = math.log(1 / 3)
 _VOCAB = (UNK, BOS, EOS, "a")
-_UNIGRAMS = [((0,), _THIRD, 0.0), ((2,), _THIRD, 0.0), ((3,), _THIRD, -0.5)]
-_BIGRAMS = [((3, 2), _HALF, 0.0)]
+_UNIGRAMS = {(0,): _THIRD, (2,): _THIRD, (3,): _THIRD}
+_LOGPROBS = {**_UNIGRAMS, (3, 2): _HALF}
+_BACKOFFS = {(3,): -0.5}
 
 
 def test_hand_encoded_model_loads(tmp_path):
     path = tmp_path / "ok.lm"
-    path.write_bytes(_encode_v2(2, _VOCAB, [_UNIGRAMS, _BIGRAMS]))
+    path.write_bytes(model_bytes(2, _VOCAB, _LOGPROBS, _BACKOFFS))
     model = NGramModel.load(str(path))
     assert model.logprobs[(3, 2)] == _HALF
     assert dict(model.backoffs) == {(3,): -0.5}
     assert model.logprob(("a",)).total_logprob == _THIRD + _HALF
 
 
+# model_bytes arguments of files that load refuses
 _REJECTED = {
-    "nan backoff": (2, _VOCAB, [_UNIGRAMS[:2] + [((3,), _THIRD, math.nan)], _BIGRAMS]),
-    "inf backoff": (2, _VOCAB, [_UNIGRAMS[:2] + [((3,), _THIRD, math.inf)], _BIGRAMS]),
-    "-inf backoff": (2, _VOCAB, [_UNIGRAMS[:2] + [((3,), _THIRD, -math.inf)], _BIGRAMS]),
-    "nan logprob": (2, _VOCAB, [_UNIGRAMS, [((3, 2), math.nan, 0.0)]]),
-    "inf logprob": (2, _VOCAB, [_UNIGRAMS, [((3, 2), math.inf, 0.0)]]),
-    "positive logprob": (2, _VOCAB, [_UNIGRAMS, [((3, 2), 0.25, 0.0)]]),
-    "id beyond vocabulary": (2, _VOCAB, [_UNIGRAMS, [((3, 4), _HALF, 0.0)]]),
-    "missing unigram": (2, _VOCAB, [_UNIGRAMS[:2], _BIGRAMS]),
-    "mass on <s>": (2, _VOCAB, [_UNIGRAMS + [((1,), _THIRD, 0.0)], _BIGRAMS]),
-    "order 0": (0, _VOCAB, []),
-    "order 7": (7, _VOCAB, [_UNIGRAMS] + [[]] * 6),
-    "reserved symbols missing": (1, (UNK, EOS, BOS, "a"), [_UNIGRAMS]),
-    "duplicate token": (1, _VOCAB + ("a",), [_UNIGRAMS + [((4,), _THIRD, 0.0)]]),
-    "token not UTF-8": (1, (UNK, BOS, EOS, b"\xff\xfe"), [_UNIGRAMS]),
+    "nan backoff": (2, _VOCAB, _LOGPROBS, {(3,): math.nan}),
+    "inf backoff": (2, _VOCAB, _LOGPROBS, {(3,): math.inf}),
+    "-inf backoff": (2, _VOCAB, _LOGPROBS, {(3,): -math.inf}),
+    "nan logprob": (2, _VOCAB, {**_LOGPROBS, (3, 2): math.nan}, _BACKOFFS),
+    "inf logprob": (2, _VOCAB, {**_LOGPROBS, (3, 2): math.inf}, _BACKOFFS),
+    "positive logprob": (2, _VOCAB, {**_LOGPROBS, (3, 2): 0.25}, _BACKOFFS),
+    "id beyond vocabulary": (2, _VOCAB, {**_UNIGRAMS, (3, 4): _HALF}, _BACKOFFS),
+    "missing unigram": (2, _VOCAB, {(0,): _THIRD, (2,): _THIRD, (3, 2): _HALF}),
+    "mass on <s>": (2, _VOCAB, {**_LOGPROBS, (1,): _THIRD}, _BACKOFFS),
+    "order 0": (0, _VOCAB, {}),
+    "order 7": (7, _VOCAB, _UNIGRAMS, _BACKOFFS),
+    "reserved symbols missing": (1, (UNK, EOS, BOS, "a"), _UNIGRAMS),
+    "reserved symbols out of place": (1, (UNK, BOS, "a", EOS), _UNIGRAMS),
+    "duplicate token": (1, _VOCAB + ("a",), {**_UNIGRAMS, (4,): _THIRD}),
+    "repeated token": (1, _VOCAB + (EOS,), {**_UNIGRAMS, (4,): _THIRD}),
+    "token not UTF-8": (1, (UNK, BOS, EOS, b"\xff\xfe"), _UNIGRAMS),
 }
 
 
@@ -420,7 +396,6 @@ _PROBLEMS = {
     "reserved symbols missing": "vocabulary must start with ('<unk>', '<s>', '</s>')",
     "duplicate token": "duplicate token in vocabulary",
     "token not UTF-8": "token 3 is not valid UTF-8",
-    # the vocabulary faults of the constructor test below
     "reserved symbols out of place": "vocabulary must start with ('<unk>', '<s>', '</s>')",
     "repeated token": "duplicate token in vocabulary",
 }
@@ -429,94 +404,55 @@ _PROBLEMS = {
 @pytest.mark.parametrize("case", sorted(_REJECTED))
 def test_load_rejects_invalid_models(tmp_path, case):
     path = tmp_path / "bad.lm"
-    path.write_bytes(_encode_v2(*_REJECTED[case]))
+    path.write_bytes(model_bytes(*_REJECTED[case]))
     with pytest.raises(FormatError) as err:
         NGramModel.load(str(path))
     assert str(err.value) == f"{path}: {_PROBLEMS[case]}"
 
 
-def _construct(order, tokens, tables, **meta):
-    logprobs = {gram: logprob for rows in tables for gram, logprob, _ in rows}
-    backoffs = {gram: backoff for rows in tables for gram, _, backoff in rows if backoff}
-    return NGramModel(order, tokens, logprobs, backoffs, **meta)
-
-
 def test_format_2_encoder_matches_save(tmp_path):
-    rows = [_UNIGRAMS, _BIGRAMS]
-    model = _construct(2, _VOCAB, rows, discounts=(0.5, 0.25))
-    model.save(str(tmp_path / "m.lm"))
-    assert (tmp_path / "m.lm").read_bytes() == _encode_v2(2, _VOCAB, rows, (0.5, 0.25))
-
-
-_TABLE_FAULTS = [
-    "nan backoff", "inf backoff", "-inf backoff", "nan logprob", "inf logprob",
-    "positive logprob", "id beyond vocabulary", "missing unigram", "mass on <s>",
-]
-# vocabulary faults, with tables that have no other fault (no top-order backoff)
-_PLAIN_UNIGRAMS = [((0,), _THIRD, 0.0), ((2,), _THIRD, 0.0), ((3,), _THIRD, 0.0)]
-_VOCABULARY_FAULTS = {
-    "reserved symbols out of place": (1, (UNK, EOS, BOS, "a"), [_PLAIN_UNIGRAMS]),
-    "repeated token": (1, _VOCAB + ("a",), [_PLAIN_UNIGRAMS + [((4,), _THIRD, 0.0)]]),
-}
-_REJECTED_BOTH_WAYS = {
-    **{case: _REJECTED[case] for case in _TABLE_FAULTS},
-    **_VOCABULARY_FAULTS,
-}
-
-
-@pytest.mark.parametrize("case", sorted(_REJECTED_BOTH_WAYS))
-def test_constructor_and_both_formats_reject_the_same_faults(tmp_path, case):
-    """One definition of a valid model: the constructor and a format-2 file refuse it alike.
-
-    The problem text is the same both ways in, except that the constructor
-    names an id outside the vocabulary as given and the file the key's digits.
-    """
-    with pytest.raises(ValueError) as built:
-        _construct(*_REJECTED_BOTH_WAYS[case])
-    path = tmp_path / "m.lm"
-    path.write_bytes(_encode_v2(*_REJECTED_BOTH_WAYS[case]))
-    with pytest.raises(FormatError) as loaded:
-        NGramModel.load(str(path))
-    assert str(loaded.value) == f"{path}: {_PROBLEMS[case]}"
-    if case == "id beyond vocabulary":
-        assert str(built.value) == "n-gram (3, 4): token id out of range"
-    else:
-        assert str(built.value) == _PROBLEMS[case]
+    """model_bytes writes what save writes, for hand-made tables and for a trained model."""
+    meta = dict(train_token_count=7, discounts=(0.5, 0.25))
+    build_model(2, _VOCAB, _LOGPROBS, _BACKOFFS, **meta).save(str(tmp_path / "m.lm"))
+    assert (tmp_path / "m.lm").read_bytes() == model_bytes(2, _VOCAB, _LOGPROBS, _BACKOFFS, **meta)
+    model = _fuzz_model()
+    assert _saved_bytes(model) == model_bytes(**_model_args(model))
 
 
 def test_values_whose_sum_overflows_still_load(tmp_path):
     """The value checks sum a column first; a sum that overflows to -inf is not a fault."""
-    tables = [[((0,), -1e308, -1e308), ((2,), -1e308, 0.0), ((3,), _THIRD, -1e308)], _BIGRAMS]
-    model = _construct(2, _VOCAB, tables)
+    logprobs = {(0,): -1e308, (2,): -1e308, (3,): _THIRD, (3, 2): _HALF}
+    model = build_model(2, _VOCAB, logprobs, {(0,): -1e308, (3,): -1e308})
     assert math.isinf(sum(model.logprobs.values())) and math.isinf(sum(model.backoffs.values()))
     path = tmp_path / "m.lm"
     model.save(str(path))
     assert NGramModel.load(str(path)).logprobs == model.logprobs
 
 
-def test_constructor_rejects_a_too_long_n_gram():
-    with pytest.raises(ValueError, match=r"n-gram \(3, 2, 0\) does not fit order 2"):
-        _construct(2, _VOCAB, [_UNIGRAMS, _BIGRAMS, [((3, 2, 0), _HALF, 0.0)]])
-
-
 def test_load_checks_the_vocabulary_before_the_tables(tmp_path):
     """An empty vocabulary is refused before an order-2 row is decoded with V = 0."""
     path = tmp_path / "m.lm"
-    path.write_bytes(_encode_v2(2, (), [[], [((0, 0), _HALF, 0.0)]]))
+    path.write_bytes(model_bytes(2, (), {(0, 0): _HALF}))
     with pytest.raises(FormatError) as err:
         NGramModel.load(str(path))
     assert str(err.value) == f"{path}: vocabulary must start with {(UNK, BOS, EOS)}"
 
 
-@pytest.mark.parametrize("discounts", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)])
-def test_constructor_and_format_2_reject_the_same_discounts(tmp_path, discounts):
-    with pytest.raises(ValueError) as built:
-        _construct(2, _VOCAB, [_UNIGRAMS, _BIGRAMS], discounts=discounts)
+@pytest.mark.parametrize(
+    "discounts, text",
+    [
+        ((math.nan, 0.5), "(nan, 0.5)"),
+        ((0.5, math.inf), "(0.5, inf)"),
+        ((-math.inf, 0.5), "(-inf, 0.5)"),
+    ],
+    ids=["nan", "inf", "-inf"],
+)
+def test_load_rejects_non_finite_discounts(tmp_path, discounts, text):
     path = tmp_path / "m.lm"
-    path.write_bytes(_encode_v2(2, _VOCAB, [_UNIGRAMS, _BIGRAMS], discounts))
-    with pytest.raises(FormatError) as loaded:
+    path.write_bytes(model_bytes(2, _VOCAB, _LOGPROBS, _BACKOFFS, discounts=discounts))
+    with pytest.raises(FormatError) as err:
         NGramModel.load(str(path))
-    assert str(loaded.value) == f"{path}: {built.value}"
+    assert str(err.value) == f"{path}: discounts {text} are not 2 finite values"
 
 
 def _saved_bytes(model):
@@ -573,7 +509,7 @@ def test_training_metadata_round_trips_in_format_2_only(tmp_path):
     loaded = _assert_round_trips(model, tmp_path)
     assert (loaded.train_token_count, loaded.discounts) == (4, (0.75, 0.75))
     # a model built without metadata saves and loads without it
-    bare = NGramModel(1, _VOCAB, {(0,): _THIRD, (2,): _THIRD, (3,): _THIRD})
+    bare = build_model(1, _VOCAB, _UNIGRAMS)
     assert _assert_round_trips(bare, tmp_path).discounts is None
 
 
@@ -586,32 +522,16 @@ def test_training_metadata_round_trips_in_format_2_only(tmp_path):
     ],
     ids=["unknown flag", "count flagged absent", "discounts flagged absent"],
 )
-def test_load_rejects_metadata_flagged_absent(tmp_path, model_bytes, flags, problem):
-    _, meta, _ = _v2_layout(model_bytes)
-    assert model_bytes[meta] == 3  # a trained model has both its token count and discounts
-    raw = bytearray(model_bytes)
+def test_load_rejects_metadata_flagged_absent(tmp_path, trained_bytes, flags, problem):
+    _, meta, _ = _v2_layout(trained_bytes)
+    assert trained_bytes[meta] == 3  # a trained model has both its token count and discounts
+    raw = bytearray(trained_bytes)
     raw[meta] = flags
     path = tmp_path / "meta.lm"
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as err:
         NGramModel.load(str(path))
     assert str(err.value) == f"{path}: {problem}"
-
-
-@pytest.mark.parametrize(
-    "meta",
-    [
-        dict(train_token_count=-1),
-        dict(train_token_count=2**64),
-        dict(train_token_count=1.5),
-        dict(discounts=(0.5, 0.5)),
-        dict(discounts=(math.nan,)),
-    ],
-    ids=["negative count", "count past u64", "float count", "too many discounts", "nan discount"],
-)
-def test_constructor_rejects_bad_training_metadata(meta):
-    with pytest.raises(ValueError):
-        NGramModel(1, _VOCAB, {(0,): _THIRD, (2,): _THIRD, (3,): _THIRD}, **meta)
 
 
 def _fuzz_model():
@@ -656,7 +576,7 @@ def _wide6_model():
     for k in range(2, 7):
         logprobs[gram[:k]] = _HALF
         backoffs[gram[: k - 1]] = -0.25
-    return NGramModel(6, tokens, logprobs, backoffs, train_token_count=12, discounts=(0.5,) * 6)
+    return build_model(6, tokens, logprobs, backoffs, train_token_count=12, discounts=(0.5,) * 6)
 
 
 _V2_BASES = [
@@ -760,15 +680,20 @@ def test_trained_tables_pass_the_public_validation(corpus, order, min_count):
     model = _train_or_none(corpus, order, min_count)
     if model is None:
         return
-    checked = NGramModel(
-        model.order,
-        model.id_to_token,
-        model.logprobs,
-        model.backoffs,
+    checked = build_model(**_model_args(model))
+    assert checked.logprobs == model.logprobs and checked.backoffs == model.backoffs
+
+
+def _model_args(model):
+    """The keyword arguments of model_bytes that write this model's file."""
+    return dict(
+        order=model.order,
+        tokens=model.id_to_token,
+        logprobs=model.logprobs,
+        backoffs=model.backoffs,
         train_token_count=model.train_token_count,
         discounts=model.discounts,
     )
-    assert checked.logprobs == model.logprobs and checked.backoffs == model.backoffs
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -815,8 +740,8 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, corpus, order, min_c
 
 def test_score_pairs_exits_2_on_a_nan_backoff_model(tmp_path, capsys):
     good, bad = tmp_path / "good.lm", tmp_path / "nan.lm"
-    good.write_bytes(_encode_v2(2, _VOCAB, [_UNIGRAMS, _BIGRAMS]))
-    bad.write_bytes(_encode_v2(*_REJECTED["nan backoff"]))
+    good.write_bytes(model_bytes(2, _VOCAB, _LOGPROBS, _BACKOFFS))
+    bad.write_bytes(model_bytes(*_REJECTED["nan backoff"]))
     (tmp_path / "p.src").write_text("a a\n", encoding="utf-8")
     (tmp_path / "p.tgt").write_text("a\n", encoding="utf-8")
     argv = [
@@ -872,10 +797,10 @@ def test_scoring_matches_the_tuple_oracle_bit_for_bit(corpus, order, min_count, 
 @functools.cache
 def _wide_model_bytes():
     """Two model files whose top key column is wider than u64: order 6 and order 4."""
-    return _saved_bytes(_wide6_model()), _encode_v2(4, _WIDE_VOCAB, _WIDE_TABLES)
+    return _saved_bytes(_wide6_model()), model_bytes(*_WIDE_MODEL)
 
 
-# tokens of the n-grams of _wide6_model and of _WIDE_TABLES
+# tokens of the n-grams of _wide6_model and of _WIDE_MODEL
 _wide_probe_tokens = st.sampled_from(
     ["w1625", "w1624", "w3", "w4", "w1623", "w65536", f"w{70_002}", "w65537"]
 )
@@ -954,7 +879,7 @@ def test_the_index_keeps_signed_zero_weights_and_contexts_without_events():
     logprobs = {(0,): -1.5, (2,): -1.5, (3,): -1.0, (4,): -1.0, (1, 3): _HALF, (3, 4): _HALF}
     logprobs[(1, 1, 3)] = _HALF
     backoffs = {(1,): -0.5, (3,): 0.0, (4,): -0.0, (1, 1): -0.25, (1, 3): -0.25, (3, 4): -0.25}
-    model = NGramModel(3, vocab, logprobs, backoffs)
+    model = build_model(3, vocab, logprobs, backoffs)
     saved, weights = _saved_bytes(model), _bits(model.backoffs)
     model._index()
     assert _saved_bytes(model) == saved
@@ -987,28 +912,25 @@ def test_the_index_shares_context_keys_and_equal_weights():
 _WIDE_VOCAB = (UNK, BOS, EOS) + tuple(f"w{i}" for i in range(3, 70_003))
 _WIDE = len(_WIDE_VOCAB) - 1  # the largest id, 70,002
 _WIDE_UNIGRAM = math.log(1 / (len(_WIDE_VOCAB) - 1))
-_WIDE_TABLES = [
-    [
-        ((i,), _WIDE_UNIGRAM, -0.25 if i in (65_536, _WIDE) else 0.0)
-        for i in range(len(_WIDE_VOCAB))
-        if i != BOS_ID
-    ],
-    [
-        ((65_536, _WIDE), _HALF, -0.125),
-        ((_WIDE, 65_536), _THIRD, 0.0),
-        ((_WIDE, 65_537), _HALF, 0.0),
-    ],
-    [
-        ((65_536, _WIDE, 2), math.log(0.75), 0.0),
-        ((65_536, _WIDE, 65_537), _HALF, -0.0625),
-    ],
-    [((65_536, _WIDE, 65_537, _WIDE), _THIRD, 0.0)],
-]
+_WIDE_MODEL = (
+    4,
+    _WIDE_VOCAB,
+    {
+        **{(i,): _WIDE_UNIGRAM for i in range(len(_WIDE_VOCAB)) if i != BOS_ID},
+        (65_536, _WIDE): _HALF,
+        (_WIDE, 65_536): _THIRD,
+        (_WIDE, 65_537): _HALF,
+        (65_536, _WIDE, 2): math.log(0.75),
+        (65_536, _WIDE, 65_537): _HALF,
+        (65_536, _WIDE, 65_537, _WIDE): _THIRD,
+    },
+    {(65_536,): -0.25, (_WIDE,): -0.25, (65_536, _WIDE): -0.125, (65_536, _WIDE, 65_537): -0.0625},
+)
 
 
 def test_ids_wider_than_16_bits_load_score_and_save(tmp_path):
     assert len(_WIDE_VOCAB) ** 3 <= 2**64 < len(_WIDE_VOCAB) ** 4
-    raw = _encode_v2(4, _WIDE_VOCAB, _WIDE_TABLES)
+    raw = model_bytes(*_WIDE_MODEL)
     _, _, tables = _v2_layout(raw)
     assert [width for _, width, _, _ in tables] == [8] * 6 + [9]  # order-4 keys: 9 bytes
     path = tmp_path / "wide.lm"
@@ -1080,23 +1002,14 @@ def test_order_6_keys_wider_than_64_bits_train_score_and_save(tmp_path):
         assert _bits_of(loaded.logprob_word(sent[:-1], sent[-1])) == _bits_of(expected)
 
 
-def test_constructor_rejects_an_empty_context_backoff():
-    unigrams = {(0,): _THIRD, (2,): _THIRD, (3,): _THIRD}
-    for order in (1, 2):
-        with pytest.raises(ValueError):
-            NGramModel(order, _VOCAB, unigrams, {(): -0.5})
-
-
 def _wide6_rows():
     """An order-6 model whose 6-gram key column is 9 bytes wide (V = 1,626), with 3 such rows."""
     tokens = (UNK, BOS, EOS) + tuple(f"w{i}" for i in range(3, 1_626))
-    unigrams = [((i,), math.log(1 / 1_625), 0.0) for i in range(len(tokens)) if i != BOS_ID]
-    sixgrams = [
-        ((5, 4, 3, 1_625, 7, 2), _HALF, 0.0),
-        ((1_624, 3, 9, 9, 1_625, 4), _THIRD, 0.0),
-        ((1_625, 1_625, 3, 1_624, 4, 1_623), _HALF, 0.0),
-    ]
-    return _encode_v2(6, tokens, [unigrams, [], [], [], [], sixgrams])
+    logprobs = {(i,): math.log(1 / 1_625) for i in range(len(tokens)) if i != BOS_ID}
+    logprobs[5, 4, 3, 1_625, 7, 2] = _HALF
+    logprobs[1_624, 3, 9, 9, 1_625, 4] = _THIRD
+    logprobs[1_625, 1_625, 3, 1_624, 4, 1_623] = _HALF
+    return model_bytes(6, tokens, logprobs)
 
 
 # (file bytes, index of the table to corrupt in _v2_layout's list): the
