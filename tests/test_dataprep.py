@@ -128,23 +128,32 @@ def _examples_with_labels(draw):
     return examples, labels
 
 
+def _detagged(line):
+    """A tagged line without its leading tag token and that token's POS marker."""
+    assert line.source[0] == DEFAULT_ORIGIN_TAG
+    pos = line.source_pos
+    if pos is not None:
+        assert pos[0] == MARKER_POS_TAG
+        pos = pos[1:]
+    return ParallelExample(line.source[1:], line.target, pos, line.target_pos)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_examples_with_labels())
-def test_tagging_is_reversible(examples_and_labels):
+def test_detag_inverts_tagging(examples_and_labels):
     """A T line without its first source token and that token's tag is its input; an S line is."""
     examples, labels = examples_and_labels
     tagged = list(bias_tag(examples, labels))
     assert len(tagged) == len(examples)
     for example, label, line in zip(examples, labels, tagged):
-        if label is S:
-            assert line == example
-            continue
-        assert line.source[0] == DEFAULT_ORIGIN_TAG
-        pos = line.source_pos
-        if pos is not None:
-            assert pos[0] == MARKER_POS_TAG
-            pos = pos[1:]
-        assert ParallelExample(line.source[1:], line.target, pos, line.target_pos) == example
+        assert (line if label is S else _detagged(line)) == example
+
+
+def test_detag_restores_pos_annotations():
+    example = ParallelExample(("hallo",), ("hello",), source_pos=("INTJ",))
+    (tagged,) = bias_tag([example], [T])
+    assert tagged.source_pos == (MARKER_POS_TAG, "INTJ")
+    assert _detagged(tagged) == example
 
 
 def test_tag_detag_file_round_trip_is_byte_exact(tmp_path):

@@ -410,6 +410,30 @@ def test_load_rejects_invalid_models(tmp_path, case):
     assert str(err.value) == f"{path}: {_PROBLEMS[case]}"
 
 
+_TABLE_FAULTS = [
+    "nan backoff", "inf backoff", "-inf backoff", "nan logprob", "inf logprob",
+    "positive logprob", "id beyond vocabulary", "missing unigram", "mass on <s>",
+]
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_FAULTS))
+def test_constructor_and_both_formats_reject_the_same_faults(tmp_path, capsys, case):
+    """One definition of a valid model: load and a CLI model option refuse a table fault alike.
+
+    The id is kept from the tuple-table constructor, which refused these
+    faults too; every model now enters through train or load.
+    """
+    path = tmp_path / "m.lm"
+    path.write_bytes(model_bytes(*_REJECTED[case]))
+    with pytest.raises(FormatError) as loaded:
+        NGramModel.load(str(path))
+    assert str(loaded.value) == f"{path}: {_PROBLEMS[case]}"
+    (tmp_path / "in.txt").write_text("a\n", encoding="utf-8")
+    argv = ["perplexity", "--model", str(path), "--input", str(tmp_path / "in.txt")]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", f"covbias: error: {loaded.value}\n")
+
+
 def test_format_2_encoder_matches_save(tmp_path):
     """model_bytes writes what save writes, for hand-made tables and for a trained model."""
     meta = dict(train_token_count=7, discounts=(0.5, 0.25))
