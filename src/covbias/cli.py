@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import tee
 from typing import TYPE_CHECKING
 
 # Layer modules are imported inside the functions that use them, so a run
@@ -126,69 +125,67 @@ def _content_tags(path: str | None) -> frozenset[str]:
     return read_word_classes(path) if path else DEFAULT_CONTENT_TAGS
 
 
-def _keyed_rows(path: str, column: str) -> Iterator[tuple[int, int, dict[str, str]]]:
-    """(file line, line_no, row) per row of a report keyed by line_no.
-
-    A line_no is an integer >= 1 that appears only once in the file.
-    """
-    seen: set[int] = set()
-    for file_line, row in enumerate(read_tsv(path, ["line_no", column]), 2):
-        try:
-            line_no = int(row["line_no"])
-        except ValueError:
-            raise line_fault(path, file_line, f"bad line_no {row['line_no']!r}") from None
-        if line_no < 1:
-            raise line_fault(path, file_line, f"line_no must be >= 1, got {line_no}")
-        if line_no in seen:
-            raise line_fault(path, file_line, f"line_no {line_no} is repeated")
-        seen.add(line_no)
-        yield file_line, line_no, row
+_RECORD_HEADER = ("line_no", "score", "label")  # scored records; label is optional
+_GROUP_HEADER = ("line_no", "group")  # line groups
 
 
-def _parse_score(row: dict[str, str], path: str, file_line: int, column: str = "score") -> float:
-    raw = row[column]
+def _line_no(cell: str, seen: set[int]) -> int:
+    """A report's line_no cell as an integer >= 1 not in seen, which then holds it."""
     try:
-        value = float(raw)
+        number = int(cell)
     except ValueError:
-        raise line_fault(path, file_line, f"bad {column} value {raw!r}") from None
+        raise ValueError(f"bad line_no {cell!r}") from None
+    if number < 1:
+        raise ValueError(f"line_no must be >= 1, got {number}")
+    if number in seen:
+        raise ValueError(f"line_no {number} is repeated")
+    seen.add(number)
+    return number
+
+
+def _finite(cell: str, column: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"bad {column} value {cell!r}") from None
     if not math.isfinite(value):
-        raise line_fault(path, file_line, f"{column} value {raw!r} is not finite")
+        raise ValueError(f"{column} value {cell!r} is not finite")
     return value
 
 
-def _read_scores(path: str) -> list[tuple[int, float]]:
+def _read_scores(path: str, in_order: bool = False) -> list[tuple[int, float]]:
     """(line_no, score) per row of a scored-records report, in file order.
 
-    A line's label is label_for(score): a label column that says otherwise
-    is a DataError naming the line.
+    A label that is not label_for(score), and with in_order a line_no that
+    is not the row's number (1, 2, 3, ...), is a DataError naming the line.
     """
     from .detect import label_for
 
-    scored = []
-    for file_line, line_no, row in _keyed_rows(path, "score"):
-        score = _parse_score(row, path, file_line)
-        if "label" in row and row["label"] != label_for(score).code:
-            raise line_fault(
-                path,
-                file_line,
-                f"label {row['label']!r} disagrees with"
-                f" score {row['score']}, which is labelled {label_for(score).code}",
-            )
-        scored.append((line_no, score))
-    return scored
+    seen: set[int] = set()
+
+    def record(line_no: str, cell: str, label: str | None) -> tuple[int, float]:
+        number, score = _line_no(line_no, seen), _finite(cell, "score")
+        if label is not None and label != (code := label_for(score).code):
+            raise ValueError(f"label {label!r} disagrees with score {cell}, which is labelled {code}")
+        if in_order and number != len(seen):  # seen holds one line_no per row so far
+            raise ValueError(f"expected line_no {len(seen)} in order, got {number}")
+        return number, score
+
+    return read_tsv(path, _RECORD_HEADER[:2], record, _RECORD_HEADER[2:])
 
 
 def _read_groups(path: str, allowed: tuple[str, ...] = ()) -> dict[str, set[int]]:
-    """{group: line numbers} of a line-groups report, groups in file order.
-
-    With allowed, a group not in it is a DataError naming the line.
-    """
+    """{group: line numbers} of a line-groups report; with allowed, any other group is a fault."""
+    seen: set[int] = set()
     groups: dict[str, set[int]] = {}
-    for file_line, line_no, row in _keyed_rows(path, "group"):
-        if allowed and row["group"] not in allowed:
-            message = f"group must be {' or '.join(allowed)}, got {row['group']!r}"
-            raise line_fault(path, file_line, message)
-        groups.setdefault(row["group"], set()).add(line_no)
+
+    def member(line_no: str, group: str) -> None:
+        number = _line_no(line_no, seen)
+        if allowed and group not in allowed:
+            raise ValueError(f"group must be {' or '.join(allowed)}, got {group!r}")
+        groups.setdefault(group, set()).add(number)
+
+    read_tsv(path, _GROUP_HEADER, member)
     return groups
 
 
@@ -229,7 +226,7 @@ def _labelled_scores(
             line_nos = [*line_nos, line_no]
         scores.append(score)
     rows = ((str(n), fmt_float(x), label_for(x).code) for n, x in zip(line_nos, scores))
-    return format_tsv(("line_no", "score", "label"), rows)
+    return format_tsv(_RECORD_HEADER, rows)
 
 
 # -- handlers ---------------------------------------------------------------
@@ -271,15 +268,10 @@ def _cmd_tune_offset(args: argparse.Namespace) -> int:
     from .corpus import OriginLabel
     from .detect import tune_offset
 
-    path = args.input
-    scored = []
-    for file_line, row in enumerate(read_tsv(path, ["score", "gold"]), 2):
-        score = _parse_score(row, path, file_line)
-        try:
-            scored.append((score, OriginLabel.from_code(row["gold"])))
-        except DataError as exc:
-            raise line_fault(path, file_line, str(exc)) from None
-    c, macro_f1 = tune_offset(scored)
+    def gold_row(score: str, gold: str) -> tuple[float, OriginLabel]:
+        return _finite(score, "score"), OriginLabel.from_code(gold)
+
+    c, macro_f1 = tune_offset(read_tsv(args.input, ("score", "gold"), gold_row))
     _write_report(format_tsv(["c", "macro_f1"], [(fmt_float(c), fmt_float(macro_f1))]), args.output)
     return 0
 
@@ -303,7 +295,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         )
     rows = [(str(n), "most_source") for n in sorted(most_source)]
     rows += [(str(n), "most_target") for n in sorted(most_target)]
-    _write_report(format_tsv(["line_no", "group"], rows), args.output)
+    _write_report(format_tsv(_GROUP_HEADER, rows), args.output)
     return 0
 
 
@@ -343,7 +335,7 @@ def _cmd_random_split(args: argparse.Namespace) -> int:
     if not part_a:
         raise UsageError(f"--fraction {float(fraction)} of --count {count} puts no line in group a")
     rows = ((str(n), "a" if n in part_a else "b") for n in range(1, count + 1))
-    _write_report(format_tsv(["line_no", "group"], rows), args.output)
+    _write_report(format_tsv(_GROUP_HEADER, rows), args.output)
     return 0
 
 
@@ -351,18 +343,12 @@ def _cmd_fmeasure(args: argparse.Namespace) -> int:
     from .corpus import read_parallel
     from .fmeasure import DEFAULT_BUCKETS, word_fmeasure
 
-    hyp, ref, ref_pos = tee(read_parallel(args.hyp, args.ref, None, args.ref_pos), 3)
     if args.buckets:
         sections = read_section_file(args.buckets)
         buckets = {name: frozenset(tags) for name, tags in sections.items()}
     else:
         buckets = dict(DEFAULT_BUCKETS)
-    stats = word_fmeasure(
-        (ex.source for ex in hyp),
-        (ex.target for ex in ref),
-        (ex.target_pos for ex in ref_pos),
-        buckets,
-    )
+    stats = word_fmeasure(read_parallel(args.hyp, args.ref, None, args.ref_pos), buckets)
     rows = ((name, *map(fmt_float, s[:3]), *map(str, s[3:])) for name, s in sorted(stats.items()))
     header = ("bucket", "precision", "recall", "f1", "matched", "sys_count", "ref_count")
     _write_report(format_tsv(header, rows), args.output)
@@ -379,23 +365,38 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
     return 0
 
 
+_FLUENCY_HEADER = ("level", "ppl", "diff")  # a baseline is read by its first two columns
+_LEVELS = ("plain", "abstracted")
+
+
 def _read_fluency_baseline(path: str) -> dict[str, float]:
     """{level: ppl} of a fluency report, one plain and one abstracted row."""
-    by_level = {}
-    for file_line, row in enumerate(read_tsv(path, ["level", "ppl"]), 2):
-        level = row["level"]
-        if level not in ("plain", "abstracted"):
-            raise line_fault(path, file_line, f"level must be plain or abstracted, got {level!r}")
+    by_level: dict[str, float] = {}
+
+    def level_row(level: str, cell: str) -> None:
+        if level not in _LEVELS:
+            raise ValueError(f"level must be plain or abstracted, got {level!r}")
         if level in by_level:
-            raise line_fault(path, file_line, f"level {level!r} is given more than once")
-        ppl = _parse_score(row, path, file_line, column="ppl")
+            raise ValueError(f"level {level!r} is given more than once")
+        ppl = _finite(cell, "ppl")
         if ppl < 1:  # every event log-probability is <= 0
-            raise line_fault(path, file_line, f"ppl value {row['ppl']!r} is below 1")
+            raise ValueError(f"ppl value {cell!r} is below 1")
         by_level[level] = ppl
-    missing = {"plain", "abstracted"} - set(by_level)
+
+    read_tsv(path, _FLUENCY_HEADER[:2], level_row)
+    missing = set(_LEVELS) - set(by_level)
     if missing:
         raise DataError(f"{path}: missing level row(s): {', '.join(sorted(missing))}")
     return by_level
+
+
+def _fluency_lines(report: Iterable[float], baseline: dict[str, float] | None) -> Iterator[str]:
+    """The lines of a fluency report: each level's ppl, and its diff from baseline or "-"."""
+    rows = []
+    for level, ppl in zip(_LEVELS, report):
+        diff = fmt_float((ppl - baseline[level]) / baseline[level]) if baseline else "-"
+        rows.append((level, fmt_float(ppl), diff))
+    return format_tsv(_FLUENCY_HEADER, rows)
 
 
 def _cmd_fluency(args: argparse.Namespace) -> int:
@@ -417,11 +418,7 @@ def _cmd_fluency(args: argparse.Namespace) -> int:
         tag_prefix=args.tag_prefix,
         tag_suffix=args.tag_suffix,
     )
-    rows = []
-    for level, ppl in zip(("plain", "abstracted"), report):
-        diff = fmt_float((ppl - baseline[level]) / baseline[level]) if baseline else "-"
-        rows.append((level, fmt_float(ppl), diff))
-    _write_report(format_tsv(("level", "ppl", "diff"), rows), args.output)
+    _write_report(_fluency_lines(report, baseline), args.output)
     return 0
 
 
@@ -430,12 +427,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     from .dataprep import bias_tag
     from .detect import label_for
 
-    labels = []
-    for expected, (line_no, score) in enumerate(_read_scores(args.records), 1):
-        if line_no != expected:  # row k is file line k + 1, after the header
-            message = f"expected line_no {expected} in order, got {line_no}"
-            raise line_fault(args.records, expected + 1, message)
-        labels.append(label_for(score))
+    labels = [label_for(score) for _, score in _read_scores(args.records, in_order=True)]
     records, source = args.records, args.source
 
     def examples() -> Iterator[ParallelExample]:  # one per record, or a fault naming both files
@@ -465,8 +457,7 @@ def _cmd_split_finetune(args: argparse.Namespace) -> int:
         groups = _read_groups(args.selection, ("most_source", "most_target"))
         lines = groups.get("most_source", set())
     if not lines:
-        source = args.records or args.selection
-        raise DataError(f"{source}: no source-original line to fine-tune on")
+        raise DataError(f"{args.records or args.selection}: no source-original line to fine-tune on")
     examples = read_parallel(args.source, args.target)
     pretrain = (args.out_pretrain_source, args.out_pretrain_target)
     finetune = (args.out_finetune_source, args.out_finetune_target)

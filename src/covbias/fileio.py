@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import AbstractContextManager, contextmanager
-from typing import IO
+from operator import itemgetter
+from typing import IO, TypeVar
 
 from .errors import DataError
+
+_Row = TypeVar("_Row")
 
 
 def fmt_float(x: float) -> str:
@@ -75,12 +78,14 @@ def line_fault(path: str, line_no: int, problem: str) -> DataError:
     return DataError(f"{path}: line {line_no}: {problem}", line_no)
 
 
-def read_tsv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
-    """Read a headered TSV, returning one dict per row.
+def read_tsv(
+    path: str, columns: Sequence[str], parse_row: Callable[..., _Row], optional: Sequence[str] = ()
+) -> list[_Row]:
+    """parse_row(*cells) per row of a headered TSV report, read in one pass.
 
-    Extra columns are kept; a column named twice in the header and missing
-    required columns raise DataError with the file named. Rows with the wrong
-    field count raise DataError with the 1-based line number.
+    The cells are those of columns, then of optional (None for one the header
+    lacks). A header fault is a DataError naming the file; a row of the wrong
+    width, or a ValueError or DataError from parse_row, names the line too.
     """
     with open(path, "r", encoding="utf-8") as handle:
         header_line = handle.readline()
@@ -90,18 +95,22 @@ def read_tsv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
         for index, col in enumerate(header):
             if col in header[:index]:
                 raise DataError(f"{path}: the header names column {col!r} twice")
-        missing = [col for col in required if col not in header]
+        missing = [col for col in columns if col not in header]
         if missing:
             raise DataError(f"{path}: missing required column(s) {', '.join(missing)}")
+        width = len(header)
+        picks = [header.index(col) if col in header else width for col in (*columns, *optional)]
+        cells = itemgetter(*picks) if len(picks) > 1 else itemgetter(slice(picks[0], picks[0] + 1))
         rows = []
         for line_no, line in enumerate(handle, 2):
             fields = line.rstrip("\n").split("\t")
-            if len(fields) != len(header):
-                raise DataError(
-                    f"{path}: line {line_no} has {len(fields)} fields, header has {len(header)}",
-                    line_no,
-                )
-            rows.append(dict(zip(header, fields)))
+            if len(fields) != width:
+                raise line_fault(path, line_no, f"{len(fields)} fields where the header has {width}")
+            fields.append(None)  # the cell of each optional column the header lacks
+            try:
+                rows.append(parse_row(*cells(fields)))
+            except (ValueError, DataError) as exc:
+                raise line_fault(path, line_no, str(exc)) from None
     return rows
 
 

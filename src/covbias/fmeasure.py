@@ -7,19 +7,17 @@ is tied between tags joins only the lexicographically smallest bucket that
 contains one of the tied tags. Hypothesis types never seen in the reference
 belong to no bucket and are ignored.
 
-word_fmeasure reads its three inputs once, in lock-step, and holds counts per
-token type, never a line: its memory grows with the vocabulary, not the corpus.
+word_fmeasure reads its pairs once and holds counts per token type, never a
+line: its memory grows with the vocabulary, not the corpus.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
-from itertools import chain, zip_longest
+from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
-from .corpus import PosAnnotation, Sentence
-from .errors import DataError
+from .corpus import ParallelExample
 
 DEFAULT_BUCKETS: dict[str, frozenset[str]] = {
     "noun": frozenset({"NOUN"}),
@@ -64,32 +62,18 @@ def _type_buckets(
     return assignment
 
 
-_END = object()
-
-
-def _length_fault(line_no: int, row: tuple, rest: Iterator[tuple]) -> DataError:
-    """The DataError for inputs of unequal length; row is the first short one."""
-    sizes = [line_no - 1] * 3
-    for later in chain([row], rest):
-        for side, value in enumerate(later):
-            sizes[side] += value is not _END
-    hyp_lines, ref_lines, pos_lines = sizes
-    if hyp_lines != ref_lines:
-        return DataError(f"{hyp_lines} hypothesis lines but {ref_lines} reference lines")
-    return DataError(f"{pos_lines} POS lines but {ref_lines} reference lines")
-
-
 def word_fmeasure(
-    hyp: Iterable[Sentence],
-    ref: Iterable[Sentence],
-    ref_pos: Iterable[PosAnnotation],
+    examples: Iterable[ParallelExample],
     buckets: Mapping[str, frozenset[str]] | None = None,
 ) -> dict[str, BucketStats]:
     """Clipped bag-of-words precision/recall/F1 per POS bucket, in one pass.
 
-    The three inputs are read once, in lock-step. Per token type the pass
-    keeps its tag profile and three totals (hypothesis count, reference count
-    and clipped matches); each bucket sums its types' totals at the end.
+    Each example is one line: the hypothesis as source, the reference as
+    target and the reference's tags as target_pos, as
+    read_parallel(hyp, ref, None, ref_pos) yields them. The pairs are read
+    once; per token type the pass keeps its tag profile and three totals
+    (hypothesis count, reference count and clipped matches), and each bucket
+    sums its types' totals at the end.
     """
     if buckets is None:
         buckets = DEFAULT_BUCKETS
@@ -97,16 +81,7 @@ def word_fmeasure(
     ref_count: Counter[str] = Counter()
     matched: Counter[str] = Counter()
     tagged: Counter[tuple[str, str]] = Counter()
-    rows = zip_longest(hyp, ref, ref_pos, fillvalue=_END)
-    for line_no, row in enumerate(rows, 1):
-        if _END in row:
-            raise _length_fault(line_no, row, rows)
-        hyp_tokens, ref_tokens, tags = row
-        if len(ref_tokens) != len(tags):
-            raise DataError(
-                f"line {line_no}: {len(tags)} tags for {len(ref_tokens)} reference tokens",
-                line_no=line_no,
-            )
+    for hyp_tokens, ref_tokens, _, tags in examples:
         hyp_count.update(hyp_tokens)
         ref_count.update(ref_tokens)
         tagged.update(zip(ref_tokens, tags))

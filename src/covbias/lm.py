@@ -118,12 +118,15 @@ class LmScore(NamedTuple):
 class NGramModel:
     """An immutable trained model: lookup tables plus metadata.
 
-    A model comes from train or load; there is no public constructor.
+    A model comes from train or load; calling the class raises TypeError.
     logprobs maps full n-gram id tuples (any length 1..order) to natural-log
     conditional probabilities; backoffs maps context id tuples (length
     1..order-1) to natural-log backoff weights. Both are read-only views
     decoded from the tables on every access, at O(rows) per access.
     """
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("build an NGramModel with NGramModel.train or NGramModel.load")
 
     def _trusted(
         self,

@@ -57,9 +57,18 @@ MUTANTS = (
     Mutant(
         "read_scores-ignores-label",
         "src/covbias/cli.py",
-        """if "label" in row and row["label"] != label_for(score).code:""",
+        """if label is not None and label != (code := label_for(score).code):""",
         """if False:""",
         ("tests/test_cli.py::test_a_label_that_disagrees_with_its_score_is_a_data_error",),
+    ),
+    Mutant(
+        "line_no-repeat-unchecked",
+        "src/covbias/cli.py",
+        """    if number in seen:
+        raise ValueError(f"line_no {number} is repeated")
+""",
+        "",
+        ("tests/test_cli.py::test_a_repeated_line_no_is_a_data_error[classify]",),
     ),
     Mutant(
         "label_for-zero-is-source",

@@ -210,6 +210,13 @@ def build_model(order, tokens, logprobs, backoffs=None, **meta):
         return NGramModel.load(path)
 
 
+def fmeasure_pairs(hyp, ref, ref_pos):
+    """word_fmeasure's input: ParallelExample(hyp, ref, None, ref_pos) per line of three lists."""
+    from covbias import ParallelExample  # imported here, as the benchmark loads this file by path
+
+    return [ParallelExample(h, r, None, p) for h, r, p in zip(hyp, ref, ref_pos, strict=True)]
+
+
 def tuple_train(corpus, order, min_count):
     """(tokens, logprobs, backoffs, discounts, token count) by the lm module docstring.
 

@@ -30,7 +30,7 @@ from covbias.cli import main as cli_main
 from covbias.fileio import read_tsv
 from covbias.lm import BOS
 
-from oracles import bruteforce_fmeasure, macro_f1_at_offset
+from oracles import bruteforce_fmeasure, fmeasure_pairs, macro_f1_at_offset
 
 
 @contextmanager
@@ -51,6 +51,17 @@ def _run(args):
 def _read_gold(path):
     with open(path, encoding="utf-8") as handle:
         return [OriginLabel.from_code(line.strip()) for line in handle]
+
+
+def _class_nats(word_class, nats):
+    return word_class, float(nats)
+
+
+_MANIFEST = ["output_line_no", "provenance", "original_line_no"]
+
+
+def _manifest_row(out_no, provenance, original_no):
+    return int(out_no), provenance, int(original_no)
 
 
 _detection_state = {}
@@ -76,18 +87,17 @@ def _detection(bed_dir, bed_models):
     )
     with open(bed_dir.tune_gold, encoding="utf-8") as handle:
         gold_codes = [line.strip() for line in handle]
-    rows = read_tsv(str(tune_scores), ["score"])
-    assert len(rows) == len(gold_codes)
+    scores = read_tsv(str(tune_scores), ["score"], str)
+    assert len(scores) == len(gold_codes)
     tune_table = root / "tune_table.tsv"
     with open(tune_table, "w", encoding="utf-8") as handle:
         handle.write("score\tgold\n")
-        for row, gold in zip(rows, gold_codes):
-            handle.write(f"{row['score']}\t{gold}\n")
+        for score, gold in zip(scores, gold_codes):
+            handle.write(f"{score}\t{gold}\n")
 
     tuned = root / "tuned.tsv"
     _run(["tune-offset", "--input", tune_table, "--output", tuned])
-    (tuned_row,) = read_tsv(str(tuned), ["c", "macro_f1"])
-    c = float(tuned_row["c"])
+    (c,) = read_tsv(str(tuned), ["c", "macro_f1"], lambda c, _: float(c))
 
     eval_raw = root / "eval_raw.tsv"
     _run(
@@ -103,10 +113,12 @@ def _detection(bed_dir, bed_models):
     records_path = root / "eval_records.tsv"
     _run(["classify", "--scores", eval_raw, "--offset-c", repr(c), "--output", records_path])
 
-    rows = read_tsv(str(records_path), ["line_no", "score", "label"])
-    records = [(int(row["line_no"]), float(row["score"])) for row in rows]
+    rows = read_tsv(
+        str(records_path), ["line_no", "score", "label"], lambda n, x, label: (int(n), float(x), label)
+    )
+    records = [(line_no, score) for line_no, score, _ in rows]
     # the label column is the one each score is labelled with
-    assert [row["label"] for row in rows] == [label_for(score).code for _, score in records]
+    assert [label for _, _, label in rows] == [label_for(score).code for _, score in records]
     _detection_state.update(
         offset=c,
         records=records,
@@ -167,8 +179,8 @@ def test_criterion_2_divergence_pattern(bed_dir, bed_models):
         )
         elapsed = time.perf_counter() - started
 
-        detected = {r["class"]: float(r["js_nats"]) for r in read_tsv(str(js_detected), ["class", "js_nats"])}
-        randomized = {r["class"]: float(r["js_nats"]) for r in read_tsv(str(js_random), ["class", "js_nats"])}
+        detected = dict(read_tsv(str(js_detected), ["class", "js_nats"], _class_nats))
+        randomized = dict(read_tsv(str(js_random), ["class", "js_nats"], _class_nats))
         assert detected["all"] >= 10.0 * randomized["all"], (
             f"ratio only {detected['all'] / randomized['all']:.2f}"
         )
@@ -301,7 +313,7 @@ def test_criterion_7_fmeasure_matches_bruteforce_oracle():
                 ref_pos.append(tuple(rng.choice(tags) for _ in range(length)))
                 hyp.append(tuple(rng.choice(words) for _ in range(rng.randint(1, 8))))
             expected = bruteforce_fmeasure(hyp, ref, ref_pos, buckets)
-            got = word_fmeasure(hyp, ref, ref_pos, buckets)
+            got = word_fmeasure(fmeasure_pairs(hyp, ref, ref_pos), buckets)
             for name in buckets:
                 assert tuple(got[name]) == expected[name], name
 
@@ -381,10 +393,8 @@ def test_criterion_9_data_prep_integrity(bed_dir, bed_models):
         selection = root / "sel50.tsv"
         _run(["select", "--records", state["records_path"], "--ratio", "50",
               "--output", selection])
-        sel_rows = read_tsv(str(selection), ["line_no", "group"])
-        most_source = {
-            int(r["line_no"]) for r in sel_rows if r["group"] == "most_source"
-        }
+        sel_rows = read_tsv(str(selection), ["line_no", "group"], lambda n, group: (int(n), group))
+        most_source = {line_no for line_no, group in sel_rows if group == "most_source"}
         assert len(most_source) == (50 * n_eval) // 100
 
         split_outs = {
@@ -408,15 +418,12 @@ def test_criterion_9_data_prep_integrity(bed_dir, bed_models):
             assert split_outs["pre.src"].read_bytes() == handle.read()
         fine_lines = split_outs["fine.src"].read_text(encoding="utf-8").splitlines()
         assert len(fine_lines) == len(most_source)
-        manifest_rows = read_tsv(
-            str(split_outs["manifest.tsv"]),
-            ["output_line_no", "provenance", "original_line_no"],
-        )
-        finetune_rows = [r for r in manifest_rows if r["provenance"] == "finetune"]
-        pretrain_rows = [r for r in manifest_rows if r["provenance"] == "pretrain"]
+        manifest_rows = read_tsv(str(split_outs["manifest.tsv"]), _MANIFEST, _manifest_row)
+        finetune_rows = [r for r in manifest_rows if r[1] == "finetune"]
+        pretrain_rows = [r for r in manifest_rows if r[1] == "pretrain"]
         assert len(pretrain_rows) == n_eval
         assert len(finetune_rows) == len(most_source)
-        originals = [int(r["original_line_no"]) for r in finetune_rows]
+        originals = [original_no for _, _, original_no in finetune_rows]
         assert originals == sorted(originals)
         assert set(originals) == most_source
 
@@ -439,16 +446,12 @@ def test_criterion_9_data_prep_integrity(bed_dir, bed_models):
         merged_lines = merge_outs[0].read_text(encoding="utf-8").splitlines()
         with open(bed_dir.eval_src, encoding="utf-8") as handle:
             eval_lines = handle.read().splitlines()
-        rows = read_tsv(
-            str(merge_outs[2]), ["output_line_no", "provenance", "original_line_no"]
-        )
-        assert sorted(int(r["output_line_no"]) for r in rows) == list(
-            range(1, 2 * n_eval + 1)
-        )
-        for row in rows:
-            out_line = merged_lines[int(row["output_line_no"]) - 1]
-            original = eval_lines[int(row["original_line_no"]) - 1]
-            if row["provenance"] == "synthetic":
+        rows = read_tsv(str(merge_outs[2]), _MANIFEST, _manifest_row)
+        assert sorted(out_no for out_no, _, _ in rows) == list(range(1, 2 * n_eval + 1))
+        for out_no, provenance, original_no in rows:
+            out_line = merged_lines[out_no - 1]
+            original = eval_lines[original_no - 1]
+            if provenance == "synthetic":
                 assert out_line == "<BT> " + original
             else:
                 assert out_line == original

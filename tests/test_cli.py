@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import covbias
@@ -32,7 +32,8 @@ from covbias import (
 )
 from covbias.cli import VERSION_LINE, main
 from covbias.corpus import read_tagged
-from covbias.fileio import fmt_float
+from covbias.fileio import fmt_float, format_tsv
+from oracles import fmeasure_pairs
 from synthbed import make_testbed
 
 
@@ -677,6 +678,104 @@ def test_a_report_file_fault_names_the_file(corpus, capsys, command, rows, fault
 
 
 @pytest.mark.parametrize(
+    "command, rows, fault",
+    [
+        ("classify", "line_no\tscore\n1\t1.0\nx\t2.0\n3\t1.0\n4\n", "bad line_no 'x'"),
+        ("jsdiv-split", "line_no\tgroup\n1\ta\n0\tb\n3\n", "line_no must be >= 1, got 0"),
+        ("tune-offset", "score\tgold\n1\tS\n2\tX\n3\n", "unknown origin label 'X', expected S or T"),
+        ("tag", "line_no\tscore\n2\t1.0\n1\tabc\n", "expected line_no 1 in order, got 2"),
+        (
+            "fluency",
+            "level\tppl\nplain\t3\nplain\t2\nabstracted\n",
+            "level 'plain' is given more than once",
+        ),
+    ],
+    ids=["classify", "jsdiv-split", "tune-offset", "tag", "fluency"],
+)
+def test_the_first_faulty_line_is_the_one_named(corpus, capsys, command, rows, fault):
+    """Every report is read in one pass, so a fault on a later line never hides line 3."""
+    table = corpus / "report.tsv"
+    table.write_text(rows, encoding="utf-8")
+    argv, outs = _reading_report(corpus, command, str(table))
+    assert main(argv) == 2
+    assert not any(os.path.exists(out) for out in outs)
+    line = 2 if command == "tag" else 3
+    assert capsys.readouterr().err == f"covbias: error: {table}: line {line}: {fault}\n"
+
+
+def _round_trip(path, lines, read):
+    """(the report's text, what read makes of it) for the lines of a report written to path."""
+    text = "".join(lines)
+    path.write_text(text, encoding="utf-8")
+    return text, read(str(path))
+
+
+_ROUND_TRIP = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+_LINE_NO = st.integers(1, 2**64)  # past 2**63 - 1 too, where the writer stops using an array
+
+
+@_ROUND_TRIP
+@given(
+    records=st.lists(
+        st.tuples(_LINE_NO, st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=20,
+        unique_by=lambda record: record[0],
+    )
+)
+def test_scored_records_round_trip(tmp_path, records):
+    """write -> read gives back every (line_no, score) bit for bit; read -> write the bytes."""
+    lines = cli._labelled_scores(records)
+    text, read = _round_trip(tmp_path / "records.tsv", lines, cli._read_scores)
+    assert [(n, x.hex()) for n, x in read] == [(n, x.hex()) for n, x in records]
+    assert "".join(cli._labelled_scores(read)) == text
+
+
+def _group_lines(groups):
+    """A line-groups report as select writes one: each group in turn, its lines ascending."""
+    rows = ((str(n), group) for group, lines in groups.items() for n in sorted(lines))
+    return format_tsv(cli._GROUP_HEADER, rows)
+
+
+@_ROUND_TRIP
+@given(
+    members=st.dictionaries(
+        _LINE_NO,
+        st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=["Cs"]), max_size=4),
+        max_size=20,
+    )
+)
+def test_line_groups_round_trip(tmp_path, members):
+    """write -> read gives back every group's line numbers; read -> write the bytes."""
+    groups = {}
+    for line_no, group in members.items():
+        groups.setdefault(group, set()).add(line_no)
+    text, read = _round_trip(tmp_path / "groups.tsv", _group_lines(groups), cli._read_groups)
+    assert read == groups
+    assert list(read) == list(groups)  # groups in file order
+    assert "".join(_group_lines(read)) == text
+
+
+@_ROUND_TRIP
+@given(
+    ppl=st.tuples(*[st.floats(min_value=1, allow_infinity=False)] * 2),
+    baseline=st.none() | st.tuples(*[st.floats(min_value=1, max_value=1e300)] * 2),
+)
+def test_the_fluency_table_round_trips(tmp_path, ppl, baseline):
+    """write -> read gives back each level's ppl, with or without a diff; read -> write the bytes."""
+    if baseline is not None:
+        baseline = dict(zip(cli._LEVELS, baseline))
+    lines = cli._fluency_lines(ppl, baseline)
+    text, read = _round_trip(tmp_path / "fluency.tsv", lines, cli._read_fluency_baseline)
+    assert [read[level].hex() for level in cli._LEVELS] == [x.hex() for x in ppl]
+    assert "".join(cli._fluency_lines(read.values(), baseline)) == text
+
+
+@pytest.mark.parametrize(
     "command, rows",
     [
         ("split-finetune-selection", "line_no\tgroup\n"),
@@ -896,9 +995,11 @@ def test_fmeasure_report_matches_library(corpus, capsys):
     )
     lines = capsys.readouterr().out.splitlines()
     stats = word_fmeasure(
-        [("the", "dog", "runs")],
-        [("the", "dog", "sleeps")],
-        [("DET", "NOUN", "VERB")],
+        fmeasure_pairs(
+            [("the", "dog", "runs")],
+            [("the", "dog", "sleeps")],
+            [("DET", "NOUN", "VERB")],
+        )
     )
     assert [line.split("\t")[0] for line in lines[1:]] == sorted(stats)
     for line in lines[1:]:

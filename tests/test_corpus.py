@@ -300,7 +300,7 @@ def test_last_line_without_newline_reads_the_same(tmp_path):
 @pytest.mark.parametrize(
     "call, text, line",
     [
-        (lambda path: read_tsv(path, ["a"]), "a\tb\n1\t2\n3\n", 3),
+        (lambda path: read_tsv(path, ["a"], int), "a\tb\n1\t2\n3\n", 3),
         (read_section_file, "[a]\nX\n\n[]\n", 4),
         (read_section_file, "[a]\nX\n[b c]\nY\n", 3),
         (read_section_file, "[a]\nX\n# again\n[a]\nY\n", 4),

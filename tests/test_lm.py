@@ -97,6 +97,14 @@ def test_hand_built_uniform_model_scores_uniformly():
     assert math.isclose(perplexity(model, [("a",), ("q", "a")]), 3.0, rel_tol=0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("args", [(), (2, ("a",), {}, {})], ids=["no-arguments", "tables"])
+def test_calling_the_class_is_refused(args):
+    """A model enters through train or load; the class itself builds none."""
+    message = r"^build an NGramModel with NGramModel\.train or NGramModel\.load$"
+    with pytest.raises(TypeError, match=message):
+        NGramModel(*args)
+
+
 @pytest.mark.parametrize("command", ["perplexity", "fluency"])
 def test_a_perplexity_beyond_the_float_range_is_a_data_error(tmp_path, capsys, command):
     """exp(1000) overflows a float: exit 2, no output and no traceback."""
