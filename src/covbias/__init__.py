@@ -23,9 +23,7 @@ DEFAULT_SYNTHETIC_TAG = "<BT>"
 # is imported on the first access to one of its names (PEP 562), so a CLI
 # run loads only the layers its subcommand uses.
 _EXPORTS = {
-    "abstraction": (
-        "FluencyReport", "abstract_corpus", "abstract_sentence", "fluency_report",
-    ),
+    "abstraction": ("FluencyReport", "abstract_corpus", "fluency_report"),
     "corpus": (
         "OriginLabel", "ParallelExample", "PosAnnotation", "Sentence", "read_mono",
         "read_parallel", "write_mono", "write_parallel",

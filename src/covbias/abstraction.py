@@ -39,18 +39,6 @@ def _abstractor(
     return abstract
 
 
-def abstract_sentence(
-    sentence: Sentence,
-    pos: PosAnnotation,
-    content_tags: frozenset[str],
-    tag_prefix: str = "",
-    tag_suffix: str = "",
-) -> Sentence:
-    """Length-preserving substitution of each content word (a token whose tag
-    is in content_tags) by its tag, rendered as tag_prefix + tag + tag_suffix."""
-    return _abstractor(content_tags, tag_prefix, tag_suffix)(sentence, pos)
-
-
 def abstract_corpus(
     input_path: str,
     pos_path: str,
@@ -59,7 +47,11 @@ def abstract_corpus(
     tag_prefix: str = "",
     tag_suffix: str = "",
 ) -> int:
-    """Abstract a corpus file line by line (atomic write); returns line count."""
+    """Abstract a corpus file line by line (atomic write); returns line count.
+
+    Each line keeps its length: every content word (a token whose tag is in
+    content_tags) is replaced by its tag, rendered as tag_prefix + tag + tag_suffix.
+    """
     abstract = _abstractor(content_tags, tag_prefix, tag_suffix)
     tagged = read_tagged(input_path, pos_path)
     return write_mono((abstract(s, pos) for s, pos in tagged), output_path)
@@ -84,7 +76,7 @@ def fluency_report(
     """Score outputs with a plain LM and their abstraction with an abstracted LM.
 
     tagged holds one (sentence, tags) pair per output line, as read_tagged
-    yields them; they are abstracted as abstract_sentence does. It is read
+    yields them; they are abstracted as abstract_corpus does. It is read
     once: both models score each line as it arrives, so each perplexity sums
     the same floats in the same order as perplexity() would.
     """

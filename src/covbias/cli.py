@@ -216,10 +216,7 @@ def _labelled_scores(
     line_nos, scores = array("q"), array("d")
     for line_no, score in scored:
         if not math.isfinite(score):
-            raise DataError(
-                f"{where}line_no {line_no}: shifted score {score} is not finite",
-                line_no=line_no,
-            )
+            raise DataError(f"{where}line_no {line_no}: shifted score {score} is not finite")
         try:
             line_nos.append(line_no)
         except OverflowError:  # a report's line_no above 2**63 - 1: keep ints from here on
@@ -331,6 +328,8 @@ def _cmd_random_split(args: argparse.Namespace) -> int:
         raise UsageError(f"--fraction must be in (0, 1), got {float(fraction)}")
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
+    if count > sys.maxsize:  # a list of that many line numbers cannot be built
+        raise UsageError(f"--count must be at most {sys.maxsize}, got {count}")
     part_a, part_b = random_split(count, fraction, args.seed)
     if not part_a:
         raise UsageError(f"--fraction {float(fraction)} of --count {count} puts no line in group a")
@@ -434,10 +433,10 @@ def _cmd_tag(args: argparse.Namespace) -> int:
         n = 0
         for n, example in enumerate(_read_untagged(source, args.target, args.tag_token), 1):
             if n > len(labels):
-                raise DataError(f"{records} ended at line_no {n} but {source} continues", n)
+                raise DataError(f"{records} ended at line_no {n} but {source} continues")
             yield example
         if n < len(labels):
-            raise DataError(f"{source} ended at line {n + 1} but {records} continues", n + 1)
+            raise DataError(f"{source} ended at line {n + 1} but {records} continues")
 
     write_parallel(bias_tag(examples(), labels, args.tag_token), args.out_source, args.out_target)
     return 0

@@ -62,7 +62,7 @@ class ParallelExample(namedtuple("ParallelExample", "source target source_pos ta
 
 
 def _empty_line(path: str, line_no: int) -> NoReturn:
-    raise DataError(f"{path}: line {line_no} is empty", line_no)
+    raise DataError(f"{path}: line {line_no} is empty")
 
 
 def read_mono(path: str) -> Iterator[Sentence]:
@@ -74,10 +74,7 @@ def read_mono(path: str) -> Iterator[Sentence]:
 def _read_tags(raw: str, tokens: Sentence, path: str, line_no: int) -> PosAnnotation:
     tags = tuple(raw.split()) or _empty_line(path, line_no)
     if len(tags) != len(tokens):
-        raise DataError(
-            f"{path}: line {line_no} has {len(tags)} tags for {len(tokens)} tokens",
-            line_no=line_no,
-        )
+        raise DataError(f"{path}: line {line_no} has {len(tags)} tags for {len(tokens)} tokens")
     return tags
 
 
@@ -97,9 +94,7 @@ def _read_lines(paths: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
         for line_no, raws in enumerate(zip_longest(*handles, fillvalue=_END), 1):
             if _END in raws:
                 raise DataError(
-                    f"{paths[raws.index(_END)]} ended at line {line_no} "
-                    "but other input(s) continue",
-                    line_no=line_no,
+                    f"{paths[raws.index(_END)]} ended at line {line_no} but other input(s) continue"
                 )
             yield line_no, raws
 
@@ -147,13 +142,11 @@ def _check_writable(sentence: Sentence, line_no: int) -> str:
     line splits back into the sentence iff no token is empty or has whitespace.
     """
     if not sentence:
-        raise DataError(f"line {line_no}: refusing to write an empty sentence", line_no)
+        raise DataError(f"line {line_no}: refusing to write an empty sentence")
     line = " ".join(sentence)
     if tuple(line.split()) != tuple(sentence):
         token = next(t for t in sentence if not t or any(ch.isspace() for ch in t))
-        raise DataError(
-            f"line {line_no}: token {token!r} is empty or contains whitespace", line_no
-        )
+        raise DataError(f"line {line_no}: token {token!r} is empty or contains whitespace")
     return line
 
 

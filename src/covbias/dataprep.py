@@ -57,10 +57,7 @@ def _check_collision(
     example: ParallelExample, token: str, line_no: int
 ) -> None:
     if token in example.source or token in example.target:
-        raise DataError(
-            f"line {line_no}: corpus already contains the tag token {token!r}",
-            line_no=line_no,
-        )
+        raise DataError(f"line {line_no}: corpus already contains the tag token {token!r}")
 
 
 def bias_tag(
@@ -86,9 +83,7 @@ def _tag_lines(
     for line_no, (example, label) in enumerate(pairs, 1):
         if example is missing or label is missing:
             short, other = ("examples", "labels") if example is missing else ("labels", "examples")
-            raise DataError(
-                f"{short} ended at line {line_no} but {other} continue", line_no=line_no
-            )
+            raise DataError(f"{short} ended at line {line_no} but {other} continue")
         _check_collision(example, tag_token, line_no)
         if label is OriginLabel.TARGET_ORIGINAL:
             yield _prepend_marker(example, tag_token)

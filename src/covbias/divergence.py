@@ -118,9 +118,7 @@ def divergence_report(
         seen[group] += 1
         pos = getattr(example, pos_field)
         if pos is None:
-            raise DataError(
-                f"line {line_no}: {side} side has no POS annotations", line_no=line_no
-            )
+            raise DataError(f"line {line_no}: {side} side has no POS annotations")
         all_counts, content_counts, function_counts = counts[group]
         for token, tag in zip(getattr(example, side), pos):
             all_counts[token] = all_counts.get(token, 0) + 1

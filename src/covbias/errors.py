@@ -10,15 +10,7 @@ from __future__ import annotations
 
 
 class DataError(Exception):
-    """Invalid or inconsistent input data (CLI exit code 2).
-
-    line_no is the 1-based input line the error is about, or None when it
-    concerns no single line.
-    """
-
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message)
-        self.line_no = line_no
+    """Invalid or inconsistent input data (CLI exit code 2); its message names any file and line."""
 
 
 class FormatError(DataError):

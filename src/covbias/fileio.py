@@ -75,7 +75,7 @@ def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator
 
 def line_fault(path: str, line_no: int, problem: str) -> DataError:
     """The DataError for a fault on one line of a file, naming the file and the line."""
-    return DataError(f"{path}: line {line_no}: {problem}", line_no)
+    return DataError(f"{path}: line {line_no}: {problem}")
 
 
 def read_tsv(

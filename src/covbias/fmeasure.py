@@ -18,6 +18,7 @@ from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
 from .corpus import ParallelExample
+from .errors import DataError
 
 DEFAULT_BUCKETS: dict[str, frozenset[str]] = {
     "noun": frozenset({"NOUN"}),
@@ -73,7 +74,8 @@ def word_fmeasure(
     read_parallel(hyp, ref, None, ref_pos) yields them. The pairs are read
     once; per token type the pass keeps its tag profile and three totals
     (hypothesis count, reference count and clipped matches), and each bucket
-    sums its types' totals at the end.
+    sums its types' totals at the end. A line without reference tags raises
+    DataError.
     """
     if buckets is None:
         buckets = DEFAULT_BUCKETS
@@ -81,7 +83,9 @@ def word_fmeasure(
     ref_count: Counter[str] = Counter()
     matched: Counter[str] = Counter()
     tagged: Counter[tuple[str, str]] = Counter()
-    for hyp_tokens, ref_tokens, _, tags in examples:
+    for line_no, (hyp_tokens, ref_tokens, _, tags) in enumerate(examples, 1):
+        if tags is None:
+            raise DataError(f"line {line_no}: target side has no POS annotations")
         hyp_count.update(hyp_tokens)
         ref_count.update(ref_tokens)
         tagged.update(zip(ref_tokens, tags))

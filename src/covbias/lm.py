@@ -147,7 +147,6 @@ class NGramModel:
         self.order = order
         self.id_to_token: tuple[str, ...] = tuple(tokens)
         self._ids = {t: i for i, t in enumerate(tokens)}
-        self.token_ids: Mapping[str, int] = MappingProxyType(self._ids)
         self._start = _pack((BOS_ID,) * (order - 1), len(tokens))  # the <s> padding as a history
         self._lp = lp
         self._bo = bo

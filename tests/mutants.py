@@ -168,6 +168,35 @@ MUTANTS = (
         "weights = list(map(mul, repeat(dk), map(truediv, types, totals)))",
         ("tests/test_lm.py::test_train_matches_the_tuple_estimator_bit_for_bit",),
     ),
+    Mutant(
+        # beta(h) * p as dk * types * lower / total: the division by c(h) taken last
+        "backoff-mass-regrouped",
+        "src/covbias/lm.py",
+        "p = map(add, discounted, map(mul, row_weights, lower_p))",
+        "p = map(add, discounted, map(truediv, map(mul, map(mul, repeat(dk), chain.from_iterable("
+        "map(repeat, types, types))), lower_p), chain.from_iterable(map(repeat, totals, types))))",
+        ("tests/test_lm.py::test_train_matches_the_tuple_estimator_bit_for_bit",),
+    ),
+    Mutant(
+        # a column whose sum is not finite is refused at its first row, with no search
+        "check_model-skips-the-row-search",
+        "src/covbias/lm.py",
+        "row = next((i for i, x in enumerate(values) if not -math.inf < x <= 0.0), None)",
+        "row = 0",
+        (
+            "tests/test_lm.py::test_values_whose_sum_overflows_still_load",
+            "tests/test_lm.py::test_load_faults_keep_their_text_and_row",
+        ),
+    ),
+    Mutant(
+        "word_fmeasure-reads-untagged-lines",
+        "src/covbias/fmeasure.py",
+        """        if tags is None:
+            raise DataError(f"line {line_no}: target side has no POS annotations")
+""",
+        "",
+        ("tests/test_fmeasure.py::test_a_line_without_reference_tags_is_a_data_error",),
+    ),
 )
 
 

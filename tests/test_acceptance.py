@@ -19,13 +19,13 @@ from covbias import (
     DEFAULT_ORIGIN_TAG,
     NGramModel,
     OriginLabel,
-    abstract_sentence,
     js,
     label_for,
     perplexity,
     tune_offset,
     word_fmeasure,
 )
+from covbias.abstraction import _abstractor
 from covbias.cli import main as cli_main
 from covbias.fileio import read_tsv
 from covbias.lm import BOS
@@ -339,10 +339,7 @@ def test_criterion_8_abstraction_collapses_the_content_gap(bed):
                 if gold is label
             ]
             cut = (4 * len(text)) // 5
-            abstracted = [
-                abstract_sentence(sentence, tags, DEFAULT_CONTENT_TAGS)
-                for sentence, tags in zip(text, pos)
-            ]
+            abstracted = list(map(_abstractor(DEFAULT_CONTENT_TAGS, "", ""), text, pos))
             sides[label] = {
                 "plain_lm": NGramModel.train(text[:cut], order=3, min_count=2),
                 "plain_held": text[cut:],

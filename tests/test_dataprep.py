@@ -91,9 +91,8 @@ def test_tag_collision_reports_the_line():
         ParallelExample((DEFAULT_ORIGIN_TAG, "x"), ("y",)),
     ]
     message = f"^line 2: corpus already contains the tag token '{DEFAULT_ORIGIN_TAG}'$"
-    with pytest.raises(DataError, match=message) as err:
+    with pytest.raises(DataError, match=message):
         list(bias_tag(examples, [S, S]))
-    assert err.value.line_no == 2
     # a collision on the target side is just as ambiguous
     message = f"^line 1: corpus already contains the tag token '{DEFAULT_ORIGIN_TAG}'$"
     with pytest.raises(DataError, match=message):
@@ -102,12 +101,10 @@ def test_tag_collision_reports_the_line():
 
 def test_tag_label_length_mismatch_both_directions():
     # the shorter input is named with the first line it lacks
-    with pytest.raises(DataError, match="^labels ended at line 3 but examples continue$") as err:
+    with pytest.raises(DataError, match="^labels ended at line 3 but examples continue$"):
         list(bias_tag(_examples(), [S, T]))
-    assert err.value.line_no == 3
-    with pytest.raises(DataError, match="^examples ended at line 4 but labels continue$") as err:
+    with pytest.raises(DataError, match="^examples ended at line 4 but labels continue$"):
         list(bias_tag(_examples(), [S, T, S, T]))
-    assert err.value.line_no == 4
 
 
 _words = st.lists(st.sampled_from(["hallo", "welt", "good", "X"]), min_size=1, max_size=4)

@@ -153,9 +153,8 @@ def test_divergence_report_reads_the_requested_side():
 def test_divergence_report_needs_pos_on_every_partition_line():
     examples = _report_examples()
     examples[2] = ParallelExample(("alpha", "de"), ("x",))
-    with pytest.raises(DataError, match="^line 3: source side has no POS annotations$") as err:
+    with pytest.raises(DataError, match="^line 3: source side has no POS annotations$"):
         divergence_report(examples, {1, 3}, {2, 4}, "source")
-    assert err.value.line_no == 3
     # a line in neither partition needs no tags
     trimmed = divergence_report(examples, {1}, {2}, "source")
     assert trimmed == divergence_report(_report_examples(), {1}, {2}, "source")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from covbias import DataError, word_fmeasure
+from covbias import DataError, ParallelExample, word_fmeasure
 from covbias.fmeasure import DEFAULT_BUCKETS
 
 from oracles import bruteforce_fmeasure, fmeasure_pairs
@@ -106,6 +106,12 @@ def test_shape_validation():
     """A reference line whose tag count differs from its token count is no input pair."""
     with pytest.raises(DataError, match="^target has 1 tokens but 2 tags$"):
         fmeasure_pairs([("a",), ("b",)], [("a",), ("b",)], [("NOUN",), ("NOUN", "X")])
+
+
+def test_a_line_without_reference_tags_is_a_data_error():
+    tagged = ParallelExample(("a",), ("a",), None, ("NOUN",))
+    with pytest.raises(DataError, match="^line 2: target side has no POS annotations$"):
+        word_fmeasure([tagged, ParallelExample(("a",), ("a",))])
 
 
 def test_agrees_with_bruteforce_reference_on_random_instances():

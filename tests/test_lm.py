@@ -64,7 +64,7 @@ def _model_abba():
 
 def test_unigram_probabilities_match_hand_computation():
     model = _model_aab()
-    ids = model.token_ids
+    ids = {token: i for i, token in enumerate(model.id_to_token)}
     p = {w: math.exp(model.logprobs[(ids[w],)]) for w in ("a", "b", UNK, EOS)}
     assert math.isclose(p["a"], P_A_UNIGRAM, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(p["b"], P_B_UNIGRAM, rel_tol=0, abs_tol=1e-12)
@@ -793,7 +793,8 @@ def test_score_pairs_exits_2_on_a_nan_backoff_model(tmp_path, capsys):
 
 
 def _oracle_args(model):
-    return model.order, model.token_ids, dict(model.logprobs), dict(model.backoffs)
+    token_ids = {token: i for i, token in enumerate(model.id_to_token)}
+    return model.order, token_ids, dict(model.logprobs), dict(model.backoffs)
 
 
 def _bits_of(value):

@@ -94,6 +94,22 @@ def test_all_names_exactly_the_public_attributes():
     assert public == set(covbias.__all__)
 
 
+def test_every_exported_name_is_used_inside_the_package():
+    # a public name that only tests read is test-only API: some module other
+    # than __init__.py must refer to each one, as a name, attribute or import
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+    assert sorted(set(covbias.__all__) - used) == []
+
+
 def test_traced_layer_functions_resolve():
     # bench/tracer.py wraps each layer by its module-global name; read its
     # LAYER_FUNCTIONS without importing bench code and resolve every entry
