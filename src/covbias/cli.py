@@ -130,13 +130,15 @@ _GROUP_HEADER = ("line_no", "group")  # line groups
 
 
 def _line_no(cell: str, seen: set[int]) -> int:
-    """A report's line_no cell as an integer >= 1 not in seen, which then holds it."""
+    """A report's line_no cell as an integer in 1..sys.maxsize not in seen, which then holds it."""
     try:
         number = int(cell)
     except ValueError:
         raise ValueError(f"bad line_no {cell!r}") from None
     if number < 1:
         raise ValueError(f"line_no must be >= 1, got {number}")
+    if number > sys.maxsize:  # as for --count: a line number fits in 64 bits
+        raise ValueError(f"line_no must be at most {sys.maxsize}, got {number}")
     if number in seen:
         raise ValueError(f"line_no {number} is repeated")
     seen.add(number)
@@ -217,10 +219,7 @@ def _labelled_scores(
     for line_no, score in scored:
         if not math.isfinite(score):
             raise DataError(f"{where}line_no {line_no}: shifted score {score} is not finite")
-        try:
-            line_nos.append(line_no)
-        except OverflowError:  # a report's line_no above 2**63 - 1: keep ints from here on
-            line_nos = [*line_nos, line_no]
+        line_nos.append(line_no)
         scores.append(score)
     rows = ((str(n), fmt_float(x), label_for(x).code) for n, x in zip(line_nos, scores))
     return format_tsv(_RECORD_HEADER, rows)

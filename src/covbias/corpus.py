@@ -60,6 +60,11 @@ class ParallelExample(namedtuple("ParallelExample", "source target source_pos ta
             raise DataError(f"target has {len(target)} tokens but {len(target_pos)} tags")
         return tuple.__new__(cls, (source, target, source_pos, target_pos))
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ParallelExample:
+        # namedtuple's _make, and _replace through it, would skip __new__'s checks
+        return cls(*iterable)
+
 
 def _empty_line(path: str, line_no: int) -> NoReturn:
     raise DataError(f"{path}: line {line_no} is empty")

@@ -78,19 +78,18 @@ def tune_offset(
     """
     if not scored:
         raise DataError("cannot tune an offset on zero scored pairs")
-    golds = {label for _, label in scored}
-    if len(golds) < 2:
-        raise DataError(
-            "offset tuning needs both source-original and target-original gold labels"
-        )
     pairs = sorted(scored, key=lambda sl: sl[0])
     values = [s for s, _ in pairs]
-    total_s = sum(1 for _, g in scored if g is OriginLabel.SOURCE_ORIGINAL)
-    total_t = len(scored) - total_s
     # prefix_s[i] = gold source-original count among the i lowest scores
     prefix_s = [0]
     for _, gold in pairs:
         prefix_s.append(prefix_s[-1] + (1 if gold is OriginLabel.SOURCE_ORIGINAL else 0))
+    total_s = prefix_s[-1]
+    total_t = len(pairs) - total_s
+    if not total_s or not total_t:
+        raise DataError(
+            "offset tuning needs both source-original and target-original gold labels"
+        )
 
     distinct = sorted(set(values))
     low, high = distinct[0], distinct[-1]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -103,8 +104,8 @@ def divergence_report(
         )
     pos_field = f"{side}_pos"
     sides = {"a": partition_a, "b": partition_b}
-    # per group, one {token: count} map per word class, in WORD_CLASSES order
-    counts = {group: ({}, {}, {}) for group in sides}
+    # per group, one {token: count} map per word class: content, function
+    counts = {group: ({}, {}) for group in sides}
     seen = {"a": 0, "b": 0}
     last_line = 0
     for line_no, example in enumerate(examples, 1):
@@ -119,9 +120,8 @@ def divergence_report(
         pos = getattr(example, pos_field)
         if pos is None:
             raise DataError(f"line {line_no}: {side} side has no POS annotations")
-        all_counts, content_counts, function_counts = counts[group]
+        content_counts, function_counts = counts[group]
         for token, tag in zip(getattr(example, side), pos):
-            all_counts[token] = all_counts.get(token, 0) + 1
             bucket = content_counts if tag in content_tags else function_counts
             bucket[token] = bucket.get(token, 0) + 1
     for group, wanted in sides.items():
@@ -130,7 +130,8 @@ def divergence_report(
                 f"partition {group} names {len(wanted)} lines but only "
                 f"{seen[group]} were found in the {last_line}-line stream"
             )
-    return DivergenceReport(*map(js, counts["a"], counts["b"]))
+    merged = [Counter(content) + Counter(function) for content, function in counts.values()]
+    return DivergenceReport(js(*merged), *map(js, counts["a"], counts["b"]))
 
 
 def random_split(

@@ -57,9 +57,9 @@ of that benchmark never build the index.
 
 The file (format 2, little-endian) holds the same keys. After the magic
 "NGLM", u16 version, u16 order, u32 V and each token as a u32 length and its
-UTF-8 bytes come the training metadata: u8 flags (1: token count, 2:
-discounts), the u64 token count and one f64 discount per order, zero where
-the flag is clear. Then for k = 1..order come the order-k events table and,
+UTF-8 bytes come the training metadata: u8 flags, always 3 (1: token count,
+2: discounts; every model has both), the u64 token count and one f64
+discount per order. Then for k = 1..order come the order-k events table and,
 for k < order, the order-k contexts table. A table is a u32 row count, a
 column of strictly increasing keys and a column of f64 values
 (log-probabilities or backoff weights). Keys are u64 when V**k <= 2**64 and
@@ -99,7 +99,7 @@ _FALLBACK_DISCOUNT = 0.75
 _U32 = struct.Struct("<I")
 _VERSION_ORDER = struct.Struct("<HH")
 _META = struct.Struct("<BQ")  # flags, training token count; the discounts follow
-_HAS_COUNT, _HAS_DISCOUNTS = 1, 2
+_FLAGS = 3  # 1: token count, 2: discounts; the only flags a model file may carry
 _SWAP = sys.byteorder == "big"  # file columns are little-endian
 # Scoring bisects the columns until it has scored one event per this many
 # rows, then builds the dict index (see NGramModel._index).
@@ -122,7 +122,9 @@ class NGramModel:
     logprobs maps full n-gram id tuples (any length 1..order) to natural-log
     conditional probabilities; backoffs maps context id tuples (length
     1..order-1) to natural-log backoff weights. Both are read-only views
-    decoded from the tables on every access, at O(rows) per access.
+    decoded from the tables on every access, at O(rows) per access. Every
+    model carries its training metadata: train_token_count, the int number
+    of training tokens, and discounts, a tuple of one float D_k per order.
     """
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -134,8 +136,8 @@ class NGramModel:
         tokens: Sequence[str],
         lp: _Tables,
         bo: _Tables,
-        train_token_count: int | None,
-        discounts: Sequence[float] | None,
+        train_token_count: int,
+        discounts: Sequence[float],
     ) -> "NGramModel":
         """Take valid columns, with no copy and no check; return self.
 
@@ -154,7 +156,7 @@ class NGramModel:
         # events logprob may still score by bisection before it builds the index
         self._unindexed = sum(map(len, lp + bo)) // _ROWS_PER_BISECTED_EVENT
         self.train_token_count = train_token_count
-        self.discounts = tuple(discounts) if discounts is not None else None
+        self.discounts = tuple(discounts)
         return self
 
     def _set_levels(self) -> None:
@@ -275,7 +277,7 @@ class NGramModel:
         # Valid by construction (keys strictly increasing, ids from the vocabulary,
         # values finite and <= 0); property tests pass them through load.
         model = cls.__new__(cls)
-        return model._trusted(order, id_to_token, lp, bo, sum(map(len, sentences)), discounts[1:])
+        return model._trusted(order, id_to_token, lp, bo, freqs.total(), discounts[1:])
 
     # -- scoring -----------------------------------------------------------
 
@@ -325,16 +327,14 @@ class NGramModel:
         from .fileio import atomic_write_bytes
 
         base = len(self.id_to_token)
-        flags = (self.train_token_count is not None) * _HAS_COUNT
-        flags |= (self.discounts is not None) * _HAS_DISCOUNTS
         with atomic_write_bytes(path) as handle:
             handle.write(_MAGIC + _VERSION_ORDER.pack(MODEL_FORMAT_VERSION, self.order))
             handle.write(_U32.pack(base))
             for token in self.id_to_token:
                 raw = token.encode("utf-8")
                 handle.write(_U32.pack(len(raw)) + raw)
-            handle.write(_META.pack(flags, self.train_token_count or 0))
-            handle.write(struct.pack(f"<{self.order}d", *self.discounts or repeat(0.0, self.order)))
+            handle.write(_META.pack(_FLAGS, self.train_token_count))
+            handle.write(struct.pack(f"<{self.order}d", *self.discounts))
             for k in range(1, self.order + 1):
                 for table in (self._lp[k], self._bo[k]) if k < self.order else (self._lp[k],):
                     handle.write(_U32.pack(len(table)))
@@ -349,9 +349,9 @@ class NGramModel:
         anything is read. FormatError names the file and a framing fault: a
         bad magic or version, a token that is not UTF-8, a table whose keys
         repeat, go back or name an id outside the vocabulary, truncation,
-        trailing bytes, unknown metadata flags or metadata set but flagged
-        absent. The order, the vocabulary and then the model must pass
-        _check_order, _check_vocabulary and _check_model.
+        trailing bytes, or metadata flags other than 3 (a file without its
+        token count or discounts). The order, the vocabulary and then the
+        model must pass _check_order, _check_vocabulary and _check_model.
         """
         with open(path, "rb") as handle:
             reader = _Reader(handle, path)
@@ -384,7 +384,14 @@ class NGramModel:
                 reader.left = left
                 _check_vocabulary(tokens)
                 reader.base = base
-                lp, bo, (token_count, discounts) = _read_v2(reader, order)
+                flags, token_count = _META.unpack(reader.take(_META.size, "metadata"))
+                if flags != _FLAGS:
+                    raise reader.fail(f"metadata flags must be {_FLAGS}, got {flags}")
+                discounts = struct.unpack(f"<{order}d", reader.take(8 * order, "discounts"))
+                lp, bo = [_EMPTY], [_EMPTY]
+                for k in range(1, order + 1):
+                    lp.append(_read_table(reader, k, "events"))
+                    bo.append(_read_table(reader, k, "contexts") if k < order else _EMPTY)
                 if reader.left:
                     raise reader.fail("trailing bytes after the last table")
                 _check_model(lp, bo, base, discounts)
@@ -533,30 +540,8 @@ class _Reader:
         return items
 
 
-def _read_v2(
-    reader: _Reader, order: int
-) -> tuple[_Tables, _Tables, tuple[int | None, tuple[float, ...] | None]]:
-    """The format-2 tables and metadata: (lp, bo, (token count, discounts))."""
-    flags, token_count = _META.unpack(reader.take(_META.size, "metadata"))
-    raw = reader.take(8 * order, "discounts")
-    if flags & ~(_HAS_COUNT | _HAS_DISCOUNTS):
-        raise reader.fail(f"unknown metadata flags {flags}")
-    if not flags & _HAS_COUNT and token_count:
-        raise reader.fail("token count set but flagged absent")
-    if not flags & _HAS_DISCOUNTS and any(raw):
-        raise reader.fail("discounts set but flagged absent")
-    lp, bo = [_EMPTY], [_EMPTY]
-    for k in range(1, order + 1):
-        lp.append(_read_table(reader, k, "events"))
-        bo.append(_read_table(reader, k, "contexts") if k < order else _EMPTY)
-    return lp, bo, (
-        token_count if flags & _HAS_COUNT else None,
-        struct.unpack(f"<{order}d", raw) if flags & _HAS_DISCOUNTS else None,
-    )
-
-
 def _read_table(reader: _Reader, k: int, what: str) -> _Column:
-    """Read one format-2 table, "events" or "contexts", as it is stored.
+    """Read one table, "events" or "contexts", as it is stored.
 
     Only what the file alone knows is checked here, one C-level pass each:
     the keys strictly increase, and then the last key is the largest and
@@ -652,7 +637,7 @@ def _check_vocabulary(tokens: Sequence[str]) -> None:
         raise ValueError("duplicate token in vocabulary")
 
 
-def _check_model(lp: _Tables, bo: _Tables, base: int, discounts: Sequence[float] | None) -> None:
+def _check_model(lp: _Tables, bo: _Tables, base: int, discounts: Sequence[float]) -> None:
     """Raise ValueError unless the columns and discounts of a model file form a valid model.
 
     load calls it on what it read: columns of a checked order whose keys
@@ -689,7 +674,7 @@ def _check_model(lp: _Tables, bo: _Tables, base: int, discounts: Sequence[float]
         present = set(unigrams)
         missing = next(i for i in range(base) if i != BOS_ID and i not in present)
         raise ValueError(f"missing unigram entry for token id {missing}")
-    if discounts is not None and not all(map(math.isfinite, discounts)):
+    if not all(map(math.isfinite, discounts)):
         raise ValueError(f"discounts {tuple(discounts)} are not {order} finite values")
 
 

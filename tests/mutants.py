@@ -71,6 +71,16 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_repeated_line_no_is_a_data_error[classify]",),
     ),
     Mutant(
+        "line_no-unbounded",
+        "src/covbias/cli.py",
+        """    if number > sys.maxsize:""",
+        """    if False:""",
+        (
+            "tests/test_cli.py::test_classify_keeps_a_line_no_beyond_64_bits",
+            "tests/test_cli.py::test_a_line_no_above_sys_maxsize_is_a_data_error[select]",
+        ),
+    ),
+    Mutant(
         "label_for-zero-is-source",
         "src/covbias/detect.py",
         "SOURCE_ORIGINAL if score > 0 else",
@@ -143,6 +153,18 @@ MUTANTS = (
         "                _check_model(lp, bo, base, discounts)\n",
         "",
         ("tests/test_lm.py::test_load_rejects_invalid_models",),
+    ),
+    Mutant(
+        "load-takes-any-metadata-flags",
+        "src/covbias/lm.py",
+        """                if flags != _FLAGS:
+                    raise reader.fail(f"metadata flags must be {_FLAGS}, got {flags}")
+""",
+        "",
+        (
+            "tests/test_lm.py::test_training_metadata_round_trips_in_format_2_only",
+            "tests/test_lm.py::test_load_rejects_metadata_flagged_absent[unknown flag]",
+        ),
     ),
     Mutant(
         "index-drops-a-row",

@@ -162,8 +162,11 @@ def tuple_word_logprob(order, token_ids, logprobs, backoffs, context, word):
     return tuple_event_logprob(logprobs, backoffs, ids, token_ids.get(word, 0))
 
 
-def model_bytes(order, tokens, logprobs, backoffs=None, *, train_token_count=None, discounts=None):
+def model_bytes(order, tokens, logprobs, backoffs=None, *, train_token_count=0, discounts=None):
     """The bytes of a format-2 model file (see the lm module docstring) of id-tuple keyed tables.
+
+    The metadata flags are 3, as in every model file: the token count and
+    one discount per order follow, 0.0 each unless discounts are given.
 
     logprobs maps n-grams of 1..order ids and backoffs maps contexts of
     1..order-1 ids; a context needs no event of its own, and an n-gram of
@@ -177,8 +180,7 @@ def model_bytes(order, tokens, logprobs, backoffs=None, *, train_token_count=Non
     for token in tokens:
         raw = token if isinstance(token, bytes) else token.encode("utf-8")
         out += struct.pack("<I", len(raw)) + raw
-    flags = (train_token_count is not None) | (discounts is not None) << 1
-    out += struct.pack("<BQ", flags, train_token_count or 0)
+    out += struct.pack("<BQ", 3, train_token_count)
     out += struct.pack(f"<{order}d", *discounts or [0.0] * order)
 
     def packed(gram):  # the ids as base-V digits, oldest most significant

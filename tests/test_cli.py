@@ -561,6 +561,35 @@ def test_a_repeated_line_no_is_a_data_error(corpus, capsys, command, rows):
     )
 
 
+_HUGE = sys.maxsize + 1
+_HUGE_RECORD = f"line_no\tscore\tlabel\n1\t5\tS\n2\t-5\tT\n3\t1\tS\n{_HUGE}\t-1\tT\n"
+_HUGE_GROUP = (
+    f"line_no\tgroup\n1\tmost_source\n2\tmost_target\n3\tmost_source\n{_HUGE}\tmost_target\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, rows",
+    [
+        pytest.param("select", _HUGE_RECORD, id="select"),
+        pytest.param("classify", _HUGE_RECORD, id="classify"),
+        pytest.param("tag", _HUGE_RECORD, id="tag"),
+        pytest.param("split-finetune-records", _HUGE_RECORD, id="split-finetune-records"),
+        pytest.param("jsdiv-split", _HUGE_GROUP, id="jsdiv-split"),
+        pytest.param("split-finetune-selection", _HUGE_GROUP, id="split-finetune-selection"),
+    ],
+)
+def test_a_line_no_above_sys_maxsize_is_a_data_error(corpus, capsys, command, rows):
+    """Every reader of either report kind refuses it on its last row and writes nothing."""
+    table = corpus / "report.tsv"
+    table.write_text(rows, encoding="utf-8")
+    argv, outs = _reading_report(corpus, command, str(table))
+    assert main(argv) == 2
+    assert not any(os.path.exists(out) for out in outs)
+    problem = f"line_no must be at most {sys.maxsize}, got {_HUGE}"
+    assert capsys.readouterr() == ("", f"covbias: error: {table}: line 5: {problem}\n")
+
+
 @pytest.mark.parametrize(
     "command, rows, column",
     [
@@ -707,7 +736,7 @@ _ROUND_TRIP = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-_LINE_NO = st.integers(1, 2**64)  # past 2**63 - 1 too, where the writer stops using an array
+_LINE_NO = st.integers(1, sys.maxsize)  # every line_no a report may hold
 
 
 @_ROUND_TRIP
@@ -1551,10 +1580,15 @@ def test_a_streamed_score_report_is_all_or_nothing(corpus, capsys):
 
 
 def test_classify_keeps_a_line_no_beyond_64_bits(corpus, capsys):
+    """A line_no fits in 64 bits, as --count does: sys.maxsize is kept, 2**64 is refused."""
     scores = corpus / "scores.tsv"
-    scores.write_text(f"line_no\tscore\n{2**64}\t1.5\n3\t-2\n", encoding="utf-8")
+    scores.write_text(f"line_no\tscore\n{sys.maxsize}\t1.5\n3\t-2\n", encoding="utf-8")
     assert main(["classify", "--scores", str(scores), "--offset-c", "0.5"]) == 0
-    assert capsys.readouterr().out == f"line_no\tscore\tlabel\n{2**64}\t2\tS\n3\t-1.5\tT\n"
+    assert capsys.readouterr().out == f"line_no\tscore\tlabel\n{sys.maxsize}\t2\tS\n3\t-1.5\tT\n"
+    scores.write_text(f"line_no\tscore\n3\t-2\n{2**64}\t1.5\n", encoding="utf-8")
+    assert main(["classify", "--scores", str(scores), "--offset-c", "0.5"]) == 2
+    problem = f"line_no must be at most {sys.maxsize}, got {2**64}"
+    assert capsys.readouterr() == ("", f"covbias: error: {scores}: line 3: {problem}\n")
 
 
 def test_score_pairs_holds_no_object_per_row(tmp_path, monkeypatch):

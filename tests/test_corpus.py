@@ -1,3 +1,4 @@
+import pickle
 import re
 import tracemalloc
 
@@ -118,6 +119,21 @@ def test_example_is_immutable_and_validated():
         ParallelExample(("a", "b"), ("x",), source_pos=("NOUN",))
     with pytest.raises(DataError, match="^target has 2 tokens but 1 tags$"):
         ParallelExample(("a",), ("b", "c"), None, ("X",))
+
+
+def test_replace_and_make_check_the_tag_counts_and_pickling_round_trips():
+    example = ParallelExample(("a",), ("b",), ("NOUN",), None)
+    with pytest.raises(DataError, match="^source has 1 tokens but 2 tags$"):
+        example._replace(source_pos=("X", "Y"))
+    with pytest.raises(DataError, match="^target has 1 tokens but 2 tags$"):
+        ParallelExample._make((("a",), ("b",), None, ("X", "Y")))
+    replaced = example._replace(target_pos=("VERB",))
+    assert replaced == (("a",), ("b",), ("NOUN",), ("VERB",))
+    assert type(replaced) is ParallelExample
+    assert ParallelExample._make(replaced) == replaced
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(replaced, protocol))
+        assert (type(copy), copy) == (ParallelExample, replaced)
 
 
 def test_origin_label_codes():

@@ -535,35 +535,42 @@ def test_load_rejects_repeated_or_out_of_order_rows(tmp_path, capsys, case):
     _assert_perplexity_refuses(tmp_path, capsys, path, problem)
 
 
-def test_training_metadata_round_trips_in_format_2_only(tmp_path):
+def test_training_metadata_round_trips_in_format_2_only(tmp_path, capsys):
     model = _model_abba()
     assert (model.train_token_count, model.discounts) == (4, (0.75, 0.75))
     loaded = _assert_round_trips(model, tmp_path)
     assert (loaded.train_token_count, loaded.discounts) == (4, (0.75, 0.75))
-    # a model built without metadata saves and loads without it
-    bare = build_model(1, _VOCAB, _UNIGRAMS)
-    assert _assert_round_trips(bare, tmp_path).discounts is None
+    # a file without metadata, flags 0 and zeros in its place, is refused:
+    # every model carries its token count and discounts
+    raw = bytearray(model_bytes(1, _VOCAB, _UNIGRAMS))
+    _, meta, _ = _v2_layout(raw)
+    raw[meta] = 0
+    path = tmp_path / "bare.lm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        NGramModel.load(str(path))
+    assert str(err.value) == f"{path}: metadata flags must be 3, got 0"
+    _assert_perplexity_refuses(tmp_path, capsys, path, "metadata flags must be 3, got 0")
 
 
 @pytest.mark.parametrize(
-    "flags, problem",
-    [
-        (7, "unknown metadata flags 7"),
-        (2, "token count set but flagged absent"),
-        (1, "discounts set but flagged absent"),
-    ],
-    ids=["unknown flag", "count flagged absent", "discounts flagged absent"],
+    "flags",
+    [7, 2, 1, 4, 255],
+    ids=["unknown flag", "count flagged absent", "discounts flagged absent", "4", "255"],
 )
-def test_load_rejects_metadata_flagged_absent(tmp_path, trained_bytes, flags, problem):
+def test_load_rejects_metadata_flagged_absent(tmp_path, capsys, trained_bytes, flags):
+    """Any flags byte but the 3 that every model file carries is the one metadata fault."""
     _, meta, _ = _v2_layout(trained_bytes)
     assert trained_bytes[meta] == 3  # a trained model has both its token count and discounts
     raw = bytearray(trained_bytes)
     raw[meta] = flags
     path = tmp_path / "meta.lm"
     path.write_bytes(bytes(raw))
+    problem = f"metadata flags must be 3, got {flags}"
     with pytest.raises(FormatError) as err:
         NGramModel.load(str(path))
     assert str(err.value) == f"{path}: {problem}"
+    _assert_perplexity_refuses(tmp_path, capsys, path, problem)
 
 
 def _fuzz_model():

@@ -110,6 +110,43 @@ def test_every_exported_name_is_used_inside_the_package():
     assert sorted(set(covbias.__all__) - used) == []
 
 
+# overrides that the standard library calls by name: argparse's error hook
+# and namedtuple's _make, which _replace goes through
+_CALLED_BY_THE_STANDARD_LIBRARY = {"cli._Parser.error", "corpus.ParallelExample._make"}
+
+
+def test_every_definition_is_used_somewhere():
+    # the private-name twin of the test above: every function, class and
+    # method defined in src/covbias, nested ones too, is referred to by name
+    # somewhere in src/covbias or bench/; dunder methods are called by Python
+    used = set()
+    defined = {}
+
+    def collect(body, path, owner):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{owner}{node.name}"] = node.name
+                collect(node.body, path, f"{owner}{node.name}.")
+
+    for path in [*SRC.glob("*.py"), *TRACER.parent.glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+        if path.parent == SRC:
+            collect(tree.body, path, "")
+    assert len(defined) > 100
+    unused = {
+        where for where, name in defined.items()
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert sorted(unused - _CALLED_BY_THE_STANDARD_LIBRARY) == []
+
+
 def test_traced_layer_functions_resolve():
     # bench/tracer.py wraps each layer by its module-global name; read its
     # LAYER_FUNCTIONS without importing bench code and resolve every entry
@@ -178,13 +215,12 @@ def _run_fresh(script: str, *argv: str) -> str:
 
 def test_namespace_in_a_fresh_interpreter():
     # __all__ names resolve on first use to their home modules' objects, as do
-    # submodules never imported before; dir() lists every name before any is
-    # resolved; unknown names and a submodule's unexported names stay errors
+    # submodules never imported before; unknown names and a submodule's
+    # unexported names stay errors
     script = """
 import importlib, sys, types
 import covbias
 assert "covbias.lm" not in sys.modules
-assert set(covbias.__all__) <= set(dir(covbias))
 for name in ("abstraction", "cli", "corpus", "dataprep", "detect", "divergence",
              "errors", "fileio", "fmeasure", "lm"):
     assert isinstance(getattr(covbias, name), types.ModuleType), name
@@ -208,6 +244,21 @@ for name in ("no_such_name", "MARKER_POS_TAG"):
     star = "ns = {}; exec('from covbias import *', ns); import covbias; "
     star += "assert set(covbias.__all__) <= set(ns), set(covbias.__all__) - set(ns)"
     _run_fresh(star)
+
+
+def test_dir_lists_every_exported_name_and_imports_no_submodule_in_a_fresh_interpreter():
+    # dir() lists every name before any is resolved, and resolves none
+    script = """
+import sys
+import covbias
+before = set(sys.modules)
+listed = dir(covbias)
+assert set(covbias.__all__) <= set(listed), set(covbias.__all__) - set(listed)
+assert listed == sorted(set(listed)), listed
+assert set(sys.modules) == before, set(sys.modules) - before
+assert not [m for m in sys.modules if m.startswith("covbias.")], sorted(sys.modules)
+"""
+    _run_fresh(script)
 
 
 def test_this_file_passes_alone_in_a_fresh_interpreter():
